@@ -308,13 +308,16 @@ pub struct BsAgent {
 }
 
 impl BsAgent {
-    /// Builds the agent for `bs` from the instance. Crate-private because
-    /// the shared assignment board is an implementation detail; use
-    /// [`run_decentralized`] to execute the protocol.
+    /// Builds the agent for `bs` from the instance, broadcasting to
+    /// `covered` (its entry of [`ProblemInstance::coverage_lists`]).
+    /// Crate-private because the shared assignment board is an
+    /// implementation detail; use [`run_decentralized`] to execute the
+    /// protocol.
     #[must_use]
     pub(crate) fn new(
         instance: &ProblemInstance,
         bs: BsId,
+        covered: Vec<UeId>,
         config: &DmraConfig,
         board: Board,
     ) -> Self {
@@ -324,7 +327,7 @@ impl BsAgent {
             sp: spec.sp,
             rem_cru: spec.cru_budget.clone(),
             rem_rrb: spec.rrb_budget,
-            covered: instance.covered_ues(bs).to_vec(),
+            covered,
             same_sp_preference: config.same_sp_preference,
             served: HashSet::new(),
             board,
@@ -595,10 +598,11 @@ pub fn run_protocol(
             config,
         )));
     }
-    for i in 0..instance.n_bss() {
+    for (i, covered) in instance.coverage_lists().into_iter().enumerate() {
         engine.register(Box::new(BsAgent::new(
             instance,
             BsId::new(i as u32),
+            covered,
             config,
             Rc::clone(&board),
         )));

@@ -188,8 +188,9 @@ impl Dmra {
     ///
     /// This is the optimized execution: all matcher state lives in dense
     /// `Vec`s indexed by raw BS/UE/service indices (flattened remaining
-    /// resources, flattened candidate windows pruned by swap-with-tail,
-    /// reusable proposal buckets keyed `bs * n_services + service`). It is
+    /// resources, flattened candidate windows pruned by swap-with-tail, a
+    /// reusable table of each round's best proposal keyed
+    /// `bs * n_services + service`). It is
     /// bit-identical to [`Dmra::solve_reference`] — every selection rule
     /// has a unique key, so none of the reorderings the dense layout
     /// introduces can change a decision — and the test suite asserts the
@@ -682,8 +683,8 @@ impl Allocator for Dmra {
 ///
 /// Every field is sized/overwritten at the start of a solve, so a
 /// workspace can be reused freely across instances of different shapes;
-/// it never influences the outcome. The proposal buckets rely on the
-/// solver's drain discipline (all buckets empty between solves), which a
+/// it never influences the outcome. The winner table relies on the
+/// solver's drain discipline (every slot empty between solves), which a
 /// `debug_assert` re-checks on entry.
 #[derive(Debug, Clone, Default)]
 pub struct DmraWorkspace {
@@ -705,9 +706,10 @@ pub struct DmraWorkspace {
     f_u: Vec<u32>,
     /// Cloud-forwarded flags per UE.
     cloud: Vec<bool>,
-    /// Proposal buckets, one per `(bs, service)` slot.
-    buckets: Vec<Vec<DenseProposal>>,
-    /// Bucket slots filled in the current iteration.
+    /// The best proposal received this iteration, one entry per
+    /// `(bs, service)` slot; `None` = no proposal yet.
+    best: Vec<Option<DenseProposal>>,
+    /// Slots that received a proposal in the current iteration.
     touched: Vec<usize>,
     /// Per-BS winner scratch for the admission step.
     winners: Vec<DenseProposal>,
@@ -807,7 +809,7 @@ struct MatchRun {
     assigned_total: usize,
     /// Total UEs cloud-forwarded.
     cloud_total: usize,
-    /// Whether the workspace's bucket table was already large enough
+    /// Whether the workspace's winner table was already large enough
     /// (telemetry only).
     workspace_reused: bool,
 }
@@ -953,18 +955,21 @@ fn match_loop(
     let mut assigned_total = 0usize;
     let mut cloud_total = 0usize;
 
-    // Reusable proposal buckets, one per (bs, service) pair; `touched`
-    // lists the buckets filled this iteration (sorted before the BS
-    // side so it walks (bs, service) in exactly the order the
-    // reference's nested BTreeMaps would). Every bucket is empty
-    // between solves (each iteration drains the buckets it touched),
-    // so reuse only needs to grow the slot table.
-    let workspace_reused = ws.buckets.len() >= n_bss * n_svcs;
+    // The BS side only ever uses each (bs, service) slot's
+    // max-preference proposal, so the UE side keeps a running max per
+    // slot instead of a bucket of every proposal: the preference key
+    // embeds the UE id, so the max is unique and independent of arrival
+    // order. `touched` lists the slots filled this iteration (sorted
+    // before the BS side so it walks (bs, service) in exactly the order
+    // the reference's nested BTreeMaps would). Every slot is empty
+    // between solves (each iteration takes the slots it touched), so
+    // reuse only needs to grow the table.
+    let workspace_reused = ws.best.len() >= n_bss * n_svcs;
     if !workspace_reused {
-        ws.buckets.resize_with(n_bss * n_svcs, Vec::new);
+        ws.best.resize(n_bss * n_svcs, None);
     }
-    debug_assert!(ws.buckets.iter().all(Vec::is_empty));
-    let buckets = &mut ws.buckets;
+    debug_assert!(ws.best.iter().all(Option::is_none));
+    let best = &mut ws.best;
     ws.touched.clear();
     let touched = &mut ws.touched;
     ws.winners.clear();
@@ -1010,12 +1015,9 @@ fn match_loop(
                 let b = c.bs as usize;
                 if rem_cru[b * n_svcs + s] >= cru_demand[u] && rem_rrb[b] >= c.n_rrbs {
                     let slot = b * n_svcs + s;
-                    if buckets[slot].is_empty() {
-                        touched.push(slot);
-                    }
                     // The proposal carries everything the BS side
                     // needs, so no per-winner candidate lookups later.
-                    buckets[slot].push(DenseProposal {
+                    let proposal = DenseProposal {
                         ue: u as u32,
                         n_rrbs: c.n_rrbs,
                         cru_demand: cru_demand[u],
@@ -1025,7 +1027,18 @@ fn match_loop(
                             Reverse(c.n_rrbs + cru_demand[u]),
                             Reverse(u as u32),
                         ),
-                    });
+                    };
+                    match &mut best[slot] {
+                        Some(held) => {
+                            if proposal.pref > held.pref {
+                                *held = proposal;
+                            }
+                        }
+                        empty @ None => {
+                            *empty = Some(proposal);
+                            touched.push(slot);
+                        }
+                    }
                     proposals_total += 1;
                     any = true;
                     break;
@@ -1049,16 +1062,10 @@ fn match_loop(
             let bs = touched[t] / n_svcs;
             winners.clear();
             while t < touched.len() && touched[t] / n_svcs == bs {
-                // One winner per service: the max-preference proposer
-                // (the key embeds the UE id, so it is unique).
-                let bucket = &buckets[touched[t]];
-                let mut best = bucket[0];
-                for p in &bucket[1..] {
-                    if p.pref > best.pref {
-                        best = *p;
-                    }
-                }
-                winners.push(best);
+                // One winner per service: the slot's max-preference
+                // proposer. Taking it also empties the slot.
+                let slot = touched[t];
+                winners.push(best[slot].take().expect("touched slot holds a proposal"));
                 t += 1;
             }
             // Radio admission: lines 22–25. Remove least-preferred
@@ -1080,9 +1087,6 @@ fn match_loop(
                 assigned[u] = Some(BsId::new(bs as u32));
                 accepted_this_iteration += 1;
             }
-        }
-        for &slot in touched.iter() {
-            buckets[slot].clear();
         }
         touched.clear();
         assigned_total += accepted_this_iteration;
@@ -1655,14 +1659,73 @@ mod tests {
         }
     }
 
+    /// A paper-scale deployment built by hand (`ScenarioConfig` lives in
+    /// `dmra-sim`, downstream of this crate): 5 SPs, a 5×5 grid of BSs
+    /// 300 m apart (round-robin SPs), 6 services and 500 UEs scattered
+    /// by a fixed LCG — 150 `(bs, service)` slots.
+    fn paper_scale_instance() -> ProblemInstance {
+        let sps: Vec<SpSpec> = (0..5)
+            .map(|k| SpSpec::new(SpId::new(k), Money::new(9.0), Money::new(1.0)))
+            .collect();
+        let catalog = ServiceCatalog::new(6);
+        let bss: Vec<BsSpec> = (0..25u32)
+            .map(|b| {
+                let (row, col) = (f64::from(b / 5), f64::from(b % 5));
+                BsSpec::new(
+                    dmra_types::BsId::new(b),
+                    SpId::new(b % 5),
+                    Point::new(150.0 + 300.0 * col, 150.0 + 300.0 * row),
+                    (0..6)
+                        .map(|j| Cru::new(100 + (b * 7 + j * 13) % 51))
+                        .collect(),
+                    Hertz::from_mhz(10.0),
+                    dmra_types::RrbCount::new(55),
+                )
+            })
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let ues: Vec<UeSpec> = (0..500u32)
+            .map(|u| {
+                UeSpec::new(
+                    dmra_types::UeId::new(u),
+                    SpId::new(u % 5),
+                    Point::new(1500.0 * unit(), 1500.0 * unit()),
+                    ServiceId::new((u * 7) % 6),
+                    Cru::new(3 + u % 3),
+                    BitsPerSec::from_mbps(2.0 + 4.0 * unit()),
+                    Dbm::new(10.0),
+                )
+            })
+            .collect();
+        ProblemInstance::build(
+            sps,
+            bss,
+            ues,
+            catalog,
+            PricingConfig::paper_defaults(),
+            RadioConfig::paper_defaults(),
+            CoverageModel::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn workspace_reuse_never_changes_the_outcome() {
         // One workspace dragged across instances of different shapes and
-        // configs must reproduce the fresh-workspace outcome every time.
+        // configs must reproduce the fresh-workspace outcome every time;
+        // the paper-scale instance grows the winner table, and the tiny
+        // ones after it run on a prefix of the grown table.
         let instances = [
             two_sp_instance(),
             contested_instance(1),
             contested_instance(0),
+            paper_scale_instance(),
             two_sp_instance(),
             contested_instance(55),
         ];
@@ -1673,6 +1736,82 @@ mod tests {
             let fresh = dmra.solve(inst).unwrap();
             assert_eq!(reused, fresh, "instance #{i} diverged under reuse");
         }
+    }
+
+    /// Three same-SP UEs request service 0 at BS 0 in the same round; the
+    /// last of them in UE order (UE 2) is the only one BS 1 cannot cover,
+    /// so its smaller `f_u` makes it the BS's choice. A cross-SP UE
+    /// requests service 1 at BS 0 in that round too, and both budgets
+    /// fit one RRB, so admission has to evict one of the two winners.
+    fn crowded_slot_instance() -> ProblemInstance {
+        let sps = vec![
+            SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
+            SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
+        ];
+        let mk_bs = |id: u32, x: f64| {
+            BsSpec::new(
+                dmra_types::BsId::new(id),
+                SpId::new(0),
+                Point::new(x, 0.0),
+                vec![Cru::new(100), Cru::new(100)],
+                Hertz::from_mhz(10.0),
+                dmra_types::RrbCount::new(1),
+            )
+        };
+        let mk_ue = |id: u32, sp: u32, x: f64, svc: u32| {
+            UeSpec::new(
+                dmra_types::UeId::new(id),
+                SpId::new(sp),
+                Point::new(x, 0.0),
+                ServiceId::new(svc),
+                Cru::new(4),
+                BitsPerSec::from_mbps(3.0),
+                Dbm::new(10.0),
+            )
+        };
+        ProblemInstance::build(
+            sps,
+            vec![mk_bs(0, 0.0), mk_bs(1, 400.0)],
+            vec![
+                mk_ue(0, 0, 150.0, 0),  // covered by both BSs
+                mk_ue(1, 0, 140.0, 0),  // covered by both BSs
+                mk_ue(2, 0, -120.0, 0), // BS 0 only
+                mk_ue(3, 1, -100.0, 1), // BS 0 only, cross-SP
+            ],
+            ServiceCatalog::new(2),
+            PricingConfig::paper_defaults(),
+            RadioConfig::paper_defaults(),
+            CoverageModel::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn crowded_slot_keeps_the_preferred_proposal_pushed_last() {
+        let inst = crowded_slot_instance();
+        let ue = dmra_types::UeId::new;
+        assert_eq!(
+            (0..4).map(|u| inst.f_u(ue(u))).collect::<Vec<_>>(),
+            vec![2, 2, 1, 1]
+        );
+        // At full budgets every UE's Eq. (17) choice is BS 0, so all four
+        // propose there in round 1 — three of them to the service-0 slot.
+        let state = MatchState::new(&inst);
+        for u in 0..4 {
+            let cands = inst.candidates(ue(u));
+            let svc = inst.ues()[u as usize].service.as_usize();
+            let pick = select_ue_proposal(100.0, svc, cands, &state).unwrap();
+            assert_eq!(cands[pick].bs, BsId::new(0), "UE {u}");
+        }
+        let dmra = Dmra::default();
+        let fast = dmra.solve(&inst).unwrap();
+        assert_eq!(fast, dmra.solve_reference(&inst).unwrap());
+        // Round 1 accepts only UE 2: it beats UEs 0 and 1 on `f_u`, and
+        // admission evicts the cross-SP service-1 winner (UE 3).
+        assert_eq!(fast.acceptances[0], 1);
+        assert_eq!(fast.evictions, 1);
+        assert_eq!(fast.allocation.bs_of(ue(2)), Some(BsId::new(0)));
+        assert_eq!(fast.allocation.bs_of(ue(3)), None);
     }
 
     #[test]

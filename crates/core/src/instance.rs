@@ -101,9 +101,6 @@ pub struct ProblemInstance {
     /// `f_u`: number of candidate BSs of UE `u` (the statistic the BS-side
     /// tie-break of Algorithm 1 uses).
     pub(crate) f_u: Vec<u32>,
-    /// `covered_ues[i]` = UEs within coverage of BS `i` that request a
-    /// service it hosts — the broadcast domain of Algorithm 1 line 26.
-    pub(crate) covered_ues: Vec<Vec<UeId>>,
     /// Cross-epoch churn metadata attached by the online
     /// [`DeploymentContext`](crate::DeploymentContext) when its row cache
     /// is active; `None` everywhere else (from-scratch builds, residuals,
@@ -270,8 +267,9 @@ impl ProblemInstance {
             InterferenceModel::NoiseOnly => 0.0,
             InterferenceModel::LoadProportional { factor } => factor,
         };
-        // Fan-out threshold: below this many items the work is too small
-        // for thread spawns to pay off, so the build stays serial.
+        // Fan-out threshold of the aggregate-power pass: below this many
+        // UE×BS items the work is too small for thread spawns to pay off,
+        // so the pass stays serial.
         const PAR_MIN_ITEMS: usize = 32;
         let rx_threads = if ues.len() * bss.len() >= PAR_MIN_ITEMS * PAR_MIN_ITEMS {
             threads
@@ -292,9 +290,10 @@ impl ProblemInstance {
         };
 
         // Candidate rows are per-UE independent: compute them in parallel,
-        // then merge serially in UE-id order so `covered_ues` and the
-        // max-distance fold come out exactly as in a serial build.
-        let row_threads = if ues.len() >= PAR_MIN_ITEMS {
+        // then merge serially in UE-id order so the flattened rows and the
+        // max-distance fold come out exactly as in a serial build. Only
+        // populations of at least `PAR_MIN_ROWS` UEs fan out.
+        let row_threads = if ues.len() >= PAR_MIN_ROWS {
             threads
         } else {
             Threads::serial()
@@ -319,12 +318,8 @@ impl ProblemInstance {
         let mut row_start: Vec<usize> = Vec::with_capacity(ues.len() + 1);
         row_start.push(0);
         let mut f_u: Vec<u32> = Vec::with_capacity(ues.len());
-        let mut covered_ues: Vec<Vec<UeId>> = vec![Vec::new(); bss.len()];
         let mut max_candidate_distance = Meters::new(0.0);
-        for (ue, (row, row_max)) in ues.iter().zip(rows) {
-            for link in &row {
-                covered_ues[link.bs.as_usize()].push(ue.id);
-            }
+        for (row, row_max) in rows {
             if row_max > max_candidate_distance {
                 max_candidate_distance = row_max;
             }
@@ -347,7 +342,6 @@ impl ProblemInstance {
             links,
             row_start,
             f_u,
-            covered_ues,
             delta: None,
         })
     }
@@ -423,14 +417,20 @@ impl ProblemInstance {
         self.f_u[ue.as_usize()]
     }
 
-    /// The UEs inside the coverage/broadcast domain of BS `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bs` is not part of this instance.
+    /// The coverage/broadcast domain of Algorithm 1 line 26 for every
+    /// BS: entry `i` lists the UEs with a candidate link to BS `i` (in
+    /// coverage and requesting a service it hosts), ascending by UE id —
+    /// the transpose of the candidate rows. Derived on each call; only
+    /// the message-passing protocol needs it, once per run.
     #[must_use]
-    pub fn covered_ues(&self, bs: BsId) -> &[UeId] {
-        &self.covered_ues[bs.as_usize()]
+    pub fn coverage_lists(&self) -> Vec<Vec<UeId>> {
+        let mut lists = vec![Vec::new(); self.bss.len()];
+        for ue in &self.ues {
+            for link in self.candidates(ue.id) {
+                lists[link.bs.as_usize()].push(ue.id);
+            }
+        }
+        lists
     }
 
     /// Looks up the candidate link between `ue` and `bs`, if any.
@@ -602,6 +602,12 @@ impl ProblemInstance {
     }
 }
 
+/// Populations below this many UEs build their candidate rows serially in
+/// [`ProblemInstance::build_with_threads`]: waking an idle core costs
+/// about as much as a paper-scale (2 000-UE) build saves by fanning out,
+/// while metro-scale builds still gain (DESIGN.md §8).
+const PAR_MIN_ROWS: usize = 4096;
+
 /// Validates one batch of UEs against the deployment (dense ids, known SP,
 /// known service) — shared between the static build and the online
 /// engine's per-epoch batch so both reject exactly the same inputs.
@@ -646,9 +652,9 @@ pub(crate) fn coverage_prune_index(
 /// a build allocates only up to its high-water candidate count instead of
 /// once per UE.
 #[derive(Debug, Default)]
-pub(crate) struct RowScratch {
-    pub(crate) nearby: Vec<(usize, Meters)>,
-    pub(crate) batch: LinkBatch,
+struct RowScratch {
+    nearby: Vec<(usize, Meters)>,
+    batch: LinkBatch,
 }
 
 /// Computes one UE's candidate links (in BS-id order) and the largest
@@ -916,13 +922,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn covered_ues_mirror_candidates() {
+    fn coverage_lists_mirror_candidates() {
         let inst = two_sp_instance();
         assert_eq!(
-            inst.covered_ues(BsId::new(0)),
-            &[UeId::new(0), UeId::new(1)]
+            inst.coverage_lists(),
+            vec![vec![UeId::new(0), UeId::new(1)], vec![UeId::new(0)]]
         );
-        assert_eq!(inst.covered_ues(BsId::new(1)), &[UeId::new(0)]);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! by the same test pattern):
 //!
 //! * pruned candidate rows run through the structure-of-arrays
-//!   [`LinkEvaluator::evaluate_batch`] kernel, and batches of ≥1024 UEs
-//!   fan the row rebuild out over [`par_map_indexed_scratch`] workers
-//!   with an index-ordered merge;
+//!   [`LinkEvaluator::evaluate_batch`] kernel. The rebuild is one serial
+//!   loop at every batch size: on the benchmark workloads a per-epoch
+//!   thread fan-out cost more than it saved (DESIGN.md §12);
 //! * an opt-in cross-epoch [`row cache`](DeploymentContext::with_row_cache)
 //!   reuses the candidate row of any UE whose key (position bits, SP,
 //!   service, demands, transmit power) is unchanged since the previous
@@ -52,10 +52,9 @@
 
 use crate::instance::{
     coverage_prune_index, scan_candidate_row, scan_candidate_row_batch, validate_ues,
-    CandidateLink, CandidateScan, CoverageModel, DeltaInfo, ProblemInstance, RowScratch,
+    CandidateLink, CandidateScan, CoverageModel, DeltaInfo, ProblemInstance,
 };
 use dmra_geo::GridIndex;
-use dmra_par::{par_map_indexed_scratch, Threads};
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
 use dmra_types::{Cru, Error, Meters, Result, RrbCount, ServiceId, SpId, UeSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,13 +103,7 @@ pub struct DeploymentContext {
     /// Cross-epoch candidate-row cache (opt-in, see
     /// [`DeploymentContext::with_row_cache`]).
     row_cache: Option<RowCache>,
-    /// Worker-count knob for the ≥[`PAR_ROWS_MIN`]-UE row-rebuild fan-out.
-    threads: Threads,
 }
-
-/// Row batches below this many UEs rebuild serially: thread spawns cost
-/// more than the rows themselves at dynamic-simulator epoch sizes.
-const PAR_ROWS_MIN: usize = 1024;
 
 /// Default bound on *occupied* row-cache slots (each holds a candidate-link
 /// vector). Long traces whose batch sizes grow past this start evicting
@@ -141,7 +134,6 @@ impl Clone for DeploymentContext {
             query_buf: self.query_buf.clone(),
             batch: self.batch.clone(),
             row_cache: self.row_cache.clone(),
-            threads: self.threads,
         }
     }
 }
@@ -378,20 +370,6 @@ impl RowCache {
     }
 }
 
-/// What one parallel row-rebuild worker found for one UE.
-enum RowOutcome {
-    /// Cache hit: the stored row is still valid, merge straight from it.
-    Hit,
-    /// Rebuilt row (`kept` = pruning-query hits, for telemetry; `deps` =
-    /// the consulted BS set when the cache will store the row).
-    Miss {
-        links: Vec<CandidateLink>,
-        row_max: Meters,
-        kept: u32,
-        deps: Option<Vec<u32>>,
-    },
-}
-
 impl DeploymentContext {
     /// Creates a context from a validated deployment instance. The
     /// deployment's UEs (if any) are irrelevant — each epoch brings its
@@ -411,9 +389,6 @@ impl DeploymentContext {
         instance.row_start.clear();
         instance.row_start.push(0);
         instance.f_u.clear();
-        for covered in &mut instance.covered_ues {
-            covered.clear();
-        }
         let n_bss = instance.bss.len();
         Self {
             instance,
@@ -428,7 +403,6 @@ impl DeploymentContext {
             query_buf: Vec::new(),
             batch: LinkBatch::new(),
             row_cache: None,
-            threads: Threads::Auto,
         }
     }
 
@@ -461,15 +435,6 @@ impl DeploymentContext {
     #[must_use]
     pub fn with_row_cache_capacity(mut self, capacity: usize) -> Self {
         self.row_cache = Some(RowCache::with_capacity(capacity));
-        self
-    }
-
-    /// Sets the worker-count knob for the row-rebuild fan-out (batches
-    /// of ≥1024 UEs; smaller epochs always rebuild serially). The merge
-    /// is index-ordered, so outputs are bit-identical for every count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -666,9 +631,6 @@ impl DeploymentContext {
         inst.row_start.clear();
         inst.row_start.extend_from_slice(row_start);
         inst.f_u.clear();
-        for covered in &mut inst.covered_ues {
-            covered.clear();
-        }
         // Churn metadata staged via `stage_delta` rides on this assembly
         // (and only this one — `take` so nothing stale survives).
         inst.delta = self.pending_delta.take();
@@ -678,9 +640,7 @@ impl DeploymentContext {
         for u in 0..inst.ues.len() {
             let row = &inst.links[row_start[u]..row_start[u + 1]];
             inst.f_u.push(row.len() as u32);
-            let ue_id = inst.ues[u].id;
             for link in row {
-                inst.covered_ues[link.bs.as_usize()].push(ue_id);
                 if link.distance > max_candidate_distance {
                     max_candidate_distance = link.distance;
                 }
@@ -794,243 +754,99 @@ impl DeploymentContext {
         inst.row_start.clear();
         inst.row_start.push(0);
         inst.f_u.clear();
-        for covered in &mut inst.covered_ues {
-            covered.clear();
-        }
         let kernel_started = obs_on.then(std::time::Instant::now);
         let mut max_candidate_distance = Meters::new(0.0);
         let n_ues = inst.ues.len();
-        let parallel = n_ues >= PAR_ROWS_MIN && self.threads.resolve() > 1;
-        if parallel {
-            // Large batch: fan the per-UE rows out over worker threads,
-            // exactly like the static build — contiguous chunks, merged
-            // in UE-id order, so the result is bit-identical to the
-            // serial loop below for every worker count. Workers read the
-            // pre-epoch cache; slots are written back during the serial
-            // merge (safe: slot `u` depends only on UE `u`).
-            let ues = &inst.ues;
-            let bss = &inst.bss;
-            let coverage = inst.coverage;
-            let pricing = &inst.pricing;
-            let evaluator = &self.evaluator;
-            let interference_factor = self.interference_factor;
-            let total_rx_mw = &self.total_rx_mw;
-            let prune = self.prune.as_ref();
-            let cache_ref = if cache_active {
-                self.row_cache.as_ref()
+        for u in 0..n_ues {
+            let row_from = inst.links.len();
+            let key = if cache_active {
+                Some(RowKey::of(&inst.ues[u]))
             } else {
                 None
             };
-            let outcomes =
-                par_map_indexed_scratch(self.threads, n_ues, RowScratch::default, |scratch, u| {
-                    let ue = &ues[u];
-                    if let Some(cache) = cache_ref {
-                        if cache.lookup(u, &RowKey::of(ue)).is_some() {
-                            return RowOutcome::Hit;
-                        }
-                    }
-                    let mut links = Vec::new();
-                    let (row_max, kept, deps) = match prune {
-                        Some((index, radius)) => {
-                            index.query_within_dist_into(ue.position, *radius, &mut scratch.nearby);
-                            let kept = scratch.nearby.len() as u32;
-                            let deps = cache_ref
-                                .is_some()
-                                .then(|| scratch.nearby.iter().map(|&(b, _)| b as u32).collect());
-                            (
-                                scan_candidate_row_batch(
-                                    ue,
-                                    bss,
-                                    &scratch.nearby,
-                                    evaluator,
-                                    interference_factor,
-                                    total_rx_mw,
-                                    coverage,
-                                    pricing,
-                                    &mut scratch.batch,
-                                    &mut links,
-                                ),
-                                kept,
-                                deps,
-                            )
-                        }
-                        None => (
-                            scan_candidate_row(
-                                ue,
-                                bss,
-                                (0..bss.len()).map(|b| (b, None)),
-                                evaluator,
-                                interference_factor,
-                                total_rx_mw,
-                                coverage,
-                                pricing,
-                                &mut links,
-                            ),
-                            0,
-                            None,
-                        ),
-                    };
-                    RowOutcome::Miss {
-                        links,
-                        row_max,
-                        kept,
-                        deps,
-                    }
-                });
-            let pruned = self.prune.is_some();
-            for (u, outcome) in outcomes.into_iter().enumerate() {
-                let row_from = inst.links.len();
-                let row_max = match outcome {
-                    RowOutcome::Hit => {
-                        cache_hits += 1;
-                        if u >= prev_batch_len {
-                            if let Some(d) = delta.as_mut() {
-                                // A stale-slot hit: identical to *some*
-                                // earlier build of this slot, but not to
-                                // the previous build's batch — new ground
-                                // for a delta consumer.
-                                d.dirty_ues.push(u as u32);
-                            }
-                        }
-                        let row = self.row_cache.as_ref().expect("hit implies cache").slots[u]
-                            .as_ref()
-                            .expect("hit implies slot");
-                        inst.links.extend_from_slice(&row.links);
-                        row.row_max
-                    }
-                    RowOutcome::Miss {
-                        links,
-                        row_max,
-                        kept,
-                        deps,
-                    } => {
-                        if obs_on && pruned {
-                            precull_kept += u64::from(kept);
-                            precull_rejected += (n_bss - kept as usize) as u64;
-                        }
-                        if cache_active {
-                            cache_misses += 1;
-                            if let Some(d) = delta.as_mut() {
-                                d.dirty_ues.push(u as u32);
-                            }
-                            self.row_cache.as_mut().expect("cache_active").store(
-                                u,
-                                RowKey::of(&inst.ues[u]),
-                                &links,
-                                row_max,
-                                deps,
-                            );
-                        }
-                        inst.links.extend(links);
-                        row_max
-                    }
-                };
-                if row_max > max_candidate_distance {
-                    max_candidate_distance = row_max;
-                }
-                inst.f_u.push((inst.links.len() - row_from) as u32);
-                inst.row_start.push(inst.links.len());
-                let ue_id = inst.ues[u].id;
-                for link in &inst.links[row_from..] {
-                    inst.covered_ues[link.bs.as_usize()].push(ue_id);
+            let mut row_max = Meters::new(0.0);
+            let mut hit = false;
+            if let Some(key) = &key {
+                if let Some(row) = self
+                    .row_cache
+                    .as_ref()
+                    .expect("cache_active")
+                    .lookup(u, key)
+                {
+                    inst.links.extend_from_slice(&row.links);
+                    row_max = row.row_max;
+                    hit = true;
                 }
             }
-        } else {
-            for u in 0..n_ues {
-                let row_from = inst.links.len();
-                let key = if cache_active {
-                    Some(RowKey::of(&inst.ues[u]))
-                } else {
-                    None
-                };
-                let mut row_max = Meters::new(0.0);
-                let mut hit = false;
-                if let Some(key) = &key {
-                    if let Some(row) = self
-                        .row_cache
-                        .as_ref()
-                        .expect("cache_active")
-                        .lookup(u, key)
-                    {
-                        inst.links.extend_from_slice(&row.links);
-                        row_max = row.row_max;
-                        hit = true;
+            if hit {
+                cache_hits += 1;
+                if u >= prev_batch_len {
+                    if let Some(d) = delta.as_mut() {
+                        // Stale-slot hit past the previous batch
+                        // length: new ground for a delta consumer.
+                        d.dirty_ues.push(u as u32);
                     }
                 }
-                if hit {
-                    cache_hits += 1;
-                    if u >= prev_batch_len {
-                        if let Some(d) = delta.as_mut() {
-                            // Stale-slot hit past the previous batch
-                            // length: new ground for a delta consumer.
-                            d.dirty_ues.push(u as u32);
+            } else {
+                row_max = match &self.prune {
+                    Some((index, radius)) => {
+                        index.query_within_dist_into(
+                            inst.ues[u].position,
+                            *radius,
+                            &mut self.query_buf,
+                        );
+                        if obs_on {
+                            precull_kept += self.query_buf.len() as u64;
+                            precull_rejected += (n_bss - self.query_buf.len()) as u64;
                         }
-                    }
-                } else {
-                    row_max = match &self.prune {
-                        Some((index, radius)) => {
-                            index.query_within_dist_into(
-                                inst.ues[u].position,
-                                *radius,
-                                &mut self.query_buf,
-                            );
-                            if obs_on {
-                                precull_kept += self.query_buf.len() as u64;
-                                precull_rejected += (n_bss - self.query_buf.len()) as u64;
-                            }
-                            scan_candidate_row_batch(
-                                &inst.ues[u],
-                                &inst.bss,
-                                &self.query_buf,
-                                &self.evaluator,
-                                self.interference_factor,
-                                &self.total_rx_mw,
-                                inst.coverage,
-                                &inst.pricing,
-                                &mut self.batch,
-                                &mut inst.links,
-                            )
-                        }
-                        None => scan_candidate_row(
+                        scan_candidate_row_batch(
                             &inst.ues[u],
                             &inst.bss,
-                            (0..n_bss).map(|b| (b, None)),
+                            &self.query_buf,
                             &self.evaluator,
                             self.interference_factor,
                             &self.total_rx_mw,
                             inst.coverage,
                             &inst.pricing,
+                            &mut self.batch,
                             &mut inst.links,
-                        ),
-                    };
-                    if let Some(key) = key {
-                        cache_misses += 1;
-                        if let Some(d) = delta.as_mut() {
-                            d.dirty_ues.push(u as u32);
-                        }
-                        // The consulted set is this row's prune-query
-                        // hits, still sitting in the query buffer.
-                        let deps = self
-                            .prune
-                            .is_some()
-                            .then(|| self.query_buf.iter().map(|&(b, _)| b as u32).collect());
-                        let links = &inst.links[row_from..];
-                        self.row_cache
-                            .as_mut()
-                            .expect("cache_active")
-                            .store(u, key, links, row_max, deps);
+                        )
                     }
-                }
-                if row_max > max_candidate_distance {
-                    max_candidate_distance = row_max;
-                }
-                inst.f_u.push((inst.links.len() - row_from) as u32);
-                inst.row_start.push(inst.links.len());
-                let ue_id = inst.ues[u].id;
-                for link in &inst.links[row_from..] {
-                    inst.covered_ues[link.bs.as_usize()].push(ue_id);
+                    None => scan_candidate_row(
+                        &inst.ues[u],
+                        &inst.bss,
+                        (0..n_bss).map(|b| (b, None)),
+                        &self.evaluator,
+                        self.interference_factor,
+                        &self.total_rx_mw,
+                        inst.coverage,
+                        &inst.pricing,
+                        &mut inst.links,
+                    ),
+                };
+                if let Some(key) = key {
+                    cache_misses += 1;
+                    if let Some(d) = delta.as_mut() {
+                        d.dirty_ues.push(u as u32);
+                    }
+                    // The consulted set is this row's prune-query
+                    // hits, still sitting in the query buffer.
+                    let deps = self
+                        .prune
+                        .is_some()
+                        .then(|| self.query_buf.iter().map(|&(b, _)| b as u32).collect());
+                    let links = &inst.links[row_from..];
+                    self.row_cache
+                        .as_mut()
+                        .expect("cache_active")
+                        .store(u, key, links, row_max, deps);
                 }
             }
+            if row_max > max_candidate_distance {
+                max_candidate_distance = row_max;
+            }
+            inst.f_u.push((inst.links.len() - row_from) as u32);
+            inst.row_start.push(inst.links.len());
         }
         let kernel_ns = kernel_started.map_or(0, |t| {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -1203,10 +1019,7 @@ mod tests {
             assert_eq!(a.candidates(ue), b.candidates(ue), "UE {u} rows differ");
             assert_eq!(a.f_u(ue), b.f_u(ue));
         }
-        for b_idx in 0..a.n_bss() {
-            let bs = dmra_types::BsId::new(b_idx as u32);
-            assert_eq!(a.covered_ues(bs), b.covered_ues(bs));
-        }
+        assert_eq!(a.coverage_lists(), b.coverage_lists());
         assert_eq!(a.bss(), b.bss());
     }
 

@@ -330,6 +330,7 @@ mod tests {
 
     #[test]
     fn metrics_server_serves_valid_exposition() {
+        let _global = crate::registry::global_test_lock();
         global().counter("test.expose.served").add(7);
         let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr();

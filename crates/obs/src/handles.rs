@@ -92,6 +92,7 @@ mod tests {
 
     #[test]
     fn lazy_counter_registers_in_the_global_registry() {
+        let _global = crate::registry::global_test_lock();
         static C: LazyCounter = LazyCounter::new("handles.test.counter");
         C.get().add(3);
         assert_eq!(
@@ -102,6 +103,7 @@ mod tests {
 
     #[test]
     fn lazy_handle_survives_reset() {
+        let _global = crate::registry::global_test_lock();
         static H: LazyHistogram = LazyHistogram::new("handles.test.hist");
         H.get().record(5);
         global().reset();

@@ -151,6 +151,17 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// Held by this crate's unit tests that reset [`global`] or assert exact
+/// values in it: `cargo test` runs tests on parallel threads, and a reset
+/// in one test would otherwise zero what another just recorded.
+#[cfg(test)]
+pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that panicked while holding the lock leaves nothing to repair.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A point-in-time copy of a [`Registry`]'s metrics, sorted by name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {

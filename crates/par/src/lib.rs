@@ -14,16 +14,17 @@
 //! The worker count comes from a [`Threads`] knob: an explicit
 //! [`Threads::Fixed`], or [`Threads::Auto`] which honours the
 //! `DMRA_THREADS` environment variable and falls back to
-//! [`std::thread::available_parallelism`]. Nested calls (a parallel
-//! instance build inside an already-parallel sweep replication) detect
-//! that they are running on a fan-out worker and degrade to serial
-//! execution instead of oversubscribing the machine.
+//! [`std::thread::available_parallelism`] (queried once per process).
+//! Nested calls (a parallel instance build inside an already-parallel
+//! sweep replication) detect that they are running on a fan-out worker
+//! and degrade to serial execution instead of oversubscribing the
+//! machine.
 
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// Name of the environment variable [`Threads::Auto`] consults.
@@ -50,8 +51,10 @@ impl Threads {
     /// Resolves the knob to a concrete worker count (always ≥ 1).
     ///
     /// An unset, empty or unparsable `DMRA_THREADS` falls back to the
-    /// machine default; `DMRA_THREADS=0` is treated as unset so scripts
-    /// can force the default explicitly.
+    /// machine default ([`available_threads`]); `DMRA_THREADS=0` is
+    /// treated as unset so scripts can force the default explicitly. The
+    /// variable is read on every call, so a process may change it at run
+    /// time.
     #[must_use]
     pub fn resolve(self) -> usize {
         match self {
@@ -70,12 +73,18 @@ fn env_threads() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// The machine's available parallelism (1 when it cannot be queried).
+/// The machine's available parallelism (1 when it cannot be queried),
+/// queried once per process: on Linux each query reads cgroup files,
+/// which costs tens of microseconds, and [`Threads::Auto`] resolves on
+/// every fan-out.
 #[must_use]
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 thread_local! {

@@ -180,9 +180,9 @@ impl MobilitySimulator {
     }
 
     /// Runs the simulation on the incremental engine: one epoch-persistent
-    /// [`DeploymentContext`] with the cross-epoch row cache, batched link
-    /// evaluation over pruned candidate slices, and (for ≥1024-UE
-    /// populations) a parallel per-epoch row rebuild.
+    /// [`DeploymentContext`] with the cross-epoch row cache and batched
+    /// link evaluation over pruned candidate slices, rebuilding each
+    /// epoch's rows serially on the calling thread.
     ///
     /// Bit-identical to [`MobilitySimulator::run_scratch`] — same
     /// allocations, same timelines, same counters.

@@ -7,8 +7,7 @@
 //! scalar evaluator. These tests pin their equality — identical
 //! `MobilityOutcome`s, byte for byte — across reallocation policies,
 //! allocators, seeds, stationary fractions and scratch-side thread
-//! counts, including a >1024-UE population that exercises the parallel
-//! per-epoch row rebuild.
+//! counts, including a 1400-UE population.
 
 use dmra_core::{Allocator, Dmra, Threads};
 use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
@@ -75,10 +74,12 @@ fn incremental_engine_matches_scratch_for_every_thread_count() {
 
 #[test]
 fn incremental_engine_matches_scratch_above_the_parallel_rebuild_threshold() {
-    // ≥1024 UEs crosses PAR_ROWS_MIN inside the deployment context, so
-    // the incremental side fans the per-epoch row rebuild out over
-    // workers (cache lookups included) while the scratch side stays the
-    // serial exhaustive loop. Outcomes must still match byte for byte.
+    // The suite's largest population: 1400 UEs, so each epoch the
+    // incremental side's row cache serves over a thousand rows (hits and
+    // misses both) while the scratch side stays the exhaustive rebuild
+    // loop. The epoch rebuild is serial at every size; the name keeps
+    // the threshold the rebuild once fanned out at. Outcomes must match
+    // byte for byte.
     let mut cfg = config(12, MobilityPolicy::FullReallocation, 0.7);
     cfg.scenario = cfg.scenario.with_ues(1400);
     cfg.epochs = 4;

@@ -140,5 +140,5 @@ fn max_rrbs_matches_paper_bandwidth_division() {
 fn f_u_counts_candidate_bss() {
     let inst = hand_instance(true);
     assert_eq!(inst.f_u(UeId::new(0)), 1);
-    assert_eq!(inst.covered_ues(BsId::new(0)), &[UeId::new(0)]);
+    assert_eq!(inst.coverage_lists()[0], vec![UeId::new(0)]);
 }
