@@ -4,10 +4,7 @@
 use crate::args::{ArgError, ParsedArgs};
 use dmra_baselines::{CloudOnly, Dcsp, GreedyProfit, NonCo, RandomAllocator};
 use dmra_core::agents::{run_protocol, ProtocolOptions};
-use dmra_core::{
-    set_batch_mode_default, set_solve_mode_default, Allocator, BatchMode, Dmra, DmraConfig,
-    SolveMode, Threads,
-};
+use dmra_core::{set_batch_mode_default, Allocator, BatchMode, Dmra, DmraConfig, Threads};
 use dmra_obs::{obs_debug, obs_info, Level};
 use dmra_proto::DropPolicy;
 use dmra_sim::dynamic::{
@@ -89,14 +86,7 @@ pub fn help_text() -> String {
      \t--candidate-batch M  exact | approx: link-batch kernel mode\n\
      \t                 (default exact = bit-identical to the scalar\n\
      \t                 evaluator; approx trades ~1e-10 relative error\n\
-     \t                 for polynomial transcendentals)\n\
-     \t--solve M        monolithic | components | delta: DMRA solve\n\
-     \t                 execution (default monolithic; components\n\
-     \t                 decomposes each instance into candidate-graph\n\
-     \t                 components and solves them in parallel; delta\n\
-     \t                 additionally replays cached component matchings\n\
-     \t                 across epochs under low churn — identical\n\
-     \t                 results either way)\n"
+     \t                 for polynomial transcendentals)\n"
         .to_owned()
 }
 
@@ -112,7 +102,6 @@ pub fn help_text() -> String {
 pub fn dispatch(parsed: &ParsedArgs) -> Result<String, ArgError> {
     configure_logging(parsed)?;
     configure_batch_mode(parsed)?;
-    configure_solve_mode(parsed)?;
     let trace_out = parsed.get("trace-out").map(std::path::PathBuf::from);
     let record_out = parsed.get("record").map(std::path::PathBuf::from);
     if parsed.get("sample-every").is_some() && record_out.is_none() {
@@ -226,26 +215,6 @@ fn configure_batch_mode(parsed: &ParsedArgs) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Applies `--solve M` to the process-global default [`SolveMode`], picked
-/// up by every DMRA solve in the command — all engines and the sharded
-/// runtime included. `components` and `delta` only change wall-clock
-/// time: outcomes are bit-identical to `monolithic` (instances whose
-/// physics forbid splitting quietly stay monolithic, and `delta` without
-/// cross-epoch churn metadata degrades to `components`).
-fn configure_solve_mode(parsed: &ParsedArgs) -> Result<(), ArgError> {
-    match parsed.get("solve") {
-        None | Some("monolithic") => set_solve_mode_default(SolveMode::Monolithic),
-        Some("components") => set_solve_mode_default(SolveMode::Components),
-        Some("delta") => set_solve_mode_default(SolveMode::Delta),
-        Some(other) => {
-            return Err(ArgError(format!(
-                "--solve must be 'monolithic', 'components' or 'delta', got '{other}'"
-            )))
-        }
-    }
-    Ok(())
-}
-
 /// Serializes the global registry + trace log to `path` (schema
 /// `dmra-obs/1`, documented in DESIGN.md §10) and returns the human
 /// report table.
@@ -345,7 +314,6 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let seed = parsed.get_or("seed", 42u64)?;
     let rho = parsed.get_or("rho", 100.0f64)?;
@@ -399,7 +367,6 @@ fn cmd_sweep(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let base = scenario_from(parsed)?;
     let reps = parsed.get_or("reps", 3u32)?;
@@ -625,7 +592,6 @@ fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let (holding, mean_holding) = parse_holding(parsed.get("holding").unwrap_or("5"))?;
     let config = DynamicConfig {
@@ -727,7 +693,6 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let speed = parsed.get_or("speed", 5.0f64)?;
     if speed < 0.0 {
@@ -1106,49 +1071,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_components_reports_are_identical_and_garbage_is_rejected() {
-        // Unlike --candidate-batch approx, the component path is
-        // bit-identical by contract, so racing the process-global default
-        // against concurrently running unit tests cannot change any
-        // outcome — only which execution strategy computed it.
-        let mono = run(&["run", "--ues", "80", "--solve", "monolithic"]).unwrap();
-        let comp = run(&["run", "--ues", "80", "--solve", "components"]).unwrap();
-        let delta = run(&["run", "--ues", "80", "--solve", "delta"]).unwrap();
-        let default = run(&["run", "--ues", "80"]).unwrap();
-        assert_eq!(mono, comp);
-        assert_eq!(mono, delta);
-        assert_eq!(mono, default);
-
-        let args = ["--rate", "10", "--epochs", "8"];
-        let d_mono = run(&[&["dynamic"], &args[..]].concat()).unwrap();
-        let d_comp = run(&[&["dynamic", "--solve", "components"], &args[..]].concat()).unwrap();
-        let d_delta = run(&[&["dynamic", "--solve", "delta"], &args[..]].concat()).unwrap();
-        let d_shard = run(&[
-            &["dynamic", "--solve", "components", "--shards", "4"],
-            &args[..],
-        ]
-        .concat())
-        .unwrap();
-        assert_eq!(d_mono, d_comp);
-        assert_eq!(d_mono, d_delta);
-        assert_eq!(d_mono, d_shard);
-
-        let margs = ["--ues", "60", "--speed", "12", "--epochs", "5"];
-        let m_mono = run(&[&["mobility"], &margs[..]].concat()).unwrap();
-        let m_comp = run(&[&["mobility", "--solve", "components"], &margs[..]].concat()).unwrap();
-        let m_delta = run(&[&["mobility", "--solve", "delta"], &margs[..]].concat()).unwrap();
-        let m_delta_shard = run(&[
-            &["mobility", "--solve", "delta", "--shards", "4"],
-            &margs[..],
-        ]
-        .concat())
-        .unwrap();
-        assert_eq!(m_mono, m_comp);
-        assert_eq!(m_mono, m_delta);
-        assert_eq!(m_mono, m_delta_shard);
-
-        let err = run(&["run", "--solve", "psychic"]).unwrap_err();
-        assert!(err.to_string().contains("--solve"));
+    fn solve_option_is_rejected_by_every_command() {
+        // DMRA has one solve path, so no command takes `--solve`.
+        for cmd in ["run", "sweep", "dynamic", "mobility"] {
+            let err = run(&[cmd, "--solve", "components"]).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown option --solve"),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -5,98 +5,33 @@
 //! UEs that propose to it. Viewing UEs and BSs as the two sides of a
 //! bipartite graph whose edges are the precomputed candidate links, the
 //! instance splits into connected components whose deferred-acceptance
-//! runs cannot influence each other — no preference value, feasibility
-//! check or admission decision ever reads state outside the component.
-//! [`decompose`] finds that partition with a union-find pass over the
-//! candidate rows; [`crate::Dmra`] solves the components independently
-//! (in parallel when it helps) and merges the sub-outcomes back in global
-//! UE order, bit-identical to the monolithic solve (DESIGN.md §14 spells
-//! out the argument).
+//! runs cannot influence each other. [`decompose`] finds that partition
+//! with a union-find pass over the candidate rows.
 //!
-//! Splitting is only sound when candidate links are the *whole* coupling
-//! between agents. The load-proportional interference model couples every
-//! UE through the aggregate received power at each BS, so instances built
-//! with it refuse to split — the same guard the incremental row cache and
-//! the region-sharded runtime apply.
+//! The solver does not use the partition: [`crate::Dmra`] always matches
+//! the whole instance in one loop, which measured faster than solving the
+//! components separately (DESIGN.md §14). [`decompose`] stays as a
+//! measurement of an instance's structure — the repository benchmark
+//! reports its component count and largest-component share.
 
 use crate::instance::ProblemInstance;
-use dmra_radio::InterferenceModel;
 use dmra_types::UeId;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// How [`crate::Dmra`] executes a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMode {
-    /// One dense matching run over the whole instance — the original
-    /// execution, and the fallback whenever splitting is unsound.
-    #[default]
-    Monolithic,
-    /// Decompose the instance into connected components and solve them
-    /// independently, fanning out over `dmra-par` workers. Bit-identical
-    /// to [`SolveMode::Monolithic`] (enforced by the equality suites);
-    /// only wall-clock time changes. Opt in via `--solve components` or
-    /// [`set_solve_mode_default`].
-    Components,
-    /// [`SolveMode::Components`] plus a cross-epoch per-component result
-    /// cache: a session-held solver replays the cached matching of every
-    /// component whose member rows and member-BS budgets are bit-unchanged
-    /// since its last solve (as witnessed by the [`DeltaInfo`] the online
-    /// row cache attaches to the instance), and re-matches only the dirty
-    /// components. Bit-identical to both other modes (DESIGN.md §17);
-    /// instances without delta metadata — or solves outside a session —
-    /// degrade to exactly the [`SolveMode::Components`] execution. Opt in
-    /// via `--solve delta`.
-    ///
-    /// [`DeltaInfo`]: crate::DeltaInfo
-    Delta,
-}
-
-/// Process-wide default consumed by [`crate::Dmra`] solves that were not
-/// given an explicit mode. A plain relaxed atomic: the value is set once
-/// at CLI startup, before any solver runs.
-static SOLVE_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default [`SolveMode`] picked up by every
-/// subsequently run [`crate::Dmra`] solve without an explicit mode.
-/// Intended for CLI startup (`--solve`); library code should use
-/// [`crate::Dmra::with_solve_mode`] instead.
-pub fn set_solve_mode_default(mode: SolveMode) {
-    let raw = match mode {
-        SolveMode::Monolithic => 0,
-        SolveMode::Components => 1,
-        SolveMode::Delta => 2,
-    };
-    SOLVE_MODE.store(raw, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`SolveMode`].
-#[must_use]
-pub fn solve_mode_default() -> SolveMode {
-    match SOLVE_MODE.load(Ordering::Relaxed) {
-        1 => SolveMode::Components,
-        2 => SolveMode::Delta,
-        _ => SolveMode::Monolithic,
-    }
-}
 
 /// One connected component of the candidate-link graph: a set of UEs and
 /// the BSs they can reach, closed under "shares a candidate link".
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Component {
-    /// Raw UE indices, ascending — so local UE order preserves the global
-    /// tie-break order inside the component.
+    /// Raw UE indices, ascending.
     pub ues: Vec<u32>,
-    /// Raw BS indices, ascending — same order-preservation argument for
-    /// the BS-side tie-breaks.
+    /// Raw BS indices, ascending.
     pub bss: Vec<u32>,
 }
 
 /// The full partition produced by [`decompose`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Decomposition {
-    /// Components ordered by their smallest UE index (ascending), which
-    /// makes the merge order — and therefore the merged outcome —
-    /// deterministic.
+    /// Components ordered by their smallest UE index (ascending), so the
+    /// partition is deterministic.
     pub components: Vec<Component>,
     /// UEs with an empty candidate row. They join no component: the
     /// matcher cloud-forwards them in its first iteration without ever
@@ -122,19 +57,6 @@ impl Decomposition {
     }
 }
 
-/// Returns `true` when the instance's physics allow component splitting:
-/// candidate links must be the only coupling between UEs. The
-/// load-proportional interference model adds a global coupling through
-/// the per-BS aggregate received power, so it pins the solve to the
-/// monolithic path (mirroring the row-cache and shard-runtime guards).
-#[must_use]
-pub fn splittable(instance: &ProblemInstance) -> bool {
-    !matches!(
-        instance.radio().interference,
-        InterferenceModel::LoadProportional { .. }
-    )
-}
-
 /// Partitions the instance into connected components of the candidate-link
 /// graph via union-find (path-halving find, union by size).
 ///
@@ -143,108 +65,65 @@ pub fn splittable(instance: &ProblemInstance) -> bool {
 /// the components in deterministic order.
 #[must_use]
 pub fn decompose(instance: &ProblemInstance) -> Decomposition {
-    let mut decomposer = Decomposer::default();
-    decomposer.run(instance);
-    decomposer.decomp
-}
-
-/// A [`decompose`] whose scratch survives across calls: the union-find
-/// tables, the root map and the emitted component lists are all reused,
-/// so the per-epoch decomposition in the delta solver allocates nothing
-/// in steady state. Output is identical to [`decompose`] for every
-/// instance — the reuse test below pins that.
-#[derive(Debug, Default)]
-pub struct Decomposer {
-    uf: UnionFind,
-    component_of_root: Vec<usize>,
-    decomp: Decomposition,
-    /// Retired `Component` allocations, recycled on the next run.
-    spare: Vec<Component>,
-}
-
-impl Decomposer {
-    /// Decomposes `instance`, reusing all internal scratch. The returned
-    /// reference is valid until the next call.
-    pub fn run(&mut self, instance: &ProblemInstance) -> &Decomposition {
-        let n_ues = instance.n_ues();
-        let n_bss = instance.n_bss();
-        // Nodes 0..n_ues are UEs; n_ues..n_ues+n_bss are BSs.
-        self.uf.reset(n_ues + n_bss);
-        self.decomp.cloud_only.clear();
-        for u in 0..n_ues {
-            let row = instance.candidates(UeId::new(u as u32));
-            if row.is_empty() {
-                self.decomp.cloud_only.push(u as u32);
-                continue;
-            }
-            for link in row {
-                self.uf.union(u, n_ues + link.bs.as_usize());
-            }
+    let n_ues = instance.n_ues();
+    let n_bss = instance.n_bss();
+    // Nodes 0..n_ues are UEs; n_ues..n_ues+n_bss are BSs.
+    let mut uf = UnionFind::new(n_ues + n_bss);
+    let mut decomp = Decomposition::default();
+    for u in 0..n_ues {
+        let row = instance.candidates(UeId::new(u as u32));
+        if row.is_empty() {
+            decomp.cloud_only.push(u as u32);
+            continue;
         }
-        // Emit components ordered by smallest member UE; membership lists
-        // come out ascending because both sweeps run in ascending index
-        // order.
-        self.component_of_root.clear();
-        self.component_of_root.resize(n_ues + n_bss, usize::MAX);
-        self.spare.append(&mut self.decomp.components);
-        for comp in &mut self.spare {
-            comp.ues.clear();
-            comp.bss.clear();
+        for link in row {
+            uf.union(u, n_ues + link.bs.as_usize());
         }
-        let components = &mut self.decomp.components;
-        for u in 0..n_ues {
-            if instance.candidates(UeId::new(u as u32)).is_empty() {
-                continue;
-            }
-            let root = self.uf.find(u);
-            let c = if self.component_of_root[root] == usize::MAX {
-                self.component_of_root[root] = components.len();
-                components.push(self.spare.pop().unwrap_or_default());
-                components.len() - 1
-            } else {
-                self.component_of_root[root]
-            };
-            components[c].ues.push(u as u32);
-        }
-        for b in 0..n_bss {
-            let c = self.component_of_root[self.uf.find(n_ues + b)];
-            if c != usize::MAX {
-                // BSs out of everyone's reach (no candidate link at all)
-                // stay out of every component; no solve will touch them.
-                components[c].bss.push(b as u32);
-            }
-        }
-        &self.decomp
     }
-
-    /// The decomposition produced by the last [`Decomposer::run`].
-    #[must_use]
-    pub fn decomposition(&self) -> &Decomposition {
-        &self.decomp
+    // Emit components ordered by smallest member UE; membership lists
+    // come out ascending because both sweeps run in ascending index
+    // order.
+    let mut component_of_root = vec![usize::MAX; n_ues + n_bss];
+    let components = &mut decomp.components;
+    for u in 0..n_ues {
+        if instance.candidates(UeId::new(u as u32)).is_empty() {
+            continue;
+        }
+        let root = uf.find(u);
+        let c = if component_of_root[root] == usize::MAX {
+            component_of_root[root] = components.len();
+            components.push(Component::default());
+            components.len() - 1
+        } else {
+            component_of_root[root]
+        };
+        components[c].ues.push(u as u32);
     }
+    for b in 0..n_bss {
+        let c = component_of_root[uf.find(n_ues + b)];
+        if c != usize::MAX {
+            // BSs out of everyone's reach (no candidate link at all)
+            // stay out of every component.
+            components[c].bss.push(b as u32);
+        }
+    }
+    decomp
 }
 
 /// Array-based disjoint-set forest.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
-    #[cfg(test)]
+    /// A forest of `n` singletons.
     fn new(n: usize) -> Self {
-        let mut uf = Self::default();
-        uf.reset(n);
-        uf
-    }
-
-    /// Re-initializes the forest to `n` singletons, reusing the tables.
-    fn reset(&mut self, n: usize) {
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
-        self.size.clear();
-        self.size.resize(n, 1);
+        Self {
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+        }
     }
 
     fn find(&mut self, mut x: usize) -> usize {
@@ -271,9 +150,16 @@ impl UnionFind {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::instance::tests::two_sp_instance;
+    use crate::instance::CoverageModel;
+    use dmra_econ::PricingConfig;
+    use dmra_radio::RadioConfig;
+    use dmra_types::{
+        BitsPerSec, BsSpec, Cru, Dbm, Hertz, Money, Point, ServiceCatalog, ServiceId, SpId, SpSpec,
+        UeSpec,
+    };
 
     #[test]
     fn union_find_merges_and_finds() {
@@ -299,54 +185,65 @@ mod tests {
         assert_eq!(d.max_component_ues(), 2);
     }
 
-    #[test]
-    fn default_solve_mode_is_monolithic() {
-        // The process default starts monolithic; `--solve components` is
-        // an explicit opt-in. (Tests that flip the global default live in
-        // the CLI crate where the process-global race is managed.)
-        assert_eq!(SolveMode::default(), SolveMode::Monolithic);
+    /// Two BS "islands" far beyond coverage range of each other, each with
+    /// its own cluster of UEs — decomposes into two components. A third UE
+    /// cluster member sits out of everyone's coverage (cloud-only).
+    pub(crate) fn island_instance() -> ProblemInstance {
+        let sps = vec![
+            SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
+            SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
+        ];
+        let catalog = ServiceCatalog::new(2);
+        let mk_bs = |id: u32, sp: u32, x: f64| {
+            BsSpec::new(
+                dmra_types::BsId::new(id),
+                SpId::new(sp),
+                Point::new(x, 0.0),
+                vec![Cru::new(100), Cru::new(100)],
+                Hertz::from_mhz(10.0),
+                dmra_types::RrbCount::new(55),
+            )
+        };
+        let bss = vec![mk_bs(0, 0, 0.0), mk_bs(1, 1, 100_000.0)];
+        let mk_ue = |id: u32, sp: u32, x: f64, svc: u32| {
+            UeSpec::new(
+                dmra_types::UeId::new(id),
+                SpId::new(sp),
+                Point::new(x, 0.0),
+                ServiceId::new(svc),
+                Cru::new(4),
+                BitsPerSec::from_mbps(3.0),
+                Dbm::new(10.0),
+            )
+        };
+        let ues = vec![
+            mk_ue(0, 0, 100.0, 0),     // island 0
+            mk_ue(1, 1, 100_100.0, 1), // island 1
+            mk_ue(2, 1, 120.0, 0),     // island 0, cross-SP
+            mk_ue(3, 0, 50_000.0, 0),  // out of all coverage → cloud-only
+            mk_ue(4, 0, 100_050.0, 1), // island 1, cross-SP
+        ];
+        ProblemInstance::build(
+            sps,
+            bss,
+            ues,
+            catalog,
+            PricingConfig::paper_defaults(),
+            RadioConfig::paper_defaults(),
+            CoverageModel::default(),
+        )
+        .unwrap()
     }
 
     #[test]
-    fn noise_only_instances_are_splittable() {
-        assert!(splittable(&two_sp_instance()));
-    }
-
-    #[test]
-    fn decomposer_reuse_matches_fresh_decompose() {
-        // One Decomposer dragged across instances of different shapes must
-        // reproduce the from-scratch decomposition every time, including
-        // after shrinking (stale scratch larger than the instance).
-        let big = two_sp_instance();
-        let mut small = two_sp_instance();
-        // A one-UE residual re-build keeps the deployment but shrinks the
-        // UE side; decompose only reads rows, so reusing `big` twice with
-        // `small` in between exercises grow → shrink → grow.
-        let rem_cru: Vec<Vec<dmra_types::Cru>> =
-            big.bss().iter().map(|b| b.cru_budget.clone()).collect();
-        let rem_rrb: Vec<dmra_types::RrbCount> = big.bss().iter().map(|b| b.rrb_budget).collect();
-        small = small
-            .residual(&rem_cru, &rem_rrb, vec![big.ues()[0]])
-            .unwrap();
-        let mut d = Decomposer::default();
-        for inst in [&big, &small, &big, &small] {
-            assert_eq!(d.run(inst), &decompose(inst));
-            assert_eq!(d.decomposition(), &decompose(inst));
-        }
-    }
-
-    #[test]
-    fn solve_mode_default_roundtrips_all_modes() {
-        // The raw-atomic encoding must survive a set/get round trip for
-        // every variant. Restore monolithic afterwards: the default is
-        // process-global state shared with other tests.
-        for mode in [
-            SolveMode::Components,
-            SolveMode::Delta,
-            SolveMode::Monolithic,
-        ] {
-            set_solve_mode_default(mode);
-            assert_eq!(solve_mode_default(), mode);
-        }
+    fn island_instance_decomposes_into_two_components() {
+        let inst = island_instance();
+        let d = decompose(&inst);
+        assert_eq!(d.components.len(), 2, "decomposition: {d:?}");
+        assert_eq!(d.cloud_only, vec![3]);
+        assert_eq!(d.components[0].ues, vec![0, 2]);
+        assert_eq!(d.components[0].bss, vec![0]);
+        assert_eq!(d.components[1].ues, vec![1, 4]);
+        assert_eq!(d.components[1].bss, vec![1]);
     }
 }

@@ -21,42 +21,26 @@
 //!   admission step never drops *all* winners), hence the algorithm
 //!   terminates after at most `|U| + 1` iterations.
 //!
+//! There is one execution: [`Dmra::solve_with_workspace`] loads the whole
+//! instance into dense workspace buffers and runs one match loop over it.
+//! Splitting the instance into candidate-graph components, or replaying
+//! unchanged components across epochs, gives the same outcome but
+//! measured slower on the many-component workload built for it
+//! (DESIGN.md §14).
+//! [`Dmra::solve_reference`] is the line-by-line specification the dense
+//! loop is tested against.
+//!
 //! The genuinely message-passing execution of the same protocol lives in
 //! [`crate::agents`]; under reliable delivery it produces bit-identical
 //! allocations (see `tests/` at the workspace root).
 
 use crate::allocation::Allocation;
 use crate::allocator::{Allocator, AllocatorSession};
-use crate::components::{self, decompose, Component, Decomposer, Decomposition, SolveMode};
 use crate::instance::{CandidateLink, ProblemInstance};
-use dmra_par::{par_map_indexed_scratch, Threads};
 use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
-
-/// Default for [`solve_min_fanout_ues`]: component sets totalling fewer
-/// UEs than this solve serially on the caller's workspace instead of
-/// fanning out over workers. At dynamic-regime arrival-batch sizes the
-/// worker orchestration costs more than the matching itself (the
-/// `BENCH_solve.json` metro curve sat at 0.99× at 4 threads before this
-/// guard existed).
-pub(crate) const SOLVE_MIN_FANOUT_UES_DEFAULT: usize = 512;
-
-/// The minimum total-UE count at which a component solve fans out over
-/// worker threads, read once from `DMRA_SOLVE_MIN_FANOUT_UES` (falling
-/// back to [`SOLVE_MIN_FANOUT_UES_DEFAULT`] when unset or unparsable).
-/// Purely a performance knob: both paths are bit-identical.
-fn solve_min_fanout_ues() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| {
-        std::env::var("DMRA_SOLVE_MIN_FANOUT_UES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(SOLVE_MIN_FANOUT_UES_DEFAULT)
-    })
-}
+use std::collections::BTreeMap;
 
 /// Tunables of the DMRA matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -129,58 +113,19 @@ pub struct DmraOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dmra {
     config: DmraConfig,
-    /// Explicit solve mode; `None` defers to the process-wide default
-    /// ([`components::solve_mode_default`], set by `--solve`).
-    mode: Option<SolveMode>,
-    /// Worker knob for the component fan-out (ignored by the monolithic
-    /// path). Threading never changes the outcome, only wall-clock time.
-    solve_threads: Threads,
 }
 
 impl Dmra {
     /// Creates a DMRA matcher with the given configuration.
     #[must_use]
     pub fn new(config: DmraConfig) -> Self {
-        Self {
-            config,
-            mode: None,
-            solve_threads: Threads::Auto,
-        }
+        Self { config }
     }
 
     /// The matcher's configuration.
     #[must_use]
     pub fn config(&self) -> &DmraConfig {
         &self.config
-    }
-
-    /// Returns a copy pinned to the given [`SolveMode`], overriding the
-    /// process-wide default for this matcher only.
-    #[must_use]
-    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Returns a copy with the component fan-out pinned to `threads`.
-    #[must_use]
-    pub fn with_solve_threads(mut self, threads: Threads) -> Self {
-        self.solve_threads = threads;
-        self
-    }
-
-    /// The [`SolveMode`] a solve of `instance` will actually use: the
-    /// explicit mode if one was set (else the process default), demoted to
-    /// [`SolveMode::Monolithic`] when the instance's interference model
-    /// makes splitting unsound ([`components::splittable`]).
-    #[must_use]
-    pub fn effective_solve_mode(&self, instance: &ProblemInstance) -> SolveMode {
-        let mode = self.mode.unwrap_or_else(components::solve_mode_default);
-        if mode != SolveMode::Monolithic && !components::splittable(instance) {
-            SolveMode::Monolithic
-        } else {
-            mode
-        }
     }
 
     /// Runs the matching to quiescence, returning convergence diagnostics
@@ -211,40 +156,11 @@ impl Dmra {
     /// one, and one previously used on a *different* instance all produce
     /// identical outcomes (unit tests pin this down).
     ///
-    /// Dispatches on [`Dmra::effective_solve_mode`]: under
-    /// [`SolveMode::Components`] the instance is first decomposed into
-    /// connected components of the candidate-link graph and each component
-    /// is matched independently — bit-identical to the monolithic run
-    /// (DESIGN.md §14), only faster when the instance actually splits. An
-    /// instance that is one component (or empty) falls through to the
-    /// monolithic dense path, which *is* the single-component solve.
-    ///
     /// # Errors
     ///
     /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
     /// indicates a bug, as the algorithm provably terminates.
     pub fn solve_with_workspace(
-        &self,
-        instance: &ProblemInstance,
-        ws: &mut DmraWorkspace,
-    ) -> Result<DmraOutcome> {
-        // `Delta` without session state (no cross-epoch cache to consult)
-        // degrades to exactly the `Components` execution — the session
-        // entry point in `DmraSession::allocate` is the only delta path.
-        if self.effective_solve_mode(instance) != SolveMode::Monolithic {
-            let decomp = decompose(instance);
-            record_decomposition(&decomp);
-            if decomp.components.len() > 1 {
-                return self.solve_decomposed(instance, &decomp, ws);
-            }
-            // ≤ 1 component: degrade to the serial path below.
-        }
-        self.solve_monolithic(instance, ws)
-    }
-
-    /// The original whole-instance dense execution (one [`match_loop`]
-    /// over global indices).
-    fn solve_monolithic(
         &self,
         instance: &ProblemInstance,
         ws: &mut DmraWorkspace,
@@ -268,261 +184,6 @@ impl Dmra {
         }
 
         Ok(run.into_outcome())
-    }
-
-    /// The component-parallel execution: one [`match_loop`] per connected
-    /// component (local indices), fanned out over `dmra-par` workers with
-    /// per-worker workspace scratch, then a deterministic merge back to
-    /// global UE order. Only called with ≥ 2 components.
-    ///
-    /// Bit-identity to [`Dmra::solve_monolithic`] (DESIGN.md §14): a
-    /// component member's state at iteration `t` depends only on component
-    /// state at `t - 1`, component UE/BS lists are ascending so local
-    /// index order preserves every global tie-break order, and the merge
-    /// rules below reconstruct exactly the global trajectories
-    /// (`iterations = max`, per-iteration counters are sums with quiesced
-    /// components contributing zero).
-    fn solve_decomposed(
-        &self,
-        instance: &ProblemInstance,
-        decomp: &Decomposition,
-        ws: &mut DmraWorkspace,
-    ) -> Result<DmraOutcome> {
-        let obs_on = dmra_obs::enabled();
-        let solve_started = obs_on.then(std::time::Instant::now);
-        let n_ues = instance.n_ues();
-
-        let which: Vec<usize> = (0..decomp.components.len()).collect();
-        let mut bs_local = vec![0u32; instance.n_bss()];
-        let runs = self.solve_component_set(instance, decomp, &which, ws, &mut bs_local);
-
-        let mut runs_by_component = runs.into_iter();
-        let merged = merge_component_runs(n_ues, decomp, |_| {
-            runs_by_component
-                .next()
-                .expect("one run per listed component")
-        })?;
-
-        if obs_on {
-            record_solve(&merged, n_ues, solve_started);
-        }
-
-        Ok(merged.into_outcome())
-    }
-
-    /// Solves the listed components (`which` indexes `decomp.components`,
-    /// ascending), returning one [`MatchRun`] per listed component, in
-    /// list order.
-    ///
-    /// Below the [`solve_min_fanout_ues`] total-UE threshold (or on a
-    /// single-thread knob) the components run serially on the caller's
-    /// workspace — the worker orchestration of tiny solves costs more
-    /// than the matching itself (the `BENCH_solve.json` metro curve sat
-    /// at 0.99× for dynamic-regime arrival batches). Above it they fan
-    /// out over `par_map_indexed_scratch` workers, outcome-transparent by
-    /// the `dmra-par` contract (outputs in index order, any thread
-    /// count); either path's scratch is a reusable workspace plus a
-    /// global→local BS index map whose entries are always written before
-    /// read for the component at hand. The chosen path is recorded as
-    /// `core.solve_serial` / `core.solve_fanout`.
-    fn solve_component_set(
-        &self,
-        instance: &ProblemInstance,
-        decomp: &Decomposition,
-        which: &[usize],
-        ws: &mut DmraWorkspace,
-        bs_local: &mut Vec<u32>,
-    ) -> Vec<Result<MatchRun>> {
-        let n_bss = instance.n_bss();
-        let n_svcs = instance.catalog().len() as usize;
-        let config = &self.config;
-        let total_ues: usize = which.iter().map(|&c| decomp.components[c].ues.len()).sum();
-        let serial = total_ues < solve_min_fanout_ues() || self.solve_threads.resolve() <= 1;
-        record_solve_path(serial);
-        if serial {
-            if bs_local.len() < n_bss {
-                bs_local.resize(n_bss, 0);
-            }
-            which
-                .iter()
-                .map(|&c| {
-                    let comp = &decomp.components[c];
-                    load_component(instance, comp, ws, bs_local);
-                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-                })
-                .collect()
-        } else {
-            par_map_indexed_scratch(
-                self.solve_threads,
-                which.len(),
-                || (DmraWorkspace::default(), vec![0u32; n_bss]),
-                |(ws, bs_local), i| {
-                    let comp = &decomp.components[which[i]];
-                    load_component(instance, comp, ws, bs_local);
-                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-                },
-            )
-        }
-    }
-
-    /// The cross-epoch delta execution ([`SolveMode::Delta`], DESIGN.md
-    /// §17): decompose, then **replay** the cached [`MatchRun`] of every
-    /// component that is provably untouched since the previous epoch and
-    /// solve only the rest.
-    ///
-    /// A component replays only when *all* of the following hold, each of
-    /// which fails closed:
-    ///
-    /// 1. the instance carries [`DeltaInfo`](crate::instance::DeltaInfo)
-    ///    metadata continuing this state's lineage (`ctx_id` equal,
-    ///    `seq` exactly one past the last solve — gaps, fresh contexts
-    ///    and missing metadata all mean "everything dirty");
-    /// 2. none of the component's member UEs or BSs appear in the diff's
-    ///    dirty sets (dirty UEs = rebuilt or new-ground candidate rows;
-    ///    dirty BSs = remaining-budget changes);
-    /// 3. the cache holds an entry at the component's smallest UE id
-    ///    whose member lists equal the component's (joins, splits and
-    ///    departures all change membership).
-    ///
-    /// Together these imply the component's sub-instance is bit-identical
-    /// to the one its cached run was computed from, so replaying the run
-    /// is exact — the merged outcome is bit-identical to a from-scratch
-    /// solve, which `tests/delta_solve.rs` pins across engines, seeds and
-    /// allocators.
-    fn solve_delta(
-        &self,
-        instance: &ProblemInstance,
-        state: &mut DeltaState,
-        ws: &mut DmraWorkspace,
-    ) -> Result<DmraOutcome> {
-        let obs_on = dmra_obs::enabled();
-        let solve_started = obs_on.then(std::time::Instant::now);
-        let n_ues = instance.n_ues();
-        let n_bss = instance.n_bss();
-
-        // Field-wise destructuring lets the decomposition borrow coexist
-        // with cache/scratch mutation below.
-        let DeltaState {
-            valid,
-            ctx_id,
-            seq,
-            cache,
-            decomposer,
-            dirty_ue,
-            dirty_bs,
-            which,
-            bs_local,
-        } = state;
-
-        let decomp = decomposer.run(instance);
-        record_decomposition(decomp);
-
-        let delta = instance.delta();
-        // `track`: maintain the cache for the next epoch. `continuous`:
-        // the diff provably describes the change since the instance this
-        // state last solved, so clean components may replay.
-        let track = delta.is_some();
-        let continuous = delta.is_some_and(|d| *valid && d.ctx_id == *ctx_id && d.seq == *seq + 1);
-        if let Some(d) = delta {
-            *valid = true;
-            *ctx_id = d.ctx_id;
-            *seq = d.seq;
-        } else {
-            // No metadata: nothing can vouch for the next diff's base
-            // either, so drop the cache rather than let a later epoch
-            // replay against a stale snapshot.
-            *valid = false;
-            cache.clear();
-        }
-
-        dirty_ue.clear();
-        dirty_bs.clear();
-        if continuous {
-            let d = delta.expect("continuous implies delta metadata");
-            dirty_ue.resize(n_ues, false);
-            dirty_bs.resize(n_bss, false);
-            for &u in &d.dirty_ues {
-                if let Some(m) = dirty_ue.get_mut(u as usize) {
-                    *m = true;
-                }
-            }
-            for &b in &d.dirty_bss {
-                if let Some(m) = dirty_bs.get_mut(b as usize) {
-                    *m = true;
-                }
-            }
-        }
-
-        // Classify: a hit replays, everything else lands in `which`.
-        which.clear();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut invalidations = 0u64;
-        let mut replayed_ues = 0u64;
-        for (c, comp) in decomp.components.iter().enumerate() {
-            let cached = cache.get(&comp.ues[0]);
-            let clean = continuous
-                && comp.ues.iter().all(|&u| !dirty_ue[u as usize])
-                && comp.bss.iter().all(|&b| !dirty_bs[b as usize])
-                && cached.is_some_and(|e| e.ues == comp.ues && e.bss == comp.bss);
-            if clean {
-                hits += 1;
-                replayed_ues += comp.ues.len() as u64;
-            } else {
-                which.push(c);
-                if cached.is_some() {
-                    invalidations += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-        }
-
-        let runs = self.solve_component_set(instance, decomp, which, ws, bs_local);
-        let mut fresh = runs.into_iter();
-        let merged = if track {
-            // Store the fresh runs, sweep entries whose component no
-            // longer exists (components are ordered by smallest UE id,
-            // so the key lookup is a binary search), then merge every
-            // component straight out of the cache.
-            for &c in which.iter() {
-                let run = fresh.next().expect("one run per dirty component")?;
-                let comp = &decomp.components[c];
-                cache.insert(
-                    comp.ues[0],
-                    CachedComponent {
-                        ues: comp.ues.clone(),
-                        bss: comp.bss.clone(),
-                        run,
-                    },
-                );
-            }
-            cache.retain(|&k, _| {
-                decomp
-                    .components
-                    .binary_search_by_key(&k, |c| c.ues[0])
-                    .is_ok()
-            });
-            merge_component_runs(n_ues, decomp, |c| {
-                Ok(cache
-                    .get(&decomp.components[c].ues[0])
-                    .expect("every current component has a cache entry")
-                    .run
-                    .clone())
-            })?
-        } else {
-            // Untracked ⇒ not continuous ⇒ `which` lists every component.
-            merge_component_runs(n_ues, decomp, |_| {
-                fresh.next().expect("one run per component (all dirty)")
-            })?
-        };
-
-        if obs_on {
-            record_solve(&merged, n_ues, solve_started);
-            record_delta_solve(hits, misses, invalidations, replayed_ues, solve_started);
-        }
-
-        Ok(merged.into_outcome())
     }
 
     /// The straightforward line-by-line transcription of Algorithm 1 that
@@ -668,13 +329,11 @@ impl Allocator for Dmra {
 
     /// DMRA's session keeps a [`DmraWorkspace`] alive across calls, so a
     /// per-epoch solve in the online simulator touches the heap only for
-    /// the outcome it returns — and under [`SolveMode::Delta`] it also
-    /// carries the cross-epoch per-component result cache.
+    /// the outcome it returns.
     fn session(&self) -> Box<dyn AllocatorSession + '_> {
         Box::new(DmraSession {
             dmra: *self,
             workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
         })
     }
 }
@@ -715,83 +374,26 @@ pub struct DmraWorkspace {
     winners: Vec<DenseProposal>,
 }
 
-/// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace,
-/// plus the cross-epoch delta cache ([`SolveMode::Delta`] only; empty
-/// and untouched under every other mode).
+/// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace.
 struct DmraSession {
     dmra: Dmra,
     workspace: DmraWorkspace,
-    delta: DeltaState,
 }
 
 impl AllocatorSession for DmraSession {
     fn allocate(&mut self, instance: &ProblemInstance) -> Allocation {
-        let out = if self.dmra.effective_solve_mode(instance) == SolveMode::Delta {
-            self.dmra
-                .solve_delta(instance, &mut self.delta, &mut self.workspace)
-        } else {
-            self.dmra
-                .solve_with_workspace(instance, &mut self.workspace)
-        };
-        out.expect("DMRA terminates within its iteration bound")
+        self.dmra
+            .solve_with_workspace(instance, &mut self.workspace)
+            .expect("DMRA terminates within its iteration bound")
             .allocation
     }
 }
 
-/// One entry of the delta cache: a component's member lists at the time
-/// it was last solved, plus the [`MatchRun`] that solve produced (local
-/// indices relative to those lists).
+/// Everything one dense [`match_loop`] run produces: the outcome plus
+/// the totals its telemetry records.
 #[derive(Debug)]
-struct CachedComponent {
-    ues: Vec<u32>,
-    bss: Vec<u32>,
-    run: MatchRun,
-}
-
-/// Session state of the cross-epoch delta solver ([`SolveMode::Delta`],
-/// DESIGN.md §17): the per-component result cache keyed by the
-/// component's smallest UE id, the [`DeltaInfo`] lineage cursor that
-/// guards continuity, and reusable classification scratch.
-///
-/// [`DeltaInfo`]: crate::instance::DeltaInfo
-#[derive(Debug, Default)]
-struct DeltaState {
-    /// Whether `ctx_id`/`seq` describe the instance this state last
-    /// solved. False until the first tracked solve and after any
-    /// untracked one.
-    valid: bool,
-    /// The [`DeploymentContext`](crate::online::DeploymentContext) id of
-    /// the last tracked instance.
-    ctx_id: u64,
-    /// Its build sequence number. The next instance's diff is usable only
-    /// if its `seq` is exactly `seq + 1` — any gap (a skipped build, a
-    /// failed build, a different context) fails the continuity check
-    /// closed and everything resolves as dirty.
-    seq: u64,
-    /// Component results from the last tracked solve, keyed by the
-    /// component's smallest UE id (stable across epochs as long as the
-    /// membership is stable, which the entry re-checks on lookup).
-    cache: HashMap<u32, CachedComponent>,
-    /// Reused union-find decomposition scratch.
-    decomposer: Decomposer,
-    /// Per-UE / per-BS dirty masks scattered from the instance's
-    /// [`DeltaInfo`](crate::instance::DeltaInfo) lists.
-    dirty_ue: Vec<bool>,
-    dirty_bs: Vec<bool>,
-    /// Indices of the components that must actually be solved.
-    which: Vec<usize>,
-    /// Global→local BS index scratch for the serial component loop.
-    bs_local: Vec<u32>,
-}
-
-/// Everything one dense [`match_loop`] run produces. Indices are *local*
-/// to the run: the monolithic path runs over global indices (local ==
-/// global), a component run over the component's ascending UE/BS lists
-/// (remapped during the merge). `Clone` exists for the delta cache,
-/// which replays stored component runs verbatim.
-#[derive(Debug, Clone)]
 struct MatchRun {
-    /// Per-UE assignment (local BS ids); `None` = cloud or unreachable.
+    /// Per-UE assignment; `None` = cloud or unreachable.
     assigned: Vec<Option<BsId>>,
     /// Iterations executed, including the final silent one.
     iterations: usize,
@@ -828,8 +430,8 @@ impl MatchRun {
     }
 }
 
-/// Loads the dense caches of a whole-instance run into `ws`: global UE/BS
-/// indices are the run's local indices.
+/// Loads the dense caches of `instance` into `ws`, indexed by raw UE/BS
+/// indices.
 fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
     let n_ues = instance.n_ues();
     let ues = instance.ues();
@@ -873,58 +475,9 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
         .extend((0..n_ues).map(|u| instance.f_u(UeId::new(u as u32))));
 }
 
-/// Loads the dense caches of one component's sub-instance into `ws`,
-/// remapping BS indices through `bs_local` (global → local; entries are
-/// written for every BS of this component before any read, so the map can
-/// be reused across components without clearing).
-///
-/// Because `comp.ues` and `comp.bss` are ascending, local index order
-/// preserves global order — every tie-break (`c.bs < best_bs`, the
-/// `Reverse(ue)` preference term, the `touched` slot sort) resolves
-/// exactly as it does in the monolithic run. All per-UE values (`f_u`,
-/// demands, prices) are the instance-global ones; `f_u` equals the UE's
-/// candidate-row length, which is entirely intra-component.
-fn load_component(
-    instance: &ProblemInstance,
-    comp: &Component,
-    ws: &mut DmraWorkspace,
-    bs_local: &mut [u32],
-) {
-    let ues = instance.ues();
-    ws.rem_cru.clear();
-    ws.rem_rrb.clear();
-    for (li, &gb) in comp.bss.iter().enumerate() {
-        let bs = &instance.bss()[gb as usize];
-        ws.rem_cru.extend(bs.cru_budget.iter().map(|c| c.get()));
-        ws.rem_rrb.push(bs.rrb_budget.get());
-        bs_local[gb as usize] = li as u32;
-    }
-    ws.cands.clear();
-    ws.start.clear();
-    ws.len.clear();
-    ws.svc.clear();
-    ws.cru_demand.clear();
-    ws.f_u.clear();
-    for &gu in &comp.ues {
-        let row = instance.candidates(UeId::new(gu));
-        ws.start.push(ws.cands.len());
-        ws.len.push(row.len());
-        ws.cands.extend(row.iter().map(|l| DenseCand {
-            bs: bs_local[l.bs.as_usize()],
-            n_rrbs: l.n_rrbs.get(),
-            price: l.price.get(),
-            same_sp: l.same_sp,
-        }));
-        let u = gu as usize;
-        ws.svc.push(ues[u].service.as_usize());
-        ws.cru_demand.push(ues[u].cru_demand.get());
-        ws.f_u.push(instance.f_u(UeId::new(gu)));
-    }
-}
-
 /// The dense deferred-acceptance loop of Algorithm 1, running over the
-/// `n_ues × n_bss × n_svcs` sub-instance currently loaded in `ws` (see
-/// [`load_monolithic`] / [`load_component`]).
+/// `n_ues × n_bss × n_svcs` instance currently loaded in `ws` (see
+/// [`load_monolithic`]).
 fn match_loop(
     config: &DmraConfig,
     n_ues: usize,
@@ -1115,123 +668,7 @@ fn match_loop(
     })
 }
 
-/// Deterministic merge of per-component [`MatchRun`]s back to global UE
-/// order: `run_of(c)` yields component `c`'s run (freshly solved or
-/// replayed from the delta cache — the merge cannot tell the difference,
-/// which is the point). Components are ordered by smallest UE id and each
-/// UE belongs to exactly one component, so the merge rules reconstruct
-/// exactly the monolithic trajectories: `iterations = max`, per-iteration
-/// counters are element-wise sums with quiesced components contributing
-/// zero, and cloud-only UEs (in no component) seed `cloud_total`.
-fn merge_component_runs<F>(n_ues: usize, decomp: &Decomposition, mut run_of: F) -> Result<MatchRun>
-where
-    F: FnMut(usize) -> Result<MatchRun>,
-{
-    let mut merged = MatchRun {
-        assigned: vec![None; n_ues],
-        iterations: 1,
-        proposals: 0,
-        acceptances: Vec::new(),
-        unmatched: Vec::new(),
-        prunes: 0,
-        evictions: 0,
-        assigned_total: 0,
-        cloud_total: decomp.cloud_only.len(),
-        workspace_reused: false,
-    };
-    for (c, comp) in decomp.components.iter().enumerate() {
-        let run = run_of(c)?;
-        // A component that quiesced at `T_c` contributes zero to every
-        // later global iteration: all its UEs are assigned or
-        // cloud-forwarded by then, exactly as in the monolithic run.
-        merged.iterations = merged.iterations.max(run.iterations);
-        merged.proposals += run.proposals;
-        merged.prunes += run.prunes;
-        merged.evictions += run.evictions;
-        merged.assigned_total += run.assigned_total;
-        merged.cloud_total += run.cloud_total;
-        if merged.acceptances.len() < run.acceptances.len() {
-            merged.acceptances.resize(run.acceptances.len(), 0);
-            merged.unmatched.resize(run.unmatched.len(), 0);
-        }
-        for (t, &a) in run.acceptances.iter().enumerate() {
-            merged.acceptances[t] += a;
-        }
-        for (t, &m) in run.unmatched.iter().enumerate() {
-            merged.unmatched[t] += m;
-        }
-        for (lu, &gu) in comp.ues.iter().enumerate() {
-            if let Some(lb) = run.assigned[lu] {
-                merged.assigned[gu as usize] = Some(BsId::new(comp.bss[lb.as_usize()]));
-            }
-        }
-    }
-    Ok(merged)
-}
-
-/// Records which execution path [`Dmra::solve_component_set`] chose
-/// (`core.solve_serial` below the min-fanout threshold,
-/// `core.solve_fanout` above it) — the witness for the threshold
-/// satellite's telemetry requirement.
-fn record_solve_path(serial: bool) {
-    if !dmra_obs::enabled() {
-        return;
-    }
-    static FANOUT: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.solve_fanout");
-    static SERIAL: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.solve_serial");
-    if serial {
-        SERIAL.get().inc();
-    } else {
-        FANOUT.get().inc();
-    }
-}
-
-/// Records the `core.delta_*` telemetry of one [`SolveMode::Delta`]
-/// solve: component-level hit/miss/invalidation counts (hit = replayed
-/// verbatim; invalidation = a cached entry existed but was dirty or its
-/// membership changed; miss = no cached entry), total replayed UEs, and
-/// the wall-clock histogram `core.delta_solve_ns`.
-fn record_delta_solve(
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    replayed_ues: u64,
-    solve_started: Option<std::time::Instant>,
-) {
-    static SOLVES: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.delta_solves");
-    static HITS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.delta_component_hits");
-    static MISSES: dmra_obs::LazyCounter =
-        dmra_obs::LazyCounter::new("core.delta_component_misses");
-    static INVALIDATIONS: dmra_obs::LazyCounter =
-        dmra_obs::LazyCounter::new("core.delta_invalidations");
-    static REPLAYED_UES: dmra_obs::LazyCounter =
-        dmra_obs::LazyCounter::new("core.delta_replayed_ues");
-    static SOLVE_NS: dmra_obs::LazyHistogram = dmra_obs::LazyHistogram::new("core.delta_solve_ns");
-    SOLVES.get().inc();
-    HITS.get().add(hits);
-    MISSES.get().add(misses);
-    INVALIDATIONS.get().add(invalidations);
-    REPLAYED_UES.get().add(replayed_ues);
-    let solve_ns = solve_started.map_or(0, |t| {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    });
-    SOLVE_NS.get().record(solve_ns);
-    dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-        name: "core.delta_solve",
-        index: SOLVES.get().get(),
-        fields: vec![
-            ("hits", hits as f64),
-            ("misses", misses as f64),
-            ("invalidations", invalidations as f64),
-            ("replayed_ues", replayed_ues as f64),
-            ("wall_ns", solve_ns as f64),
-        ],
-    });
-}
-
-/// Records the standard `dmra.*` telemetry of one finished solve — the
-/// merged totals of a decomposed run are recorded exactly once, with the
-/// same counters the monolithic path uses.
+/// Records the standard `dmra.*` telemetry of one finished solve.
 fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::Instant>) {
     // Handles are resolved once and cached; steady-state recording
     // is one atomic op per metric (see BENCH_obs_overhead.json).
@@ -1274,25 +711,6 @@ fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::I
             ("wall_ns", solve_ns as f64),
         ],
     });
-}
-
-/// Records the `core.components` decomposition telemetry: how many
-/// components the instance split into, the largest component's UE count
-/// (a high-water gauge) and the full size distribution. Shows up in
-/// `--trace-out` snapshots and the `figures -- bench` breakdown.
-fn record_decomposition(decomp: &Decomposition) {
-    if !dmra_obs::enabled() {
-        return;
-    }
-    static COMPONENTS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.components");
-    static MAX_UES: dmra_obs::LazyGauge = dmra_obs::LazyGauge::new("core.component_max_ues");
-    static COMPONENT_UES: dmra_obs::LazyHistogram =
-        dmra_obs::LazyHistogram::new("core.component_ues");
-    COMPONENTS.get().add(decomp.components.len() as u64);
-    MAX_UES.get().set_max(decomp.max_component_ues() as u64);
-    for comp in &decomp.components {
-        COMPONENT_UES.get().record(comp.ues.len() as u64);
-    }
 }
 
 /// One live candidate in the dense solver's flattened per-UE window.
@@ -1452,6 +870,7 @@ pub(crate) fn bs_preference_key(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::components::tests::island_instance;
     use crate::instance::tests::two_sp_instance;
     use crate::instance::{CoverageModel, ProblemInstance};
     use dmra_econ::PricingConfig;
@@ -1650,6 +1069,18 @@ mod tests {
                 contested_instance(55),
                 DmraConfig::paper_defaults().with_rho(1000.0),
             ),
+            (island_instance(), DmraConfig::paper_defaults()),
+            (
+                island_instance(),
+                DmraConfig::paper_defaults().with_rho(0.0),
+            ),
+            (
+                island_instance(),
+                DmraConfig {
+                    same_sp_preference: false,
+                    ..DmraConfig::paper_defaults()
+                },
+            ),
         ];
         for (i, (inst, cfg)) in scenarios.iter().enumerate() {
             let dmra = Dmra::new(*cfg);
@@ -1847,381 +1278,18 @@ mod tests {
         );
     }
 
-    /// Two BS "islands" far beyond coverage range of each other, each with
-    /// its own cluster of UEs — decomposes into two components. A third UE
-    /// cluster member sits out of everyone's coverage (cloud-only).
-    fn island_instance() -> ProblemInstance {
-        let sps = vec![
-            SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
-            SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
-        ];
-        let catalog = ServiceCatalog::new(2);
-        let mk_bs = |id: u32, sp: u32, x: f64| {
-            BsSpec::new(
-                dmra_types::BsId::new(id),
-                SpId::new(sp),
-                Point::new(x, 0.0),
-                vec![Cru::new(100), Cru::new(100)],
-                Hertz::from_mhz(10.0),
-                dmra_types::RrbCount::new(55),
-            )
-        };
-        let bss = vec![mk_bs(0, 0, 0.0), mk_bs(1, 1, 100_000.0)];
-        let mk_ue = |id: u32, sp: u32, x: f64, svc: u32| {
-            UeSpec::new(
-                dmra_types::UeId::new(id),
-                SpId::new(sp),
-                Point::new(x, 0.0),
-                ServiceId::new(svc),
-                Cru::new(4),
-                BitsPerSec::from_mbps(3.0),
-                Dbm::new(10.0),
-            )
-        };
-        let ues = vec![
-            mk_ue(0, 0, 100.0, 0),     // island 0
-            mk_ue(1, 1, 100_100.0, 1), // island 1
-            mk_ue(2, 1, 120.0, 0),     // island 0, cross-SP
-            mk_ue(3, 0, 50_000.0, 0),  // out of all coverage → cloud-only
-            mk_ue(4, 0, 100_050.0, 1), // island 1, cross-SP
-        ];
-        ProblemInstance::build(
-            sps,
-            bss,
-            ues,
-            catalog,
-            PricingConfig::paper_defaults(),
-            RadioConfig::paper_defaults(),
-            CoverageModel::default(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn island_instance_decomposes_into_two_components() {
-        let inst = island_instance();
-        let d = crate::components::decompose(&inst);
-        assert_eq!(d.components.len(), 2, "decomposition: {d:?}");
-        assert_eq!(d.cloud_only, vec![3]);
-        assert_eq!(d.components[0].ues, vec![0, 2]);
-        assert_eq!(d.components[0].bss, vec![0]);
-        assert_eq!(d.components[1].ues, vec![1, 4]);
-        assert_eq!(d.components[1].bss, vec![1]);
-    }
-
-    #[test]
-    fn component_solve_is_bit_identical_to_monolithic() {
-        // The full DmraOutcome — allocation, iteration count, proposal
-        // totals, convergence trajectories — must match between the two
-        // executions, on instances that do and do not split, across the
-        // config knobs, for every thread count.
-        let scenarios: Vec<(ProblemInstance, DmraConfig)> = vec![
-            (island_instance(), DmraConfig::paper_defaults()),
-            (
-                island_instance(),
-                DmraConfig::paper_defaults().with_rho(0.0),
-            ),
-            (
-                island_instance(),
-                DmraConfig {
-                    same_sp_preference: false,
-                    ..DmraConfig::paper_defaults()
-                },
-            ),
-            (two_sp_instance(), DmraConfig::paper_defaults()),
-            (contested_instance(1), DmraConfig::paper_defaults()),
-            (contested_instance(0), DmraConfig::paper_defaults()),
-            (
-                contested_instance(55),
-                DmraConfig::paper_defaults().with_rho(1000.0),
-            ),
-        ];
-        for (i, (inst, cfg)) in scenarios.iter().enumerate() {
-            let mono = Dmra::new(*cfg)
-                .with_solve_mode(SolveMode::Monolithic)
-                .solve(inst)
-                .unwrap();
-            for threads in [1, 2, 3, 8] {
-                let comp = Dmra::new(*cfg)
-                    .with_solve_mode(SolveMode::Components)
-                    .with_solve_threads(Threads::Fixed(threads))
-                    .solve(inst)
-                    .unwrap();
-                assert_eq!(comp, mono, "scenario #{i} diverged at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn component_session_matches_monolithic_session() {
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-        let comp = Dmra::default().with_solve_mode(SolveMode::Components);
-        let mut mono_session = mono.session();
-        let mut comp_session = comp.session();
-        for inst in [
-            island_instance(),
-            two_sp_instance(),
-            island_instance(),
-            contested_instance(1),
-        ] {
-            assert_eq!(comp_session.allocate(&inst), mono_session.allocate(&inst));
-        }
-    }
-
-    #[test]
-    fn load_proportional_interference_pins_the_monolithic_path() {
-        // The global coupling through aggregate received power makes
-        // splitting unsound; the effective mode must demote itself, and
-        // the solve must still equal the monolithic one trivially.
-        let inst = {
-            let sps = vec![
-                SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
-                SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
-            ];
-            let catalog = ServiceCatalog::new(1);
-            let mk_bs = |id: u32, sp: u32, x: f64| {
-                BsSpec::new(
-                    dmra_types::BsId::new(id),
-                    SpId::new(sp),
-                    Point::new(x, 0.0),
-                    vec![Cru::new(100)],
-                    Hertz::from_mhz(10.0),
-                    dmra_types::RrbCount::new(55),
-                )
-            };
-            let mk_ue = |id: u32, sp: u32, x: f64| {
-                UeSpec::new(
-                    dmra_types::UeId::new(id),
-                    SpId::new(sp),
-                    Point::new(x, 0.0),
-                    ServiceId::new(0),
-                    Cru::new(4),
-                    BitsPerSec::from_mbps(3.0),
-                    Dbm::new(10.0),
-                )
-            };
-            let radio = dmra_radio::RadioConfig {
-                interference: dmra_radio::InterferenceModel::LoadProportional { factor: 0.1 },
-                ..RadioConfig::paper_defaults()
-            };
-            ProblemInstance::build(
-                sps,
-                vec![mk_bs(0, 0, 0.0), mk_bs(1, 1, 100_000.0)],
-                vec![mk_ue(0, 0, 100.0), mk_ue(1, 1, 100_100.0)],
-                catalog,
-                PricingConfig::paper_defaults(),
-                radio,
-                CoverageModel::default(),
-            )
-            .unwrap()
-        };
-        let dmra = Dmra::default().with_solve_mode(SolveMode::Components);
-        assert_eq!(dmra.effective_solve_mode(&inst), SolveMode::Monolithic);
-        assert!(!crate::components::splittable(&inst));
-        let comp = dmra.solve(&inst).unwrap();
-        let mono = Dmra::default()
-            .with_solve_mode(SolveMode::Monolithic)
-            .solve(&inst)
-            .unwrap();
-        assert_eq!(comp, mono);
-    }
-
     #[test]
     fn all_cloud_instance_merges_to_one_silent_iteration() {
         // Zero-RRB budget: every candidate prunes away in iteration 1 and
-        // everyone cloud-forwards; both paths must agree on the degenerate
-        // trajectory (iterations = 1, empty timelines).
+        // everyone cloud-forwards; the dense solver must agree with the
+        // reference on the degenerate trajectory (iterations = 1, empty
+        // timelines).
         let inst = contested_instance(0);
-        let comp = Dmra::default()
-            .with_solve_mode(SolveMode::Components)
-            .solve(&inst)
-            .unwrap();
-        assert_eq!(comp.iterations, 1);
-        assert!(comp.acceptances.is_empty());
-    }
-
-    /// The full deployment budgets of an instance, as residual-shaped
-    /// vectors.
-    fn full_budgets(inst: &ProblemInstance) -> (Vec<Vec<Cru>>, Vec<dmra_types::RrbCount>) {
-        (
-            inst.bss().iter().map(|b| b.cru_budget.clone()).collect(),
-            inst.bss().iter().map(|b| b.rrb_budget).collect(),
-        )
-    }
-
-    fn island_batch() -> Vec<UeSpec> {
-        island_instance().ues().to_vec()
-    }
-
-    #[test]
-    fn delta_session_without_metadata_matches_monolithic_session() {
-        // Instances built from scratch carry no DeltaInfo, so the delta
-        // session must degrade to the components execution — bit-identical
-        // to the monolithic session on every call, cache kept empty.
-        let delta = Dmra::default().with_solve_mode(SolveMode::Delta);
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-        let mut delta_session = DmraSession {
-            dmra: delta,
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-        let mut mono_session = mono.session();
-        for inst in [
-            island_instance(),
-            two_sp_instance(),
-            island_instance(),
-            contested_instance(1),
-        ] {
-            assert_eq!(delta_session.allocate(&inst), mono_session.allocate(&inst));
-            assert!(
-                delta_session.delta.cache.is_empty(),
-                "untracked instances must not populate the delta cache"
-            );
-            assert!(!delta_session.delta.valid);
-        }
-    }
-
-    #[test]
-    fn delta_session_matches_monolithic_across_context_epochs() {
-        // Epochs built through a row-cached DeploymentContext carry
-        // DeltaInfo; the delta session must stay bit-identical to a
-        // monolithic solve of every epoch instance, across unchanged
-        // epochs (pure replay), a moved UE (partial re-solve), and a
-        // same-id re-arrival with a different demand (the adversarial
-        // case: the row key misses, the UE lands in the dirty set and its
-        // component must re-solve).
-        let deployment = island_instance();
-        let (rem_cru, rem_rrb) = full_budgets(&deployment);
-        let mut ctx = crate::online::DeploymentContext::new(&deployment).with_row_cache();
-        let mut session = DmraSession {
-            dmra: Dmra::default().with_solve_mode(SolveMode::Delta),
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-
-        let mut moved = island_batch();
-        moved[2].position = Point::new(140.0, 0.0); // still island 0
-        let mut redemanded = island_batch();
-        redemanded[2].cru_demand = Cru::new(5); // same id, new demand
-        let epochs = [
-            island_batch(),
-            island_batch(), // identical: both components replay
-            moved,
-            redemanded,
-            island_batch(),
-        ];
-        for (e, batch) in epochs.into_iter().enumerate() {
-            let inst = ctx
-                .epoch_instance(&rem_cru, &rem_rrb, batch)
-                .unwrap_or_else(|err| panic!("epoch {e}: {err}"));
-            let d = inst.delta().expect("row-cached builds carry DeltaInfo");
-            match e {
-                1 => assert!(
-                    d.dirty_ues.is_empty() && d.dirty_bss.is_empty(),
-                    "identical epoch {e} must be fully clean, got {d:?}"
-                ),
-                // Epoch 4 reverts to the original batch, but slot 2's
-                // cached row still carries epoch 3's key, so it misses
-                // and stays dirty — exactly the fail-closed behaviour.
-                2..=4 => assert!(
-                    d.dirty_ues.contains(&2),
-                    "epoch {e} must dirty the changed UE, got {d:?}"
-                ),
-                _ => {}
-            }
-            let fast = session.allocate(inst);
-            assert_eq!(fast, mono.allocate(inst), "epoch {e} diverged");
-            assert!(session.delta.valid);
-            assert_eq!(session.delta.cache.len(), 2, "epoch {e}");
-        }
-    }
-
-    #[test]
-    fn delta_clean_components_replay_verbatim_from_the_cache() {
-        // White-box proof that clean components replay rather than
-        // re-solve: tamper the cached run of component 0 between two
-        // identical epochs and observe the tampered assignment flow
-        // through to the output verbatim.
-        let deployment = island_instance();
-        let (rem_cru, rem_rrb) = full_budgets(&deployment);
-        let mut ctx = crate::online::DeploymentContext::new(&deployment).with_row_cache();
-        let mut session = DmraSession {
-            dmra: Dmra::default().with_solve_mode(SolveMode::Delta),
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let honest = session.allocate(inst);
-        assert_eq!(honest.bs_of(dmra_types::UeId::new(0)), Some(BsId::new(0)));
-
-        // Component 0 is keyed by its smallest UE id (0); drop its local
-        // UE 0 assignment in the cached run.
-        session
-            .delta
-            .cache
-            .get_mut(&0)
-            .expect("component 0 is cached")
-            .run
-            .assigned[0] = None;
-
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let replayed = session.allocate(inst);
-        assert_eq!(
-            replayed.bs_of(dmra_types::UeId::new(0)),
-            None,
-            "a clean component must replay its cached run verbatim"
-        );
-        // The other island's replay is untouched.
-        assert_eq!(
-            replayed.bs_of(dmra_types::UeId::new(1)),
-            honest.bs_of(dmra_types::UeId::new(1))
-        );
-    }
-
-    #[test]
-    fn delta_continuity_gap_fails_closed() {
-        // Skipping an epoch (the session never sees build N) leaves a
-        // sequence gap; the next allocate must treat everything as dirty
-        // and still produce the monolithic answer — even with a poisoned
-        // cache entry, which a (wrong) replay would leak.
-        let deployment = island_instance();
-        let (rem_cru, rem_rrb) = full_budgets(&deployment);
-        let mut ctx = crate::online::DeploymentContext::new(&deployment).with_row_cache();
-        let mut session = DmraSession {
-            dmra: Dmra::default().with_solve_mode(SolveMode::Delta),
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let honest = session.allocate(inst);
-        session
-            .delta
-            .cache
-            .get_mut(&0)
-            .expect("component 0 is cached")
-            .run
-            .assigned[0] = None;
-        // Build an epoch the session never solves: the lineage advances
-        // past it.
-        let _ = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        assert_eq!(
-            session.allocate(inst),
-            honest,
-            "a lineage gap must force a full re-solve"
-        );
+        let dmra = Dmra::default();
+        let out = dmra.solve(&inst).unwrap();
+        assert_eq!(out, dmra.solve_reference(&inst).unwrap());
+        assert_eq!(out.iterations, 1);
+        assert!(out.acceptances.is_empty());
     }
 
     #[test]

@@ -42,7 +42,9 @@
 //!   footprint: a freed budget could re-admit a candidate the build-time
 //!   scan dropped, but only at a BS the scan actually looked at. The
 //!   cache stays off under load-proportional interference, where every
-//!   row depends on the whole batch.
+//!   row depends on the whole batch. It holds one slot per batch
+//!   position and is meant for fixed populations (the mobility regime),
+//!   so it is sized by the largest batch seen and never evicts.
 //!
 //! The region-sharded runtime in `dmra-sim` builds on two more pieces
 //! here: [`DeploymentContext::with_site_filter`] narrows the prune index
@@ -52,12 +54,11 @@
 
 use crate::instance::{
     coverage_prune_index, scan_candidate_row, scan_candidate_row_batch, validate_ues,
-    CandidateLink, CandidateScan, CoverageModel, DeltaInfo, ProblemInstance,
+    CandidateLink, CandidateScan, CoverageModel, ProblemInstance,
 };
 use dmra_geo::GridIndex;
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
 use dmra_types::{Cru, Error, Meters, Result, RrbCount, ServiceId, SpId, UeSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Epoch-persistent deployment state for the online regime.
 ///
@@ -65,22 +66,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// zero-UE instance the simulator starts from), then call
 /// [`DeploymentContext::epoch_instance`] once per epoch with the
 /// remaining budgets and the arrival batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeploymentContext {
     /// The reused epoch instance; UEs/links/budgets are overwritten per
     /// epoch, everything else stays the validated deployment.
     instance: ProblemInstance,
-    /// Process-unique id of this context, carried by the [`DeltaInfo`]
-    /// lineage so a delta consumer can never mix diffs from two contexts
-    /// (a [`Clone`] allocates a fresh id for the same reason).
-    ctx_id: u64,
-    /// Build sequence number: bumped on every build whose row-cache state
-    /// advanced (see [`DeltaInfo::seq`]) and on every staged prebuilt
-    /// delta.
-    delta_seq: u64,
-    /// Delta metadata staged by [`DeploymentContext::stage_delta`] for the
-    /// next [`DeploymentContext::epoch_instance_prebuilt`] call.
-    pending_delta: Option<DeltaInfo>,
     /// Radio evaluator, derived once from the deployment's radio config.
     evaluator: LinkEvaluator,
     /// Load-proportional interference factor (zero under noise-only).
@@ -103,39 +93,6 @@ pub struct DeploymentContext {
     /// Cross-epoch candidate-row cache (opt-in, see
     /// [`DeploymentContext::with_row_cache`]).
     row_cache: Option<RowCache>,
-}
-
-/// Default bound on *occupied* row-cache slots (each holds a candidate-link
-/// vector). Long traces whose batch sizes grow past this start evicting
-/// the least-recently-used slots instead of growing without bound; see
-/// [`DeploymentContext::with_row_cache_capacity`].
-pub const ROW_CACHE_DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// Source of process-unique [`DeploymentContext`] ids (0 is never issued,
-/// so a zeroed [`DeltaInfo`] can't collide with a real context).
-static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
-
-impl Clone for DeploymentContext {
-    /// Clones the full context state but allocates a **fresh context id**:
-    /// the clone's builds form a new [`DeltaInfo`] lineage, so a delta
-    /// consumer can never misread a diff produced by the clone as
-    /// continuing the original's sequence.
-    fn clone(&self) -> Self {
-        Self {
-            instance: self.instance.clone(),
-            ctx_id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
-            delta_seq: 0,
-            pending_delta: None,
-            evaluator: self.evaluator.clone(),
-            interference_factor: self.interference_factor,
-            total_rx_mw: self.total_rx_mw.clone(),
-            prune: self.prune.clone(),
-            validated_distance: self.validated_distance,
-            query_buf: self.query_buf.clone(),
-            batch: self.batch.clone(),
-            row_cache: self.row_cache.clone(),
-        }
-    }
 }
 
 /// Everything a candidate row depends on besides the fixed deployment and
@@ -176,9 +133,6 @@ struct CachedRow {
     row_max: Meters,
     /// The budget epoch the row was built under.
     built: u64,
-    /// The rebuild (use counter, not budget epoch) that last touched this
-    /// slot — the LRU eviction order.
-    last_used: u64,
     /// The BS indices the build **consulted** (the prune query's hits),
     /// or `None` for a row built by the exhaustive scan, which consulted
     /// every BS. Consulted, not kept: a freed budget could re-admit a
@@ -210,43 +164,15 @@ struct RowCache {
     /// [`DeploymentContext::row_cache_stats`]).
     hits: u64,
     misses: u64,
-    /// Rebuild counter driving the LRU order (`CachedRow::last_used`).
-    uses: u64,
-    /// Bound on occupied slots; the least-recently-used occupants past it
-    /// are evicted after each rebuild.
-    capacity: usize,
-    /// Occupied (`Some`) slots, maintained incrementally.
-    occupied: usize,
-    /// Lifetime LRU evictions (see
-    /// [`DeploymentContext::row_cache_evictions`]).
-    evictions: u64,
-    /// The previous rebuild's batch length: slots at or past it are new
-    /// arrivals for delta-tracking purposes even on a (stale) cache hit.
-    prev_batch_len: usize,
-    /// Reused `(last_used, slot)` scratch for the eviction sort.
-    lru_scratch: Vec<(u64, u32)>,
 }
 
 impl RowCache {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
-        }
-    }
-
     /// Compares this epoch's remaining budgets against the previous
     /// epoch's, per BS, and stamps exactly the BSs whose budgets changed
-    /// (on the first epoch: all of them), appending each stamped BS index
-    /// to `dirty_bss` in ascending order — i.e. which cells' rows were
-    /// just invalidated; an empty result means every cached row rides
-    /// through untouched.
-    fn observe_budgets(
-        &mut self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        dirty_bss: &mut Vec<u32>,
-    ) {
+    /// (on the first epoch: all of them). Returns how many BSs were
+    /// stamped — i.e. in how many cells rows were just invalidated; zero
+    /// means every cached row rides through untouched.
+    fn observe_budgets(&mut self, rem_cru: &[Vec<Cru>], rem_rrb: &[RrbCount]) -> u64 {
         let n_bss = rem_rrb.len();
         if self.bs_stamps.len() != n_bss {
             // First epoch (or a budget-arity change): every BS is new.
@@ -260,55 +186,23 @@ impl RowCache {
             }
             self.prev_rem_rrb.clear();
             self.prev_rem_rrb.extend_from_slice(rem_rrb);
-            dirty_bss.extend(0..n_bss as u32);
-            return;
+            return n_bss as u64;
         }
         let next = self.epoch + 1;
+        let mut stamped = 0u64;
         for b in 0..n_bss {
             if self.prev_rem_rrb[b] != rem_rrb[b] || self.prev_rem_cru[b] != rem_cru[b] {
-                dirty_bss.push(b as u32);
+                stamped += 1;
                 self.bs_stamps[b] = next;
                 self.prev_rem_rrb[b] = rem_rrb[b];
                 self.prev_rem_cru[b].clone_from(&rem_cru[b]);
             }
         }
-        if !dirty_bss.is_empty() {
+        if stamped > 0 {
             self.epoch = next;
             self.max_stamp = next;
         }
-    }
-
-    /// Post-rebuild LRU maintenance: every slot of the just-built batch
-    /// was touched (hit or stored) this rebuild, so stamp them with the
-    /// current use counter, then evict the least-recently-used occupants
-    /// past `capacity` and drop any trailing vacancy. Returns how many
-    /// rows were evicted.
-    fn touch_and_evict(&mut self, n_ues: usize) -> u64 {
-        for slot in self.slots.iter_mut().take(n_ues).flatten() {
-            slot.last_used = self.uses;
-        }
-        self.prev_batch_len = n_ues;
-        let mut evicted = 0u64;
-        if self.occupied > self.capacity {
-            self.lru_scratch.clear();
-            for (u, slot) in self.slots.iter().enumerate() {
-                if let Some(row) = slot {
-                    self.lru_scratch.push((row.last_used, u as u32));
-                }
-            }
-            self.lru_scratch.sort_unstable();
-            let excess = self.occupied - self.capacity;
-            for &(_, u) in &self.lru_scratch[..excess] {
-                self.slots[u as usize] = None;
-                self.occupied -= 1;
-                evicted += 1;
-            }
-            while matches!(self.slots.last(), Some(None)) {
-                self.slots.pop();
-            }
-        }
-        self.evictions += evicted;
-        evicted
+        stamped
     }
 
     /// Whether none of the BSs the row's build consulted saw a budget
@@ -353,7 +247,6 @@ impl RowCache {
                 row.row_max = row_max;
                 row.built = built;
                 row.deps = deps;
-                row.last_used = self.uses;
             }
             slot @ None => {
                 *slot = Some(CachedRow {
@@ -362,9 +255,7 @@ impl RowCache {
                     row_max,
                     built,
                     deps,
-                    last_used: self.uses,
                 });
-                self.occupied += 1;
             }
         }
     }
@@ -392,9 +283,6 @@ impl DeploymentContext {
         let n_bss = instance.bss.len();
         Self {
             instance,
-            ctx_id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
-            delta_seq: 0,
-            pending_delta: None,
             evaluator,
             interference_factor,
             total_rx_mw: vec![0.0; n_bss],
@@ -413,28 +301,15 @@ impl DeploymentContext {
     /// a freed budget could re-admit a candidate the build-time scan
     /// dropped, but only at a BS the scan looked at) saw a remaining-
     /// budget change in between. Budgets are stamped per BS, so churn in
-    /// one cell leaves rows in distant cells valid. Intended for sticky
-    /// populations (the mobility regime); under load-proportional
-    /// interference the cache is bypassed, because every row depends on
-    /// the whole batch. Outputs stay bit-identical to an uncached
-    /// rebuild — `tests/mobility_incremental.rs` pins this.
+    /// one cell leaves rows in distant cells valid. Intended for fixed
+    /// populations (the mobility regime): the cache keeps one slot per
+    /// batch position, so its size is the largest batch seen. Under
+    /// load-proportional interference the cache is bypassed, because
+    /// every row depends on the whole batch. Outputs stay bit-identical
+    /// to an uncached rebuild — `tests/mobility_incremental.rs` pins this.
     #[must_use]
     pub fn with_row_cache(mut self) -> Self {
-        self.row_cache = Some(RowCache::with_capacity(ROW_CACHE_DEFAULT_CAPACITY));
-        self
-    }
-
-    /// [`DeploymentContext::with_row_cache`] with an explicit bound on
-    /// occupied cache slots. After each rebuild the least-recently-used
-    /// occupants past `capacity` are evicted (counted by
-    /// [`DeploymentContext::row_cache_evictions`] and the
-    /// `online.row_cache_evictions` metric), so long traces can't grow
-    /// the cache without bound. Eviction only ever costs extra rebuilds —
-    /// an evicted slot misses and is rebuilt from scratch — never
-    /// correctness: outputs stay bit-identical at every capacity.
-    #[must_use]
-    pub fn with_row_cache_capacity(mut self, capacity: usize) -> Self {
-        self.row_cache = Some(RowCache::with_capacity(capacity));
+        self.row_cache = Some(RowCache::default());
         self
     }
 
@@ -470,39 +345,6 @@ impl DeploymentContext {
     #[must_use]
     pub fn row_cache_stats(&self) -> Option<(u64, u64)> {
         self.row_cache.as_ref().map(|c| (c.hits, c.misses))
-    }
-
-    /// Lifetime LRU evictions from the row cache, or `None` when the
-    /// cache is disabled. Counted unconditionally, like
-    /// [`DeploymentContext::row_cache_stats`].
-    #[must_use]
-    pub fn row_cache_evictions(&self) -> Option<u64> {
-        self.row_cache.as_ref().map(|c| c.evictions)
-    }
-
-    /// Occupied row-cache slots right now, or `None` when the cache is
-    /// disabled. Never exceeds the configured capacity after a rebuild.
-    #[must_use]
-    pub fn row_cache_occupied(&self) -> Option<usize> {
-        self.row_cache.as_ref().map(|c| c.occupied)
-    }
-
-    /// Stages cross-epoch churn metadata for the next
-    /// [`DeploymentContext::epoch_instance_prebuilt`] call, which attaches
-    /// it to the assembled instance under this context's own
-    /// [`DeltaInfo`] lineage. The region-sharded runtime calls this with
-    /// the union of its shard workers' dirty sets; `None` (a shard could
-    /// not report) still advances the sequence number, so a delta
-    /// consumer's continuity check fails closed on the next epoch instead
-    /// of misreading a stale diff.
-    pub fn stage_delta(&mut self, dirty: Option<(Vec<u32>, Vec<u32>)>) {
-        self.delta_seq += 1;
-        self.pending_delta = dirty.map(|(dirty_ues, dirty_bss)| DeltaInfo {
-            ctx_id: self.ctx_id,
-            seq: self.delta_seq,
-            dirty_ues,
-            dirty_bss,
-        });
     }
 
     /// Builds this epoch's instance in place: same deployment, the given
@@ -631,9 +473,6 @@ impl DeploymentContext {
         inst.row_start.clear();
         inst.row_start.extend_from_slice(row_start);
         inst.f_u.clear();
-        // Churn metadata staged via `stage_delta` rides on this assembly
-        // (and only this one — `take` so nothing stale survives).
-        inst.delta = self.pending_delta.take();
         // `row_max` in the scans is the max over *accepted* links, so the
         // merged links' distances reproduce it exactly.
         let mut max_candidate_distance = Meters::new(0.0);
@@ -708,30 +547,10 @@ impl DeploymentContext {
         // row to the whole batch, so the cache is bypassed entirely
         // there.
         let cache_active = self.row_cache.is_some() && self.interference_factor == 0.0;
-        // Reuse the previous build's DeltaInfo allocations when the cache
-        // tracks churn; otherwise make sure nothing stale survives on the
-        // reused instance.
-        let mut delta = if cache_active {
-            let mut d = inst.delta.take().unwrap_or_default();
-            d.dirty_ues.clear();
-            d.dirty_bss.clear();
-            Some(d)
-        } else {
-            inst.delta = None;
-            None
+        let invalidated_bss = match self.row_cache.as_mut() {
+            Some(cache) if cache_active => cache.observe_budgets(rem_cru, rem_rrb),
+            _ => 0,
         };
-        let prev_batch_len = self.row_cache.as_ref().map_or(0, |c| c.prev_batch_len);
-        if let Some(d) = delta.as_mut() {
-            let cache = self.row_cache.as_mut().expect("cache_active");
-            // The cache state advances now, so the delta lineage sequence
-            // must advance with it — even if this build later fails the
-            // margin check, the gap keeps any consumer's continuity guard
-            // from misreading the next build's diff.
-            self.delta_seq += 1;
-            cache.uses += 1;
-            cache.observe_budgets(rem_cru, rem_rrb, &mut d.dirty_bss);
-        }
-        let invalidated_bss = delta.as_ref().map_or(0, |d| d.dirty_bss.len() as u64);
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
 
@@ -780,13 +599,6 @@ impl DeploymentContext {
             }
             if hit {
                 cache_hits += 1;
-                if u >= prev_batch_len {
-                    if let Some(d) = delta.as_mut() {
-                        // Stale-slot hit past the previous batch
-                        // length: new ground for a delta consumer.
-                        d.dirty_ues.push(u as u32);
-                    }
-                }
             } else {
                 row_max = match &self.prune {
                     Some((index, radius)) => {
@@ -826,9 +638,6 @@ impl DeploymentContext {
                 };
                 if let Some(key) = key {
                     cache_misses += 1;
-                    if let Some(d) = delta.as_mut() {
-                        d.dirty_ues.push(u as u32);
-                    }
                     // The consulted set is this row's prune-query
                     // hits, still sitting in the query buffer.
                     let deps = self
@@ -851,12 +660,10 @@ impl DeploymentContext {
         let kernel_ns = kernel_started.map_or(0, |t| {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
-        let mut evicted = 0u64;
         if cache_active {
             let cache = self.row_cache.as_mut().expect("cache_active");
             cache.hits += cache_hits;
             cache.misses += cache_misses;
-            evicted = cache.touch_and_evict(n_ues);
         }
 
         // Constraint (16): the worst-case price is monotone in distance,
@@ -867,15 +674,6 @@ impl DeploymentContext {
             inst.pricing
                 .validate_margin(&inst.sps, max_candidate_distance)?;
             self.validated_distance = max_candidate_distance;
-        }
-
-        // Attach the churn metadata last, under this context's lineage —
-        // a build that failed above never emits, and the sequence gap it
-        // left behind fails any consumer's continuity check closed.
-        if let Some(mut d) = delta {
-            d.ctx_id = self.ctx_id;
-            d.seq = self.delta_seq;
-            inst.delta = Some(d);
         }
 
         if obs_on {
@@ -909,8 +707,6 @@ impl DeploymentContext {
                 dmra_obs::LazyCounter::new("online.row_cache_misses");
             static ROW_CACHE_INVALIDATIONS: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.row_cache_invalidations");
-            static ROW_CACHE_EVICTIONS: dmra_obs::LazyCounter =
-                dmra_obs::LazyCounter::new("online.row_cache_evictions");
             let inst = &self.instance;
             // The event path mirrors the epoch path under its own build
             // counter/histogram/trace names; the per-row counters below
@@ -950,7 +746,6 @@ impl DeploymentContext {
                 // One unit per BS whose budgets changed this epoch — the
                 // per-BS stamping granularity.
                 ROW_CACHE_INVALIDATIONS.get().add(invalidated_bss);
-                ROW_CACHE_EVICTIONS.get().add(evicted);
             }
             let mut fields = vec![
                 ("ues", inst.ues.len() as f64),
@@ -965,7 +760,6 @@ impl DeploymentContext {
                 fields.push(("cache_hits", cache_hits as f64));
                 fields.push(("cache_misses", cache_misses as f64));
                 fields.push(("cache_invalidated_bss", invalidated_bss as f64));
-                fields.push(("cache_evictions", evicted as f64));
             }
             if let Some(t) = event_time {
                 fields.insert(0, ("time", t));

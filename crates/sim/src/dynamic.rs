@@ -71,8 +71,8 @@ use crate::config::ScenarioConfig;
 use crate::shard::{self, EpochBudgets, ShardGrid, ShardJob};
 use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::{
-    solve_mode_default, Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext,
-    Dmra, DmraConfig, ProblemInstance, SolveMode, Threads,
+    Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext, Dmra, DmraConfig,
+    ProblemInstance, Threads,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{obs_warn, EpochObserver, EpochRecord};
@@ -531,7 +531,7 @@ impl DynamicSimulator {
             .with_ues(0)
             .with_seed(cfg.seed)
             .build()?;
-        let mut ctx = delta_aware_ctx(&deployment);
+        let mut ctx = DeploymentContext::new(&deployment);
         let mut session = self.allocator.session();
         let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
         let mut state = EngineState::new(deployment.bss(), cfg.epochs);
@@ -669,7 +669,7 @@ impl DynamicSimulator {
             .with_seed(cfg.seed)
             .build()?;
         faults.validate(deployment.bss().len())?;
-        let mut ctx = delta_aware_ctx(&deployment);
+        let mut ctx = DeploymentContext::new(&deployment);
         let proto_config = DmraConfig::paper_defaults();
         // The oracle session only runs when an observer wants the
         // degradation gap; it never touches the RNG or the engine state.
@@ -995,7 +995,7 @@ impl DynamicSimulator {
             .with_ues(0)
             .with_seed(cfg.seed)
             .build()?;
-        let mut ctx = delta_aware_ctx(&deployment);
+        let mut ctx = DeploymentContext::new(&deployment);
         let mut session = self.allocator.session();
         let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
         let mut state = EventState::new(deployment.bss(), cfg.epochs);
@@ -1462,21 +1462,6 @@ impl EventState {
     fn record_epoch(&mut self) {
         self.outcome.rrb_occupancy.push(self.occupancy);
         self.outcome.in_service.push(self.heap.len());
-    }
-}
-
-/// The single-context engines' epoch context. Under the delta solve mode
-/// the cross-epoch row cache is enabled so every epoch instance carries
-/// the [`dmra_core::DeltaInfo`] churn metadata the delta solver replays
-/// against; otherwise the plain context is returned. The cache never
-/// changes a candidate row (the incremental tests pin bit-identity), so
-/// outcomes are the same either way — only the solve path differs.
-pub(crate) fn delta_aware_ctx(deployment: &ProblemInstance) -> DeploymentContext {
-    let ctx = DeploymentContext::new(deployment);
-    if solve_mode_default() == SolveMode::Delta {
-        ctx.with_row_cache()
-    } else {
-        ctx
     }
 }
 

@@ -48,8 +48,8 @@ use crate::config::ScenarioConfig;
 use crate::dynamic::{push_common_aux, AuxCounters};
 use crate::shard::{self, EpochBudgets, ShardGrid, ShardJob};
 use dmra_core::{
-    solve_mode_default, Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext,
-    Dmra, ProblemInstance, SolveMode, Threads,
+    Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext, Dmra, ProblemInstance,
+    Threads,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{EpochObserver, EpochRecord};
@@ -321,12 +321,6 @@ impl MobilitySimulator {
         let scrape_guard = obs_on.then(|| dmra_obs::register_scrape_sources(&registries));
         let worker = shard::row_build_worker(obs_on);
         let mut asm = DeploymentContext::new(&initial);
-        // Under the delta solve mode the coordinator translates the shard
-        // workers' per-shard dirty sets into global ones and stages them
-        // on `asm`, so the merged instance carries the same churn
-        // metadata the unsharded engine's row cache produces.
-        let mut delta_tracker = (solve_mode_default() == SolveMode::Delta)
-            .then(|| shard::DeltaTracker::new(grid.count()));
         // Sticky re-matching solves against churning residual budgets on
         // the coordinator, exactly as in `run` — no cache.
         let mut res_ctx = DeploymentContext::new(&initial);
@@ -365,9 +359,6 @@ impl MobilitySimulator {
                 .into_iter()
                 .collect::<Result<Vec<_>>>()?;
             shard::merge_rows(&owners, &rows, &mut merged_links, &mut merged_starts);
-            if let Some(tracker) = delta_tracker.as_mut() {
-                tracker.stage(&mut asm, &owners, &rows, initial.bss().len());
-            }
             let instance = asm.epoch_instance_prebuilt(
                 &full_cru,
                 &full_rrb,

@@ -21,9 +21,7 @@ cargo build -q -p dmra-cli
 record="$(mktemp /tmp/dmra-smoke-XXXXXX.jsonl)"
 stderr_log="$(mktemp /tmp/dmra-smoke-XXXXXX.log)"
 proto_record="$(mktemp /tmp/dmra-smoke-proto-XXXXXX.jsonl)"
-delta_record="$(mktemp /tmp/dmra-smoke-delta-XXXXXX.jsonl)"
-delta_base="$(mktemp /tmp/dmra-smoke-deltabase-XXXXXX.jsonl)"
-trap 'rm -f "$record" "$stderr_log" "$proto_record" "$delta_record" "$delta_base"' EXIT
+trap 'rm -f "$record" "$stderr_log" "$proto_record"' EXIT
 ./target/debug/dmra dynamic --rate 120 --epochs 8000 \
     --record "$record" --metrics-addr 127.0.0.1:0 \
     >/dev/null 2>"$stderr_log" &
@@ -73,17 +71,16 @@ grep -q '"proto_dropped":' "$proto_record" || { echo "proto epochs carry no degr
 grep -q '"oracle_profit_gap":' "$proto_record" || { echo "proto epochs carry no oracle gap" >&2; exit 1; }
 echo "proto-engine smoke OK ($(wc -l <"$proto_record") records)"
 
-# Delta-solve smoke: the cross-epoch delta solver must leave an epoch
-# digest trail bit-identical to the incremental engine's default solve
-# path — same workload, same flight-record schema, only the solver
-# differs. The nondeterministic "aux" halves (wall-clock timings) are
-# stripped before comparing.
-./target/debug/dmra dynamic --rate 40 --epochs 200 --solve delta \
-    --record "$delta_record" >/dev/null
-./target/debug/dmra dynamic --rate 40 --epochs 200 \
-    --record "$delta_base" >/dev/null
-[[ "$(wc -l <"$delta_record")" -eq 200 ]] || { echo "expected 200 delta flight records, got $(wc -l <"$delta_record")" >&2; exit 1; }
-cmp -s <(sed 's/, "aux": {.*}}$//' "$delta_record") \
-       <(sed 's/, "aux": {.*}}$//' "$delta_base") \
-    || { echo "--solve delta epoch digests diverged from the incremental engine" >&2; exit 1; }
-echo "delta-solve smoke OK (200 epoch digests identical)"
+# Repository benchmark: `perfbench/` is a workspace of its own, so the
+# workspace build and tests above never compile it. Build and unit-test
+# it here, then run every workload for one second and require the
+# correctness gate to pass: outcomes must match the golden table and no
+# epoch may fail its checks.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in paper_arrivals paper_mobility metro_mobility; do
+    line="$(cargo run -q --offline --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1)"
+    grep -q '"golden": "match"' <<<"$line" || { echo "perfbench $workload: golden mismatch: $line" >&2; exit 1; }
+    grep -q '"failed": 0[,}]' <<<"$line" || { echo "perfbench $workload: failed epochs: $line" >&2; exit 1; }
+done
+echo "perfbench smoke OK (3 workloads, golden match, 0 failed)"

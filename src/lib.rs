@@ -50,7 +50,7 @@ pub use dmra_types as types;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use dmra_baselines::{CloudOnly, Dcsp, GreedyProfit, NonCo, RandomAllocator};
-    pub use dmra_core::{Allocation, Allocator, Dmra, DmraConfig, ProblemInstance, SolveMode};
+    pub use dmra_core::{Allocation, Allocator, Dmra, DmraConfig, ProblemInstance};
     pub use dmra_econ::PricingConfig;
     pub use dmra_sim::{
         BsPlacement, Metrics, ScenarioConfig, ServicePopularity, SweepRunner, UePlacement,

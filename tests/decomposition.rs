@@ -1,19 +1,16 @@
-//! The component-decomposed solve is bit-identical to the monolithic one.
+//! Candidate-graph decomposition, and the dense solver on the sparse,
+//! multi-component scenarios it describes.
 //!
 //! `decompose` partitions each instance into connected components of the
-//! candidate-link bipartite graph; `Dmra` with `SolveMode::Components`
-//! solves them independently on the worker pool and merges the outcomes
-//! in global UE order (DESIGN.md §14). These tests pin the structural
-//! invariants of the partition itself (exact cover, no crossing links,
-//! dense instances collapse to one component) and outcome equality across
-//! random scenarios, thread counts, and all simulation engines including
-//! the region-sharded runtime.
+//! candidate-link bipartite graph (DESIGN.md §14). These tests pin the
+//! structural invariants of the partition (exact cover, no crossing
+//! links, dense instances collapse to one component) and check the dense
+//! solver against the line-by-line reference on random scenarios, most of
+//! which split into several components.
 
 use dmra::prelude::*;
 use dmra::sim::BsPlacement;
-use dmra_core::{decompose, Threads};
-use dmra_sim::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution};
-use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
+use dmra_core::decompose;
 use proptest::prelude::*;
 
 /// Small but structurally diverse scenarios (mirrors tests/properties.rs);
@@ -78,7 +75,7 @@ proptest! {
     /// No candidate link crosses a component boundary: each UE's entire
     /// candidate row lies inside its own component, and cloud-only UEs
     /// have genuinely empty rows. This is the soundness condition that
-    /// makes per-component solves independent.
+    /// makes the components' matchings independent.
     #[test]
     fn prop_no_candidate_link_crosses_components(cfg in arb_scenario()) {
         let instance = cfg.build().unwrap();
@@ -100,31 +97,21 @@ proptest! {
         }
     }
 
-    /// Outcome equality on random scenarios: the component path returns
+    /// Outcome equality on random scenarios: the dense solver returns
     /// the exact same `DmraOutcome` — allocation, iteration count, and
-    /// every telemetry trajectory — as the monolithic path.
+    /// every convergence trajectory — as the line-by-line reference.
     #[test]
-    fn prop_component_solve_equals_monolithic_on_random_scenarios(cfg in arb_scenario()) {
+    fn prop_dense_solve_equals_reference_on_random_scenarios(cfg in arb_scenario()) {
         let instance = cfg.build().unwrap();
-        let mono = Dmra::default()
-            .with_solve_mode(SolveMode::Monolithic)
-            .solve(&instance)
-            .unwrap();
-        for threads in [1, 4] {
-            let comp = Dmra::default()
-                .with_solve_mode(SolveMode::Components)
-                .with_solve_threads(Threads::Fixed(threads))
-                .solve(&instance)
-                .unwrap();
-            prop_assert_eq!(&comp, &mono, "diverged at {} solve threads", threads);
-        }
+        let dmra = Dmra::default();
+        let fast = dmra.solve(&instance).unwrap();
+        let reference = dmra.solve_reference(&instance).unwrap();
+        prop_assert_eq!(fast, reference);
     }
 }
 
 /// A dense instance — the paper's default scenario, where every UE's
-/// coverage disc bridges adjacent grid BSs — collapses to one component,
-/// so `SolveMode::Components` degrades to the ordinary serial path with
-/// no fan-out overhead.
+/// coverage disc bridges adjacent grid BSs — collapses to one component.
 #[test]
 fn fully_connected_instance_degrades_to_one_component() {
     let instance = ScenarioConfig::paper_defaults().build().unwrap();
@@ -136,111 +123,4 @@ fn fully_connected_instance_degrades_to_one_component() {
     );
     assert!(d.cloud_only.is_empty());
     assert_eq!(d.components[0].ues.len(), instance.n_ues());
-    let mono = Dmra::default().solve(&instance).unwrap();
-    let comp = Dmra::default()
-        .with_solve_mode(SolveMode::Components)
-        .solve(&instance)
-        .unwrap();
-    assert_eq!(comp, mono);
-}
-
-fn dyn_config(rate: f64, seed: u64, epochs: usize) -> DynamicConfig {
-    DynamicConfig {
-        scenario: ScenarioConfig::paper_defaults(),
-        arrival_rate: rate,
-        mean_holding: 5.0,
-        holding: HoldingDistribution::Geometric,
-        epochs,
-        seed,
-    }
-}
-
-fn components_dmra() -> Box<dyn Allocator> {
-    Box::new(Dmra::default().with_solve_mode(SolveMode::Components))
-}
-
-/// Engine-level equality: the incremental, event-driven and region-sharded
-/// dynamic engines produce identical summaries whether their allocator
-/// solves monolithically or per component.
-#[test]
-fn dynamic_engines_are_bit_identical_under_component_solves() {
-    for &(rate, seed) in &[(30.0, 3u64), (120.0, 8)] {
-        let cfg = dyn_config(rate, seed, 15);
-        let mono = DynamicSimulator::new(cfg.clone()).run().unwrap();
-        let sim = DynamicSimulator::with_allocator(cfg, components_dmra());
-        assert_eq!(
-            sim.run().unwrap(),
-            mono,
-            "incremental diverged (rate {rate})"
-        );
-        assert_eq!(
-            sim.run_event().unwrap(),
-            mono,
-            "event diverged (rate {rate})"
-        );
-        assert_eq!(
-            sim.run_sharded_n(4).unwrap(),
-            mono,
-            "sharded diverged (rate {rate})"
-        );
-    }
-}
-
-/// Same pin for the mobility engine, both policies, including the sticky
-/// policy's residual re-match path and the sharded grid runtime.
-#[test]
-fn mobility_engines_are_bit_identical_under_component_solves() {
-    for policy in [MobilityPolicy::FullReallocation, MobilityPolicy::Sticky] {
-        let cfg = MobilityConfig {
-            scenario: ScenarioConfig::paper_defaults().with_ues(250),
-            speed_mps: (5.0, 15.0),
-            epoch_seconds: 10.0,
-            epochs: 8,
-            seed: 7,
-            policy,
-            stationary_fraction: 0.0,
-        };
-        let mono = MobilitySimulator::new(cfg.clone()).run().unwrap();
-        let sim = MobilitySimulator::new(cfg).with_allocator(components_dmra());
-        assert_eq!(sim.run().unwrap(), mono, "{policy:?} diverged");
-        assert_eq!(
-            sim.run_sharded(2, 2).unwrap(),
-            mono,
-            "{policy:?} sharded diverged"
-        );
-    }
-}
-
-/// Telemetry on/off must not perturb the component path, and the
-/// decomposition counters must actually record when it runs.
-#[test]
-fn component_telemetry_records_without_changing_outcomes() {
-    // A sparse random scenario: few BSs scattered over the paper region
-    // give the decomposition counters a realistic partition to record.
-    let mut cfg = ScenarioConfig::paper_defaults().with_ues(40).with_seed(11);
-    cfg.n_sps = 2;
-    cfg.bss_per_sp = 2;
-    cfg.bs_placement = BsPlacement::UniformRandom;
-    let instance = cfg.build().unwrap();
-    let mono = Dmra::default().solve(&instance).unwrap();
-
-    dmra_obs::set_enabled(true);
-    let before = dmra_obs::global().counter("core.components").get();
-    let comp = Dmra::default()
-        .with_solve_mode(SolveMode::Components)
-        .solve(&instance)
-        .unwrap();
-    let after = dmra_obs::global().counter("core.components").get();
-    dmra_obs::set_enabled(false);
-
-    assert_eq!(comp, mono, "telemetry changed the component outcome");
-    assert!(
-        after > before,
-        "core.components never incremented under telemetry"
-    );
-    let off = Dmra::default()
-        .with_solve_mode(SolveMode::Components)
-        .solve(&instance)
-        .unwrap();
-    assert_eq!(off, mono);
 }

@@ -149,31 +149,6 @@ fn seam_crossing_movers_hand_over_between_shards_without_diverging() {
 }
 
 #[test]
-fn sharded_runs_are_unaffected_by_the_component_solve_path() {
-    // The shard workers build rows; the solve happens on the merged
-    // instance, so flipping the allocator to per-component execution
-    // (tests/decomposition.rs) must compose with sharding bit-identically.
-    use dmra_core::SolveMode;
-    let cfg = dyn_config(80.0, 5, 18);
-    let mono = DynamicSimulator::new(cfg.clone()).run_sharded_n(4).unwrap();
-    let comp = DynamicSimulator::with_allocator(
-        cfg,
-        Box::new(Dmra::default().with_solve_mode(SolveMode::Components)),
-    );
-    assert_eq!(comp.run_sharded_n(4).unwrap(), mono);
-    assert_eq!(comp.run_sharded(3, 3).unwrap(), mono);
-
-    let mcfg = mob_config(8, MobilityPolicy::Sticky, 0.25);
-    let m_mono = MobilitySimulator::new(mcfg.clone())
-        .run_sharded(2, 2)
-        .unwrap();
-    let m_comp = MobilitySimulator::new(mcfg).with_allocator(Box::new(
-        Dmra::default().with_solve_mode(SolveMode::Components),
-    ));
-    assert_eq!(m_comp.run_sharded(2, 2).unwrap(), m_mono);
-}
-
-#[test]
 fn sharded_equality_is_unaffected_by_telemetry() {
     let sim = DynamicSimulator::new(dyn_config(60.0, 7, 15));
     let baseline = sim.run().unwrap();
