@@ -23,6 +23,17 @@
 //!
 //! There is one execution: [`Dmra::solve_with_workspace`] loads the whole
 //! instance into dense workspace buffers and runs one match loop over it.
+//! Each round of that loop does work in proportion to the UEs still
+//! unmatched, not to the instance:
+//!
+//! * the UE side visits a worklist of unmatched UEs, in ascending order;
+//! * Eq. (17)'s resource term `ρ / d` is read from a per-workspace table
+//!   indexed by the integer denominator `d`: the same division, done when
+//!   `ρ` changes instead of on every candidate visit;
+//! * each `(bs, service)` slot of the winner table holds only the
+//!   16-byte BS preference key, from which the BS side recovers the UE
+//!   and its RRB demand.
+//!
 //! Splitting the instance into candidate-graph components, or replaying
 //! unchanged components across epochs, gives the same outcome but
 //! measured slower on the many-component workload built for it
@@ -134,8 +145,9 @@ impl Dmra {
     /// This is the optimized execution: all matcher state lives in dense
     /// `Vec`s indexed by raw BS/UE/service indices (flattened remaining
     /// resources, flattened candidate windows pruned by swap-with-tail, a
-    /// reusable table of each round's best proposal keyed
-    /// `bs * n_services + service`). It is
+    /// reusable table of each round's best preference key keyed
+    /// `bs * n_services + service`, a worklist of unmatched UEs and a
+    /// `ρ / d` table for Eq. (17)). It is
     /// bit-identical to [`Dmra::solve_reference`] — every selection rule
     /// has a unique key, so none of the reorderings the dense layout
     /// introduces can change a decision — and the test suite asserts the
@@ -176,6 +188,7 @@ impl Dmra {
         let n_svcs = instance.catalog().len() as usize;
 
         load_monolithic(instance, ws);
+        load_rho_table(self.config.rho, ws);
 
         let run = match_loop(&self.config, n_ues, n_bss, n_svcs, ws)?;
 
@@ -340,9 +353,10 @@ impl Allocator for Dmra {
 
 /// Reusable scratch state of the dense [`Dmra::solve`] execution.
 ///
-/// Every field is sized/overwritten at the start of a solve, so a
-/// workspace can be reused freely across instances of different shapes;
-/// it never influences the outcome. The winner table relies on the
+/// Every field is sized/overwritten at the start of a solve (the `ρ / d`
+/// table whenever `ρ` changes or it is too short), so a workspace can be
+/// reused freely across instances of different shapes and configs; it
+/// never influences the outcome. The winner table relies on the
 /// solver's drain discipline (every slot empty between solves), which a
 /// `debug_assert` re-checks on entry.
 #[derive(Debug, Clone, Default)]
@@ -363,15 +377,23 @@ pub struct DmraWorkspace {
     cru_demand: Vec<u32>,
     /// `f_u` per UE.
     f_u: Vec<u32>,
-    /// Cloud-forwarded flags per UE.
-    cloud: Vec<bool>,
-    /// The best proposal received this iteration, one entry per
+    /// Eq. (17)'s resource term by integer denominator:
+    /// `rho_term[d] = ρ / d` for `d = rem_cru + rem_rrb` (see
+    /// [`load_rho_table`]). Entry 0 is never read: a drained slot scores
+    /// `+∞` before any lookup.
+    rho_term: Vec<f64>,
+    /// The bits of the `ρ` that `rho_term` holds.
+    rho_bits: u64,
+    /// UEs still unmatched (neither accepted nor cloud-forwarded), in
+    /// ascending order: the UEs the next round's UE side visits.
+    pending: Vec<u32>,
+    /// The best preference key received this iteration, one entry per
     /// `(bs, service)` slot; `None` = no proposal yet.
-    best: Vec<Option<DenseProposal>>,
+    best: Vec<Option<DensePref>>,
     /// Slots that received a proposal in the current iteration.
     touched: Vec<usize>,
     /// Per-BS winner scratch for the admission step.
-    winners: Vec<DenseProposal>,
+    winners: Vec<DensePref>,
 }
 
 /// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace.
@@ -475,9 +497,30 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
         .extend((0..n_ues).map(|u| instance.f_u(UeId::new(u as u32))));
 }
 
+/// Longest `ρ / d` table a workspace keeps (32 KiB of `f64`). The paper
+/// grid needs at most 206 entries and the metro grid 373; a denominator
+/// past the bound is divided directly.
+const RHO_TABLE_MAX: usize = 4096;
+
+/// Makes `ws.rho_term` cover every Eq. (17) denominator of the instance
+/// just loaded, up to [`RHO_TABLE_MAX`]. Budgets only shrink during a
+/// solve, so the loaded maxima bound every `d = rem_cru + rem_rrb` the
+/// match loop can form. Both operands of `ρ / d` are exact integers in
+/// `f64`, so each entry is bit-for-bit the division it replaces.
+fn load_rho_table(rho: f64, ws: &mut DmraWorkspace) {
+    let max_cru = u64::from(ws.rem_cru.iter().copied().max().unwrap_or(0));
+    let max_rrb = u64::from(ws.rem_rrb.iter().copied().max().unwrap_or(0));
+    let len = (max_cru + max_rrb + 1).min(RHO_TABLE_MAX as u64) as usize;
+    if ws.rho_bits != rho.to_bits() || ws.rho_term.len() < len {
+        ws.rho_bits = rho.to_bits();
+        ws.rho_term.clear();
+        ws.rho_term.extend((0..len).map(|d| rho / d as f64));
+    }
+}
+
 /// The dense deferred-acceptance loop of Algorithm 1, running over the
 /// `n_ues × n_bss × n_svcs` instance currently loaded in `ws` (see
-/// [`load_monolithic`]).
+/// [`load_monolithic`] and [`load_rho_table`]).
 fn match_loop(
     config: &DmraConfig,
     n_ues: usize,
@@ -485,21 +528,31 @@ fn match_loop(
     n_svcs: usize,
     ws: &mut DmraWorkspace,
 ) -> Result<MatchRun> {
-    let rem_cru = &mut ws.rem_cru;
-    let rem_rrb = &mut ws.rem_rrb;
-    let cands = &mut ws.cands;
-    let start = &ws.start;
-    let len = &mut ws.len;
-    let svc = &ws.svc;
-    let cru_demand = &ws.cru_demand;
-    let f_u = &ws.f_u;
+    let DmraWorkspace {
+        rem_cru,
+        rem_rrb,
+        cands,
+        start,
+        len,
+        svc,
+        cru_demand,
+        f_u,
+        rho_term,
+        pending,
+        best,
+        touched,
+        winners,
+        ..
+    } = ws;
+    let rho = config.rho;
+    let rho_term: &[f64] = rho_term;
+    let table_len = rho_term.len() as u64;
 
     // `assigned` moves into the outcome's `Allocation`, so it is the
     // one per-solve allocation that cannot live in the workspace.
     let mut assigned: Vec<Option<BsId>> = vec![None; n_ues];
-    ws.cloud.clear();
-    ws.cloud.resize(n_ues, false);
-    let cloud = &mut ws.cloud;
+    pending.clear();
+    pending.extend(0..n_ues as u32);
     let mut proposals_total = 0u64;
     let mut acceptances: Vec<usize> = Vec::new();
     let mut unmatched: Vec<usize> = Vec::new();
@@ -517,31 +570,25 @@ fn match_loop(
     // the reference's nested BTreeMaps would). Every slot is empty
     // between solves (each iteration takes the slots it touched), so
     // reuse only needs to grow the table.
-    let workspace_reused = ws.best.len() >= n_bss * n_svcs;
+    let workspace_reused = best.len() >= n_bss * n_svcs;
     if !workspace_reused {
-        ws.best.resize(n_bss * n_svcs, None);
+        best.resize(n_bss * n_svcs, None);
     }
-    debug_assert!(ws.best.iter().all(Option::is_none));
-    let best = &mut ws.best;
-    ws.touched.clear();
-    let touched = &mut ws.touched;
-    ws.winners.clear();
-    let winners = &mut ws.winners;
+    debug_assert!(best.iter().all(Option::is_none));
+    touched.clear();
+    winners.clear();
     let mut final_iterations = None;
 
     for iteration in 1..=config.max_iterations {
         // ---- UE side: lines 3–10 ----
         let mut any = false;
-        for u in 0..n_ues {
-            if assigned[u].is_some() || cloud[u] {
-                continue;
-            }
+        for &u in pending.iter() {
+            let u = u as usize;
             let s = svc[u];
             loop {
                 if len[u] == 0 {
                     // Line 1 / fallthrough of lines 4–10: no BS can
                     // serve this UE; forward to the remote cloud.
-                    cloud[u] = true;
                     cloud_total += 1;
                     break;
                 }
@@ -552,11 +599,13 @@ fn match_loop(
                 let mut best_bs = u32::MAX;
                 for (i, c) in window.iter().enumerate() {
                     let b = c.bs as usize;
-                    let denom = f64::from(rem_cru[b * n_svcs + s]) + f64::from(rem_rrb[b]);
-                    let v = if denom <= 0.0 {
+                    let d = u64::from(rem_cru[b * n_svcs + s]) + u64::from(rem_rrb[b]);
+                    let v = if d == 0 {
                         f64::INFINITY
+                    } else if d < table_len {
+                        c.price + rho_term[d as usize]
                     } else {
-                        c.price + config.rho / denom
+                        c.price + rho / d as f64
                     };
                     if v < best_v || (v == best_v && c.bs < best_bs) {
                         best_i = i;
@@ -568,27 +617,20 @@ fn match_loop(
                 let b = c.bs as usize;
                 if rem_cru[b * n_svcs + s] >= cru_demand[u] && rem_rrb[b] >= c.n_rrbs {
                     let slot = b * n_svcs + s;
-                    // The proposal carries everything the BS side
-                    // needs, so no per-winner candidate lookups later.
-                    let proposal = DenseProposal {
-                        ue: u as u32,
-                        n_rrbs: c.n_rrbs,
-                        cru_demand: cru_demand[u],
-                        pref: (
-                            config.same_sp_preference && c.same_sp,
-                            Reverse(f_u[u]),
-                            Reverse(c.n_rrbs + cru_demand[u]),
-                            Reverse(u as u32),
-                        ),
+                    let pref = DensePref {
+                        same_sp: config.same_sp_preference && c.same_sp,
+                        f_u: Reverse(f_u[u]),
+                        footprint: Reverse(c.n_rrbs + cru_demand[u]),
+                        ue: Reverse(u as u32),
                     };
                     match &mut best[slot] {
                         Some(held) => {
-                            if proposal.pref > held.pref {
-                                *held = proposal;
+                            if pref > *held {
+                                *held = pref;
                             }
                         }
                         empty @ None => {
-                            *empty = Some(proposal);
+                            *empty = Some(pref);
                             touched.push(slot);
                         }
                     }
@@ -608,6 +650,9 @@ fn match_loop(
         }
 
         // ---- BS side: lines 11–25 ----
+        // A winner's key carries its UE id and footprint `n_rrbs +
+        // cru_demand`, so its RRB demand at this BS is recovered exactly.
+        let n_rrbs = |p: &DensePref| p.footprint.0 - cru_demand[p.ue.0 as usize];
         touched.sort_unstable();
         let mut accepted_this_iteration = 0usize;
         let mut t = 0usize;
@@ -623,25 +668,28 @@ fn match_loop(
             }
             // Radio admission: lines 22–25. Remove least-preferred
             // winners until the batch fits the remaining RRBs.
-            let mut total: u32 = winners.iter().map(|w| w.n_rrbs).sum();
+            let mut total: u32 = winners.iter().map(n_rrbs).sum();
             if total > rem_rrb[bs] {
                 // Ascending preference = worst first.
-                winners.sort_by_key(|w| Reverse(w.pref));
+                winners.sort_by_key(|&w| Reverse(w));
                 while total > rem_rrb[bs] {
                     let dropped = winners.pop().expect("winners cannot empty before fitting");
-                    total -= dropped.n_rrbs;
+                    total -= n_rrbs(&dropped);
                     evictions += 1;
                 }
             }
             for w in winners.drain(..) {
-                let u = w.ue as usize;
-                rem_cru[bs * n_svcs + svc[u]] -= w.cru_demand;
-                rem_rrb[bs] -= w.n_rrbs;
+                let u = w.ue.0 as usize;
+                rem_cru[bs * n_svcs + svc[u]] -= cru_demand[u];
+                rem_rrb[bs] -= n_rrbs(&w);
                 assigned[u] = Some(BsId::new(bs as u32));
                 accepted_this_iteration += 1;
             }
         }
         touched.clear();
+        // A UE leaves the worklist once accepted, or once its window is
+        // empty (it was forwarded to the cloud above).
+        pending.retain(|&u| assigned[u as usize].is_none() && len[u as usize] != 0);
         assigned_total += accepted_this_iteration;
         acceptances.push(accepted_this_iteration);
         unmatched.push(n_ues - assigned_total - cloud_total);
@@ -727,20 +775,18 @@ struct DenseCand {
 }
 
 /// The BS-side preference key of [`bs_preference_key`], precomputed:
-/// larger is better, and the embedded UE id makes it unique.
-type DensePref = (bool, Reverse<u32>, Reverse<u32>, Reverse<u32>);
-
-/// A proposal in the dense solver, carrying everything the BS side needs.
-#[derive(Debug, Clone, Copy)]
-struct DenseProposal {
-    /// Raw UE index of the proposer.
-    ue: u32,
-    /// RRB demand at the proposed BS.
-    n_rrbs: u32,
-    /// CRU demand of the proposer's service request.
-    cru_demand: u32,
-    /// Precomputed BS preference for this proposer.
-    pref: DensePref,
+/// larger is better (fields compare in declaration order), and the
+/// embedded UE id makes it unique. Sixteen bytes, also as an `Option`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct DensePref {
+    /// Same-SP proposer (when the config honours the preference).
+    same_sp: bool,
+    /// Smaller `f_u` first.
+    f_u: Reverse<u32>,
+    /// Smaller footprint `n_{u,i} + c_j^u` first.
+    footprint: Reverse<u32>,
+    /// Smaller raw UE index first.
+    ue: Reverse<u32>,
 }
 
 /// Mutable per-BS resource state shared by the matcher phases.
@@ -1081,6 +1127,8 @@ mod tests {
                     ..DmraConfig::paper_defaults()
                 },
             ),
+            (rich_instance(), DmraConfig::paper_defaults()),
+            (rich_instance(), DmraConfig::paper_defaults().with_rho(1e7)),
         ];
         for (i, (inst, cfg)) in scenarios.iter().enumerate() {
             let dmra = Dmra::new(*cfg);
@@ -1088,6 +1136,23 @@ mod tests {
             let reference = dmra.solve_reference(inst).unwrap();
             assert_eq!(fast, reference, "scenario #{i} diverged");
         }
+    }
+
+    /// [`two_sp_instance`] with CRU budgets past the `ρ / d` table bound,
+    /// so every Eq. (17) denominator is divided directly. BS 1, the
+    /// farther one from UE 0, holds 20× BS 0's budget: at a large `ρ` the
+    /// resource term outweighs the price and decides UE 0's proposal.
+    fn rich_instance() -> ProblemInstance {
+        let inst = two_sp_instance();
+        inst.residual(
+            &[
+                vec![Cru::new(5_000), Cru::new(5_000)],
+                vec![Cru::new(100_000), Cru::ZERO],
+            ],
+            &[dmra_types::RrbCount::new(55), dmra_types::RrbCount::new(55)],
+            inst.ues().to_vec(),
+        )
+        .unwrap()
     }
 
     /// A paper-scale deployment built by hand (`ScenarioConfig` lives in
@@ -1151,7 +1216,9 @@ mod tests {
         // One workspace dragged across instances of different shapes and
         // configs must reproduce the fresh-workspace outcome every time;
         // the paper-scale instance grows the winner table, and the tiny
-        // ones after it run on a prefix of the grown table.
+        // ones after it run on a prefix of the grown table. `ρ` cycles on
+        // every instance, so the `ρ / d` table must follow each change
+        // even when it is already long enough.
         let instances = [
             two_sp_instance(),
             contested_instance(1),
@@ -1162,10 +1229,15 @@ mod tests {
         ];
         let mut ws = DmraWorkspace::default();
         for (i, inst) in instances.iter().enumerate() {
-            let dmra = Dmra::default();
-            let reused = dmra.solve_with_workspace(inst, &mut ws).unwrap();
-            let fresh = dmra.solve(inst).unwrap();
-            assert_eq!(reused, fresh, "instance #{i} diverged under reuse");
+            for rho in [0.0, 100.0, 1000.0] {
+                let dmra = Dmra::new(DmraConfig::paper_defaults().with_rho(rho));
+                let reused = dmra.solve_with_workspace(inst, &mut ws).unwrap();
+                let fresh = dmra.solve(inst).unwrap();
+                assert_eq!(
+                    reused, fresh,
+                    "instance #{i} at rho {rho} diverged under reuse"
+                );
+            }
         }
     }
 

@@ -17,7 +17,10 @@
 //!   candidate than any epoch before it (a high-water mark);
 //! * the epoch instance itself is a single reused allocation — budgets
 //!   are patched in place and the flattened candidate rows are rebuilt
-//!   into the same buffers.
+//!   into the same buffers. One pass over the BSs checks the budgets'
+//!   arity, compares them with the ones the instance holds (the previous
+//!   epoch's) and patches only the BSs that differ; with the row cache
+//!   on, the same pass stamps those BSs.
 //!
 //! The result is pinned **bit-identical** to the rebuild-from-scratch
 //! path ([`ProblemInstance::residual`]) by the `incremental` integration
@@ -150,16 +153,13 @@ struct CachedRow {
 #[derive(Debug, Clone, Default)]
 struct RowCache {
     slots: Vec<Option<CachedRow>>,
-    /// Monotone budget epoch, bumped once per rebuild whose remaining
-    /// budgets differ anywhere from the previous rebuild's.
+    /// Monotone budget epoch, bumped once per budget pass.
     epoch: u64,
     /// `bs_stamps[b]` = the epoch at which BS `b`'s remaining budgets
     /// last changed.
     bs_stamps: Vec<u64>,
     /// `max(bs_stamps)` — the freshness bar for exhaustive-scan rows.
     max_stamp: u64,
-    prev_rem_cru: Vec<Vec<Cru>>,
-    prev_rem_rrb: Vec<RrbCount>,
     /// Lifetime hit/miss totals (see
     /// [`DeploymentContext::row_cache_stats`]).
     hits: u64,
@@ -167,42 +167,24 @@ struct RowCache {
 }
 
 impl RowCache {
-    /// Compares this epoch's remaining budgets against the previous
-    /// epoch's, per BS, and stamps exactly the BSs whose budgets changed
-    /// (on the first epoch: all of them). Returns how many BSs were
-    /// stamped — i.e. in how many cells rows were just invalidated; zero
-    /// means every cached row rides through untouched.
-    fn observe_budgets(&mut self, rem_cru: &[Vec<Cru>], rem_rrb: &[RrbCount]) -> u64 {
-        let n_bss = rem_rrb.len();
-        if self.bs_stamps.len() != n_bss {
-            // First epoch (or a budget-arity change): every BS is new.
-            self.epoch += 1;
-            self.bs_stamps.clear();
-            self.bs_stamps.resize(n_bss, self.epoch);
-            self.max_stamp = self.epoch;
-            self.prev_rem_cru.resize_with(n_bss, Vec::new);
-            for (dst, src) in self.prev_rem_cru.iter_mut().zip(rem_cru) {
-                dst.clone_from(src);
-            }
-            self.prev_rem_rrb.clear();
-            self.prev_rem_rrb.extend_from_slice(rem_rrb);
-            return n_bss as u64;
+    /// Opens the budget epoch of one [`patch_budgets`] pass over `n_bss`
+    /// BSs. On the cache's first epoch (or a budget-arity change) every
+    /// BS is stamped, and this returns `true`.
+    fn open_epoch(&mut self, n_bss: usize) -> bool {
+        self.epoch += 1;
+        if self.bs_stamps.len() == n_bss {
+            return false;
         }
-        let next = self.epoch + 1;
-        let mut stamped = 0u64;
-        for b in 0..n_bss {
-            if self.prev_rem_rrb[b] != rem_rrb[b] || self.prev_rem_cru[b] != rem_cru[b] {
-                stamped += 1;
-                self.bs_stamps[b] = next;
-                self.prev_rem_rrb[b] = rem_rrb[b];
-                self.prev_rem_cru[b].clone_from(&rem_cru[b]);
-            }
-        }
-        if stamped > 0 {
-            self.epoch = next;
-            self.max_stamp = next;
-        }
-        stamped
+        self.bs_stamps.clear();
+        self.bs_stamps.resize(n_bss, self.epoch);
+        self.max_stamp = self.epoch;
+        true
+    }
+
+    /// Records that BS `b`'s budgets changed in the open epoch.
+    fn stamp(&mut self, b: usize) {
+        self.bs_stamps[b] = self.epoch;
+        self.max_stamp = self.epoch;
     }
 
     /// Whether none of the BSs the row's build consulted saw a budget
@@ -427,24 +409,9 @@ impl DeploymentContext {
         }
         let inst = &mut self.instance;
         let n_bss = inst.bss.len();
-        if rem_cru.len() != n_bss || rem_rrb.len() != n_bss {
-            return Err(Error::InvalidConfig(format!(
-                "residual budgets cover {} / {} BSs but the instance has {}",
-                rem_cru.len(),
-                rem_rrb.len(),
-                n_bss
-            )));
-        }
-        for (i, bs) in inst.bss.iter().enumerate() {
-            if rem_cru[i].len() != bs.cru_budget.len() {
-                return Err(Error::InvalidConfig(format!(
-                    "{} has {} service budgets but the catalog has {} services",
-                    bs.id,
-                    rem_cru[i].len(),
-                    inst.catalog.len()
-                )));
-            }
-        }
+        // No row is built here, but the stamps must still follow every
+        // budget the instance takes (see `patch_budgets`).
+        patch_budgets(inst, rem_cru, rem_rrb, self.row_cache.as_mut())?;
         validate_ues(&ues, inst.sps.len(), inst.catalog)?;
         if row_start.len() != ues.len() + 1
             || row_start.first() != Some(&0)
@@ -463,10 +430,6 @@ impl DeploymentContext {
             ));
         }
 
-        for (i, bs) in inst.bss.iter_mut().enumerate() {
-            bs.cru_budget.copy_from_slice(&rem_cru[i]);
-            bs.rrb_budget = rem_rrb[i];
-        }
         inst.ues = ues;
         inst.links.clear();
         inst.links.extend_from_slice(links);
@@ -513,44 +476,21 @@ impl DeploymentContext {
 
         let inst = &mut self.instance;
         let n_bss = inst.bss.len();
-        if rem_cru.len() != n_bss || rem_rrb.len() != n_bss {
-            return Err(Error::InvalidConfig(format!(
-                "residual budgets cover {} / {} BSs but the instance has {}",
-                rem_cru.len(),
-                rem_rrb.len(),
-                n_bss
-            )));
-        }
-        for (i, bs) in inst.bss.iter().enumerate() {
-            if rem_cru[i].len() != bs.cru_budget.len() {
-                return Err(Error::InvalidConfig(format!(
-                    "{} has {} service budgets but the catalog has {} services",
-                    bs.id,
-                    rem_cru[i].len(),
-                    inst.catalog.len()
-                )));
-            }
-        }
-        validate_ues(&ues, inst.sps.len(), inst.catalog)?;
-
-        // Patch the remaining budgets in place (`Cru` is `Copy`).
-        for (i, bs) in inst.bss.iter_mut().enumerate() {
-            bs.cru_budget.copy_from_slice(&rem_cru[i]);
-            bs.rrb_budget = rem_rrb[i];
-        }
-        inst.ues = ues;
-
-        // Row-cache epoch bookkeeping, before any row is built: every BS
-        // whose remaining budgets differ from the previous epoch's gets a
-        // fresh stamp, so exactly the slots whose builds consulted a
-        // changed BS miss. Load-proportional interference couples each
-        // row to the whole batch, so the cache is bypassed entirely
-        // there.
+        // Patch the budgets and do the row-cache epoch bookkeeping before
+        // any row is built: every BS whose remaining budgets differ from
+        // the previous epoch's gets a fresh stamp, so exactly the slots
+        // whose builds consulted a changed BS miss. Load-proportional
+        // interference couples each row to the whole batch, so the cache
+        // is bypassed entirely there.
         let cache_active = self.row_cache.is_some() && self.interference_factor == 0.0;
-        let invalidated_bss = match self.row_cache.as_mut() {
-            Some(cache) if cache_active => cache.observe_budgets(rem_cru, rem_rrb),
-            _ => 0,
-        };
+        let invalidated_bss = patch_budgets(
+            inst,
+            rem_cru,
+            rem_rrb,
+            self.row_cache.as_mut().filter(|_| cache_active),
+        )?;
+        validate_ues(&ues, inst.sps.len(), inst.catalog)?;
+        inst.ues = ues;
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
 
@@ -782,6 +722,55 @@ impl DeploymentContext {
     pub fn coverage(&self) -> CoverageModel {
         self.instance.coverage
     }
+}
+
+/// The budget pass of every epoch build: checks the budgets' arity
+/// against the instance, compares each BS's incoming budgets with the ones
+/// the instance holds (the previous call's), and patches and stamps in
+/// `cache` only the BSs that differ — one walk over the BSs. Returns the
+/// number of BSs stamped: every BS on the cache's first epoch, otherwise
+/// the changed ones, and none without a cache.
+///
+/// An arity error part-way through leaves the BSs before it patched and
+/// stamped, so the instance's budgets and the cache's stamps always agree
+/// and the next call only has to compare against the instance.
+fn patch_budgets(
+    inst: &mut ProblemInstance,
+    rem_cru: &[Vec<Cru>],
+    rem_rrb: &[RrbCount],
+    mut cache: Option<&mut RowCache>,
+) -> Result<u64> {
+    let n_bss = inst.bss.len();
+    if rem_cru.len() != n_bss || rem_rrb.len() != n_bss {
+        return Err(Error::InvalidConfig(format!(
+            "residual budgets cover {} / {} BSs but the instance has {}",
+            rem_cru.len(),
+            rem_rrb.len(),
+            n_bss
+        )));
+    }
+    let first = cache.as_deref_mut().is_some_and(|c| c.open_epoch(n_bss));
+    let mut stamped = 0u64;
+    for (b, bs) in inst.bss.iter_mut().enumerate() {
+        let cru = &rem_cru[b];
+        if cru.len() != bs.cru_budget.len() {
+            return Err(Error::InvalidConfig(format!(
+                "{} has {} service budgets but the catalog has {} services",
+                bs.id,
+                cru.len(),
+                inst.catalog.len()
+            )));
+        }
+        if bs.rrb_budget != rem_rrb[b] || bs.cru_budget != *cru {
+            bs.cru_budget.copy_from_slice(cru);
+            bs.rrb_budget = rem_rrb[b];
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.stamp(b);
+                stamped += 1;
+            }
+        }
+    }
+    Ok(if first { n_bss as u64 } else { stamped })
 }
 
 #[cfg(test)]
@@ -1086,6 +1075,58 @@ mod tests {
                 "epoch {e}"
             );
         }
+    }
+
+    #[test]
+    fn budget_arity_error_stamps_the_bss_it_already_patched() {
+        // UE 0 consults only BS 0, UE 1 only BS 1. The third call changes
+        // BS 0 (patched in place) and then fails on BS 1's arity; the
+        // fourth call reuses that BS 0 budget, so only the stamp from the
+        // failed call can tell UE 0's cached row (built under the
+        // second call's BS 0 budget, with BS 0 as a candidate) is stale.
+        let deployment = two_distant_cells();
+        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
+        let full = vec![Cru::new(100), Cru::new(100)];
+        let drained = vec![Cru::new(2), Cru::new(2)];
+        let batch = vec![
+            UeSpec::new(
+                UeId::new(0),
+                SpId::new(0),
+                Point::new(50.0, 10.0),
+                ServiceId::new(0),
+                Cru::new(4),
+                BitsPerSec::from_mbps(3.0),
+                Dbm::new(10.0),
+            ),
+            UeSpec::new(
+                UeId::new(1),
+                SpId::new(1),
+                Point::new(4950.0, 10.0),
+                ServiceId::new(1),
+                Cru::new(3),
+                BitsPerSec::from_mbps(2.0),
+                Dbm::new(10.0),
+            ),
+        ];
+        let rrb = vec![RrbCount::new(55), RrbCount::new(55)];
+        let build = |ctx: &mut DeploymentContext, rem_cru: &[Vec<Cru>]| {
+            let scratch = deployment.residual(rem_cru, &rrb, batch.clone()).unwrap();
+            let fast = ctx.epoch_instance(rem_cru, &rrb, batch.clone()).unwrap();
+            assert_same_instance(fast, &scratch);
+            ctx.row_cache_stats().unwrap()
+        };
+        // A cold epoch, then one that changes BS 1's budgets only.
+        assert_eq!(build(&mut ctx, &[full.clone(), full.clone()]), (0, 2));
+        assert_eq!(build(&mut ctx, &[full, drained.clone()]), (1, 3));
+        let err = ctx
+            .epoch_instance(&[drained.clone(), vec![Cru::new(1)]], &rrb, batch.clone())
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        assert_eq!(ctx.row_cache_stats(), Some((1, 3)));
+        // Exactly UE 0's row misses: it consults BS 0, patched before the
+        // error. UE 1's BS has kept its budgets since the second call.
+        let stats = build(&mut ctx, &[drained.clone(), drained]);
+        assert_eq!(stats, (2, 4));
     }
 
     #[test]

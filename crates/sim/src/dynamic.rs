@@ -519,7 +519,8 @@ impl DynamicSimulator {
     ///
     /// Returns [`Error::InvalidConfig`] for an invalid [`DynamicConfig`]
     /// and propagates scenario/instance build errors (e.g. invalid
-    /// pricing).
+    /// pricing). Returns [`Error::OverCommit`] when the allocator admits
+    /// more demand at a BS than it has left, in every build profile.
     pub fn run(&self) -> Result<DynamicOutcome> {
         let cfg = &self.config;
         cfg.validate()?;
@@ -565,11 +566,11 @@ impl DynamicSimulator {
                 let solve_started = obs_on.then(std::time::Instant::now);
                 let allocation = session.allocate(instance);
                 solve_ns = record_solve_phase(obs_on, solve_started);
+                state.commit_epoch(instance, &allocation, &offsets, epoch)?;
                 debug_assert!(allocation.validate(instance).is_ok());
                 if observer.is_some() {
                     digest = allocation.digest();
                 }
-                state.commit_epoch(instance, &allocation, &offsets, epoch);
             }
             state.finish_epoch();
             let epoch_ns = epoch_started.map_or(0, |t| {
@@ -703,6 +704,7 @@ impl DynamicSimulator {
                 let outcome = run_protocol(instance, &proto_config, options)?;
                 solve_ns = record_solve_phase(obs_on, solve_started);
                 let allocation = outcome.allocation;
+                state.commit_epoch(instance, &allocation, &offsets, epoch)?;
                 debug_assert!(allocation.validate(instance).is_ok());
                 if observer.is_some() {
                     digest = allocation.digest();
@@ -719,7 +721,6 @@ impl DynamicSimulator {
                             - allocation.edge_served() as f64,
                     };
                 }
-                state.commit_epoch(instance, &allocation, &offsets, epoch);
             }
             state.finish_epoch();
             let epoch_ns = epoch_started.map_or(0, |t| {
@@ -904,11 +905,11 @@ impl DynamicSimulator {
                 let solve_started = obs_on.then(std::time::Instant::now);
                 let allocation = session.allocate(instance);
                 solve_ns = record_solve_phase(obs_on, solve_started);
+                state.commit_epoch(instance, &allocation, &offsets, epoch)?;
                 debug_assert!(allocation.validate(instance).is_ok());
                 if observer.is_some() {
                     digest = allocation.digest();
                 }
-                state.commit_epoch(instance, &allocation, &offsets, epoch);
             }
             state.finish_epoch();
             let epoch_ns = epoch_started.map_or(0, |t| {
@@ -1054,13 +1055,13 @@ impl DynamicSimulator {
             let solve_started = obs_on.then(std::time::Instant::now);
             let allocation = session.allocate(instance);
             let solve_ns = record_solve_phase(obs_on, solve_started);
+            state.commit_event(instance, &allocation, &offsets, now)?;
             debug_assert!(allocation.validate(instance).is_ok());
             let digest = if observer.is_some() {
                 allocation.digest()
             } else {
                 0
             };
-            state.commit_event(instance, &allocation, &offsets, now);
             state.record_epoch();
             let event_ns = event_started.map_or(0, |t| {
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -1178,11 +1179,11 @@ impl DynamicSimulator {
                 let solve_started = obs_on.then(std::time::Instant::now);
                 let allocation = self.allocator.allocate(&instance);
                 solve_ns = record_solve_phase(obs_on, solve_started);
+                state.commit_epoch(&instance, &allocation, &offsets, epoch)?;
                 debug_assert!(allocation.validate(&instance).is_ok());
                 if observer.is_some() {
                     digest = allocation.digest();
                 }
-                state.commit_epoch(&instance, &allocation, &offsets, epoch);
             }
             state.finish_epoch();
             if let Some(obs) = &observer {
@@ -1279,19 +1280,30 @@ impl EngineState {
 
     /// Commits one epoch's admissions: deduct resources, register the
     /// departure times, and accumulate profit/admission counters.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::OverCommit`] when the allocation admits more than a BS
+    /// has left (see [`deduct_admission`]).
     fn commit_epoch(
         &mut self,
         instance: &ProblemInstance,
         allocation: &Allocation,
         offsets: &[f64],
         epoch: usize,
-    ) {
+    ) -> Result<()> {
         self.outcome.total_profit += instance.total_profit(allocation);
         for (ue, bs) in allocation.edge_pairs() {
             let spec = &instance.ues()[ue.as_usize()];
             let link = instance.link(ue, bs).expect("candidate");
-            self.rem_cru[bs.as_usize()][spec.service.as_usize()] -= spec.cru_demand;
-            self.rem_rrb[bs.as_usize()] -= link.n_rrbs;
+            deduct_admission(
+                &mut self.rem_cru,
+                &mut self.rem_rrb,
+                bs,
+                spec.service,
+                spec.cru_demand,
+                link.n_rrbs,
+            )?;
             self.active.push(ActiveTask {
                 bs,
                 service: spec.service,
@@ -1302,6 +1314,7 @@ impl EngineState {
             self.outcome.admitted += 1;
         }
         self.outcome.cloud_forwarded += allocation.cloud_ues().count() as u64;
+        Ok(())
     }
 
     /// Records end-of-epoch occupancy and in-service counts.
@@ -1314,6 +1327,33 @@ impl EngineState {
         });
         self.outcome.in_service.push(self.active.len());
     }
+}
+
+/// Deducts one admission's demand from a BS's remaining budgets. Checked
+/// in every build profile: a budget that would go below zero (an
+/// allocation admitting more than the BS has left) is reported as
+/// [`Error::OverCommit`] instead of wrapping around in release builds.
+fn deduct_admission(
+    rem_cru: &mut [Vec<Cru>],
+    rem_rrb: &mut [RrbCount],
+    bs: BsId,
+    service: ServiceId,
+    cru: Cru,
+    rrbs: RrbCount,
+) -> Result<()> {
+    let cru_left = &mut rem_cru[bs.as_usize()][service.as_usize()];
+    *cru_left = cru_left.checked_sub(cru).ok_or_else(|| Error::OverCommit {
+        bs,
+        detail: format!("{service} has {cru_left} left, an admission needs {cru}"),
+    })?;
+    let rrb_left = &mut rem_rrb[bs.as_usize()];
+    *rrb_left = rrb_left
+        .checked_sub(rrbs)
+        .ok_or_else(|| Error::OverCommit {
+            bs,
+            detail: format!("{rrb_left} left, an admission needs {rrbs}"),
+        })?;
+    Ok(())
 }
 
 fn empty_outcome(epochs: usize) -> DynamicOutcome {
@@ -1418,20 +1458,31 @@ impl EventState {
 
     /// Commits one arrival event's admissions: deduct resources, schedule
     /// the departures, accumulate profit/admission counters.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::OverCommit`] when the allocation admits more than a BS
+    /// has left (see [`deduct_admission`]).
     fn commit_event(
         &mut self,
         instance: &ProblemInstance,
         allocation: &Allocation,
         offsets: &[f64],
         now: f64,
-    ) {
+    ) -> Result<()> {
         self.outcome.total_profit += instance.total_profit(allocation);
         let mut changed = false;
         for (ue, bs) in allocation.edge_pairs() {
             let spec = &instance.ues()[ue.as_usize()];
             let link = instance.link(ue, bs).expect("candidate");
-            self.rem_cru[bs.as_usize()][spec.service.as_usize()] -= spec.cru_demand;
-            self.rem_rrb[bs.as_usize()] -= link.n_rrbs;
+            deduct_admission(
+                &mut self.rem_cru,
+                &mut self.rem_rrb,
+                bs,
+                spec.service,
+                spec.cru_demand,
+                link.n_rrbs,
+            )?;
             self.used_rrb += u64::from(u32::from(link.n_rrbs));
             self.heap.push(Departure {
                 time: now + offsets[ue.as_usize()],
@@ -1447,6 +1498,7 @@ impl EventState {
         if changed {
             self.refresh_occupancy();
         }
+        Ok(())
     }
 
     fn refresh_occupancy(&mut self) {
@@ -1711,6 +1763,52 @@ mod tests {
             holding: HoldingDistribution::Geometric,
             epochs: 40,
             seed,
+        }
+    }
+
+    /// A rogue allocator that ignores budgets: every UE goes to its first
+    /// candidate.
+    struct FirstCandidate;
+
+    impl Allocator for FirstCandidate {
+        fn name(&self) -> &str {
+            "first-candidate"
+        }
+
+        fn allocate(&self, instance: &ProblemInstance) -> Allocation {
+            let mut allocation = Allocation::all_cloud(instance.n_ues());
+            for ue in instance.ues() {
+                if let Some(link) = instance.candidates(ue.id).first() {
+                    allocation.assign(ue.id, link.bs);
+                }
+            }
+            allocation
+        }
+    }
+
+    #[test]
+    fn over_commit_is_a_typed_error_in_every_build_profile() {
+        // 3 000 arrivals on the paper grid's 25 BSs exhaust some BS's
+        // budget in the first epoch. The commit step must fail with an
+        // error naming it, before the debug-only validation would panic
+        // and where release arithmetic would wrap the budget around.
+        let sim = DynamicSimulator::with_allocator(
+            DynamicConfig {
+                epochs: 3,
+                ..base_config(3000.0, 1)
+            },
+            Box::new(FirstCandidate),
+        );
+        for (engine, result) in [("run", sim.run()), ("run_event", sim.run_event())] {
+            let err = result.expect_err(engine);
+            assert!(
+                matches!(&err, Error::OverCommit { bs, .. } if bs.as_usize() < 25),
+                "{engine}: {err:?}"
+            );
+            assert!(
+                err.to_string().contains("over-commits bs"),
+                "{engine}: {err}"
+            );
         }
     }
 

@@ -40,6 +40,15 @@ pub enum Error {
         /// Number of BSs in the instance that failed to quiesce.
         n_bss: usize,
     },
+    /// An allocation admits more demand at a BS than the BS has left:
+    /// committing it would drive a remaining budget below zero. The
+    /// simulators' commit step raises this in every build profile.
+    OverCommit {
+        /// The BS whose budget would go negative.
+        bs: BsId,
+        /// Which budget ran out, with the remaining and demanded amounts.
+        detail: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -64,6 +73,9 @@ impl fmt::Display for Error {
                      (instance: {n_ues} UEs x {n_bss} BSs; the algorithm \
                      provably terminates in at most |U| + 1 iterations)"
                 )
+            }
+            Error::OverCommit { bs, detail } => {
+                write!(f, "allocation over-commits {bs}: {detail}")
             }
         }
     }

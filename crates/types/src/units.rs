@@ -310,13 +310,19 @@ macro_rules! count_unit {
             type Output = Self;
             /// # Panics
             ///
-            /// Panics on underflow, exactly like `u32` subtraction.
+            /// Exactly like `u32` subtraction: panics on underflow in
+            /// builds with overflow checks (debug), and wraps without them
+            /// (release). Use `checked_sub` where `rhs` may exceed `self`.
             fn sub(self, rhs: Self) -> Self {
                 Self(self.0 - rhs.0)
             }
         }
 
         impl SubAssign for $name {
+            /// # Panics
+            ///
+            /// Like [`Sub`]: panics on underflow with overflow checks on,
+            /// wraps without them.
             fn sub_assign(&mut self, rhs: Self) {
                 self.0 -= rhs.0;
             }

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy -q --workspace --all-targets -- -D warnings
 cargo test --workspace -q
+# The solver and the engines again in the release profile, the one the
+# benchmark runs: no overflow checks (integer arithmetic wraps) and no
+# `debug_assert!`. The dense-vs-reference equalities and the over-commit
+# error must hold there too.
+cargo test --release -q -p dmra-core -p dmra-sim
 # The telemetry compile-out configuration must keep building: every
 # dmra-obs dependent forwards a `telemetry` feature, and this catches a
 # crate growing an unconditional dependency on instrumented APIs.

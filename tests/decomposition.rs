@@ -99,11 +99,20 @@ proptest! {
 
     /// Outcome equality on random scenarios: the dense solver returns
     /// the exact same `DmraOutcome` — allocation, iteration count, and
-    /// every convergence trajectory — as the line-by-line reference.
+    /// every convergence trajectory — as the line-by-line reference. `ρ`
+    /// and the CRU budgets are drawn too; budgets reach past the dense
+    /// solver's `ρ / d` table (4 096 entries), where it divides directly.
     #[test]
-    fn prop_dense_solve_equals_reference_on_random_scenarios(cfg in arb_scenario()) {
+    fn prop_dense_solve_equals_reference_on_random_scenarios(
+        base in arb_scenario(),
+        rho in 0.0f64..5000.0,
+        cru_lo in 1u32..6000,
+        cru_span in 0u32..6000,
+    ) {
+        let mut cfg = base;
+        cfg.cru_budget_range = (cru_lo, cru_lo + cru_span);
         let instance = cfg.build().unwrap();
-        let dmra = Dmra::default();
+        let dmra = Dmra::new(DmraConfig::paper_defaults().with_rho(rho));
         let fast = dmra.solve(&instance).unwrap();
         let reference = dmra.solve_reference(&instance).unwrap();
         prop_assert_eq!(fast, reference);
