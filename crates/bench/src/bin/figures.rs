@@ -16,15 +16,7 @@
 //! DMRA solver against its reference, and the incremental online engine
 //! against the scratch rebuild loop, writing `BENCH_sweep.json` and
 //! `BENCH_dynamic.json`, and ends with an instrumented per-phase
-//! breakdown. The `bench_event` job times the event-driven engine
-//! against both fixed-epoch loops on a low-load long-horizon workload,
-//! writes `BENCH_dynamic_event.json`, and fails when the speedup falls
-//! below its gate. The `bench_shard` job exercises the region-sharded
-//! runtime: bit-identical outcomes across shard grids at paper scale, a
-//! shard-count scaling curve on the wide-area grid (gated on hosts with
-//! enough hardware threads), and a sustained run past one million
-//! concurrent in-service tasks, written to `BENCH_shard.json`. The
-//! `obs_overhead` job measures the telemetry-enabled vs -disabled
+//! breakdown. The `obs_overhead` job measures the telemetry-enabled vs -disabled
 //! dynamic simulation and writes `BENCH_obs_overhead.json`, failing when
 //! the overhead exceeds its bound.
 
@@ -36,8 +28,8 @@ use dmra_sim::dynamic::{
     DynamicConfig, DynamicSimulator, HoldingDistribution, ProtoDelay, ProtoFaults,
 };
 use dmra_sim::experiments::{self, ExperimentOptions};
-use dmra_sim::{BsPlacement, ScenarioConfig, SweepRunner, Table};
-use dmra_types::{BsId, Cru, Hertz, Meters, Rect, RrbCount};
+use dmra_sim::{ScenarioConfig, SweepRunner, Table};
+use dmra_types::{BsId, Cru, RrbCount};
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
@@ -86,16 +78,8 @@ fn main() {
             bench_mode();
             continue;
         }
-        if job == "bench_event" {
-            bench_event_mode();
-            continue;
-        }
         if job == "bench_linkbatch" {
             bench_linkbatch_mode();
-            continue;
-        }
-        if job == "bench_shard" {
-            bench_shard_mode();
             continue;
         }
         if job == "bench_proto" {
@@ -420,105 +404,6 @@ fn bench_dynamic() {
     obs_info!("wrote BENCH_dynamic.json");
 }
 
-/// Times the event-driven engine against both fixed-epoch engines on a
-/// low-load long-horizon workload and writes `BENCH_dynamic_event.json`.
-///
-/// All three engines must produce bit-identical `DynamicOutcome`s (the
-/// run aborts on mismatch), and the event engine must beat the epoch
-/// loop by at least the required factor — at rate ≤ 2 most epochs are
-/// idle, so the event engine's O(events) cost should leave the epoch
-/// loop's O(epochs) instance builds far behind. Exit 1 when the gate
-/// fails, so `scripts/bench.sh` doubles as a perf regression check. The
-/// factor defaults to 5 and can be tightened or loosened via
-/// `DMRA_EVENT_SPEEDUP_MIN`.
-///
-/// The workload is a wide-area deployment — the paper's grid extended to
-/// 10 × 10 sites at the same 300 m ISD (20 BSs per SP instead of 5).
-/// Both fixed-epoch engines already skip instance builds on idle epochs,
-/// so the gated gap is per-arrival build cost: the scratch loop scans
-/// every site per build while the event engine's pruned build touches
-/// only the handful inside coverage radius, and that ratio needs more
-/// sites than the 25-BS paper grid to sit safely above the 5x bound.
-fn bench_event_mode() {
-    let min_speedup: f64 = std::env::var("DMRA_EVENT_SPEEDUP_MIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5.0);
-    let mut scenario = ScenarioConfig::paper_defaults();
-    scenario.bss_per_sp = 20;
-    scenario.bs_placement = BsPlacement::RegularGrid {
-        rows: 10,
-        cols: 10,
-        isd: Meters::new(300.0),
-    };
-    scenario.region = Rect::square(Meters::new(3000.0));
-    scenario
-        .validate()
-        .expect("wide-area bench scenario is valid");
-    let mut rows = String::new();
-    let mut all_gates_pass = true;
-    for &(arrival_rate, epochs) in &[(0.5f64, 10_000usize), (2.0, 10_000)] {
-        let sim = DynamicSimulator::new(DynamicConfig {
-            scenario: scenario.clone(),
-            arrival_rate,
-            mean_holding: 5.0,
-            holding: HoldingDistribution::Geometric,
-            epochs,
-            seed: 11,
-        });
-        let (event_out, _) = timed(|| sim.run_event().expect("event engine runs"));
-        let (incremental_out, _) = timed(|| sim.run().expect("incremental engine runs"));
-        let (scratch_out, _) = timed(|| sim.run_scratch().expect("scratch engine runs"));
-        assert_eq!(
-            event_out, incremental_out,
-            "event engine diverged from incremental at rate {arrival_rate}"
-        );
-        assert_eq!(
-            event_out, scratch_out,
-            "event engine diverged from scratch at rate {arrival_rate}"
-        );
-        let event_secs = best_of(3, || sim.run_event().expect("event engine runs"));
-        let incremental_secs = best_of(3, || sim.run().expect("incremental engine runs"));
-        let scratch_secs = best_of(3, || sim.run_scratch().expect("scratch engine runs"));
-        let speedup_vs_epoch_loop = scratch_secs / event_secs;
-        let speedup_vs_incremental = incremental_secs / event_secs;
-        let gate_pass = speedup_vs_epoch_loop >= min_speedup;
-        all_gates_pass &= gate_pass;
-        obs_info!(
-            "dynamic event rate {arrival_rate}, {epochs} epochs ({} arrivals): \
-             event {event_secs:.4} s, incremental {incremental_secs:.4} s, \
-             scratch {scratch_secs:.4} s ({speedup_vs_epoch_loop:.1}x vs epoch \
-             loop, {speedup_vs_incremental:.1}x vs incremental)",
-            event_out.arrivals
-        );
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{ \"arrival_rate\": {arrival_rate}, \"epochs\": {epochs}, \
-             \"arrivals\": {}, \"event_secs\": {event_secs:.4}, \
-             \"incremental_secs\": {incremental_secs:.4}, \
-             \"scratch_secs\": {scratch_secs:.4}, \
-             \"speedup_vs_epoch_loop\": {speedup_vs_epoch_loop:.2}, \
-             \"speedup_vs_incremental\": {speedup_vs_incremental:.2}, \
-             \"gate_pass\": {gate_pass}, \"identical_outcome\": true }}",
-            event_out.arrivals
-        ));
-    }
-    let json = format!(
-        "{{\n  \"title\": \"event-driven engine vs fixed-epoch loops, low-load \
-         long-horizon regime (DMRA allocator, 10x10-site wide-area grid, \
-         geometric holding)\",\n  \"min_speedup_vs_epoch_loop\": {min_speedup},\n  \
-         \"runs\": [\n{rows}\n  ]\n}}\n"
-    );
-    fs::write("BENCH_dynamic_event.json", &json).expect("can write BENCH_dynamic_event.json");
-    obs_info!("wrote BENCH_dynamic_event.json");
-    if !all_gates_pass {
-        obs_error!("event engine speedup fell below the {min_speedup}x bound");
-        std::process::exit(1);
-    }
-}
-
 /// Sweeps the protocol-backed dynamic engine over a drop × delay × crash
 /// fault grid and writes the degradation surface to `BENCH_proto.json`.
 ///
@@ -783,200 +668,6 @@ fn bench_linkbatch_mode() {
     obs_info!("wrote BENCH_linkbatch.json");
     if !all_gates_pass {
         obs_error!("link-batch speedup fell below the {min_speedup}x bound");
-        std::process::exit(1);
-    }
-}
-
-/// Benchmarks the region-sharded deployment runtime and writes
-/// `BENCH_shard.json`.
-///
-/// Three sections:
-///
-/// 1. **Equality at paper scale** — `run_sharded` on the 1×1, 2×1, 2×2
-///    and 3×3 grids must reproduce the unsharded incremental outcome
-///    bit-identically. This gate is unconditional and runs before any
-///    timing, so the scaling figures can never be bought with a
-///    behaviour change.
-/// 2. **Shard-count scaling curve** — best-of-3 wall times for shard
-///    counts {1, 2, 4, 9} on the 10 × 10-site wide-area grid under
-///    heavy load, each count's outcome asserted `==` the unsharded one
-///    first. The `DMRA_SHARD_SPEEDUP_MIN` gate (default 2, exit 1 below
-///    it) compares 4 shards against 1 — but only on hosts exposing ≥ 4
-///    hardware threads. On smaller hosts the gate is recorded as skipped
-///    in the JSON: shard workers time-sliced onto one core can only
-///    measure scheduling overhead, not parallel speedup.
-/// 3. **Sustained scale** — one 2 × 2-sharded run over a 140 × 140-site
-///    metro deployment (19600 BSs, 5 SPs) whose offered load pushes the
-///    steady-state concurrency past one million in-service tasks,
-///    asserted from the per-epoch `in_service` trace.
-fn bench_shard_mode() {
-    let min_speedup: f64 = std::env::var("DMRA_SHARD_SPEEDUP_MIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
-
-    // -- Equality across shard grids at paper scale. --
-    let paper_sim = DynamicSimulator::new(DynamicConfig {
-        scenario: ScenarioConfig::paper_defaults(),
-        arrival_rate: 120.0,
-        mean_holding: 5.0,
-        holding: HoldingDistribution::Geometric,
-        epochs: 60,
-        seed: 11,
-    });
-    let paper_unsharded = paper_sim.run().expect("incremental engine runs");
-    for &(rows, cols) in &[(1usize, 1usize), (2, 1), (2, 2), (3, 3)] {
-        let sharded = paper_sim
-            .run_sharded(rows, cols)
-            .expect("sharded engine runs");
-        assert_eq!(
-            sharded, paper_unsharded,
-            "sharded engine diverged from unsharded on the {rows}x{cols} grid"
-        );
-    }
-    obs_info!("paper-scale outcomes identical on the 1x1, 2x1, 2x2 and 3x3 shard grids");
-
-    // -- Scaling curve on the wide-area grid (same deployment as
-    //    bench_event: 10 × 10 sites, 300 m ISD, 20 BSs per SP). --
-    let mut scenario = ScenarioConfig::paper_defaults();
-    scenario.bss_per_sp = 20;
-    scenario.bs_placement = BsPlacement::RegularGrid {
-        rows: 10,
-        cols: 10,
-        isd: Meters::new(300.0),
-    };
-    scenario.region = Rect::square(Meters::new(3000.0));
-    scenario
-        .validate()
-        .expect("wide-area bench scenario is valid");
-    let epochs = 60usize;
-    let wide_sim = DynamicSimulator::new(DynamicConfig {
-        scenario,
-        arrival_rate: 600.0,
-        mean_holding: 5.0,
-        holding: HoldingDistribution::Geometric,
-        epochs,
-        seed: 11,
-    });
-    let (wide_unsharded, _) = timed(|| wide_sim.run().expect("incremental engine runs"));
-    let unsharded_secs = best_of(3, || wide_sim.run().expect("incremental engine runs"));
-    let mut curve_rows = String::new();
-    let mut one_shard_secs = f64::NAN;
-    let mut four_shard_secs = f64::NAN;
-    for shards in [1usize, 2, 4, 9] {
-        let out = wide_sim.run_sharded_n(shards).expect("sharded engine runs");
-        assert_eq!(
-            out, wide_unsharded,
-            "sharded engine diverged from unsharded at {shards} shards"
-        );
-        let secs = best_of(3, || {
-            wide_sim.run_sharded_n(shards).expect("sharded engine runs")
-        });
-        if shards == 1 {
-            one_shard_secs = secs;
-        }
-        if shards == 4 {
-            four_shard_secs = secs;
-        }
-        let speedup_vs_one = one_shard_secs / secs;
-        let epochs_per_sec = epochs as f64 / secs;
-        obs_info!(
-            "shard curve {shards} shard(s): {secs:.4} s ({speedup_vs_one:.2}x vs 1 shard, \
-             {epochs_per_sec:.0} epochs/s, identical outcome)"
-        );
-        if !curve_rows.is_empty() {
-            curve_rows.push_str(",\n");
-        }
-        curve_rows.push_str(&format!(
-            "      {{ \"shards\": {shards}, \"secs\": {secs:.4}, \
-             \"speedup_vs_one_shard\": {speedup_vs_one:.2}, \
-             \"epochs_per_sec\": {epochs_per_sec:.1}, \"identical_outcome\": true }}"
-        ));
-    }
-    let speedup_at_four = one_shard_secs / four_shard_secs;
-    let gate_applied = hardware_threads >= 4;
-    let gate_pass = speedup_at_four >= min_speedup;
-    let gate_status = if !gate_applied {
-        "skipped"
-    } else if gate_pass {
-        "pass"
-    } else {
-        "fail"
-    };
-    obs_info!(
-        "shard speedup gate: {speedup_at_four:.2}x at 4 shards vs {min_speedup}x bound \
-         ({gate_status}; {hardware_threads} hardware thread(s))"
-    );
-
-    // -- Sustained metro-scale run: ≥ 1e6 concurrent in-service tasks. --
-    // 140 × 140 sites at the paper's 300 m ISD (19600 BSs over 5 SPs),
-    // 40 MHz uplink, deterministic 25-epoch holding: offered concurrency
-    // is 64000 × 25 = 1.6M against a ~2M-task aggregate capacity, so the
-    // in-service count crosses one million around epoch 18.
-    let mut metro = ScenarioConfig::paper_defaults();
-    metro.bss_per_sp = 3920;
-    metro.bs_placement = BsPlacement::RegularGrid {
-        rows: 140,
-        cols: 140,
-        isd: Meters::new(300.0),
-    };
-    metro.region = Rect::square(Meters::new(42_000.0));
-    metro.uplink_bandwidth = Hertz::from_mhz(40.0);
-    metro.validate().expect("metro-scale scenario is valid");
-    let metro_epochs = 26usize;
-    let metro_sim = DynamicSimulator::new(DynamicConfig {
-        scenario: metro,
-        arrival_rate: 64_000.0,
-        mean_holding: 25.0,
-        holding: HoldingDistribution::Deterministic,
-        epochs: metro_epochs,
-        seed: 11,
-    });
-    let (metro_out, metro_secs) = timed(|| {
-        metro_sim
-            .run_sharded(2, 2)
-            .expect("metro-scale sharded run completes")
-    });
-    let peak_in_service = metro_out.in_service.iter().copied().max().unwrap_or(0);
-    assert!(
-        peak_in_service >= 1_000_000,
-        "metro-scale run peaked at {peak_in_service} concurrent tasks, expected >= 1e6"
-    );
-    let metro_arrivals_per_sec = metro_out.arrivals as f64 / metro_secs;
-    let metro_epochs_per_sec = metro_epochs as f64 / metro_secs;
-    obs_info!(
-        "metro scale (19600 BSs, 2x2 shards): {} arrivals over {metro_epochs} epochs \
-         in {metro_secs:.1} s, peak {peak_in_service} tasks in service \
-         ({metro_arrivals_per_sec:.0} arrivals/s, {metro_epochs_per_sec:.2} epochs/s)",
-        metro_out.arrivals
-    );
-
-    let json = format!(
-        "{{\n  \"title\": \"region-sharded runtime: shard-count scaling \
-         (10x10-site wide-area grid, rate 600) and sustained metro scale \
-         (140x140 sites, rate 64000, deterministic holding)\",\n  \
-         \"hardware_threads\": {hardware_threads},\n  \
-         \"min_speedup_at_four_shards\": {min_speedup},\n  \
-         \"equality_grids\": [\"1x1\", \"2x1\", \"2x2\", \"3x3\"],\n  \
-         \"scaling\": {{\n    \"epochs\": {epochs}, \"arrival_rate\": 600,\n    \
-         \"unsharded_secs\": {unsharded_secs:.4},\n    \"runs\": [\n{curve_rows}\n    ],\n    \
-         \"speedup_at_four_shards\": {speedup_at_four:.2},\n    \
-         \"gate\": \"{gate_status}\"\n  }},\n  \"metro\": {{\n    \
-         \"n_bss\": 19600, \"shards\": \"2x2\", \"epochs\": {metro_epochs}, \
-         \"arrival_rate\": 64000,\n    \"arrivals\": {},\n    \
-         \"peak_in_service\": {peak_in_service},\n    \
-         \"secs\": {metro_secs:.1},\n    \
-         \"arrivals_per_sec\": {metro_arrivals_per_sec:.1},\n    \
-         \"epochs_per_sec\": {metro_epochs_per_sec:.3}\n  }}\n}}\n",
-        metro_out.arrivals
-    );
-    fs::write("BENCH_shard.json", &json).expect("can write BENCH_shard.json");
-    obs_info!("wrote BENCH_shard.json");
-    if gate_applied && !gate_pass {
-        obs_error!(
-            "shard speedup {speedup_at_four:.2}x at 4 shards fell below the {min_speedup}x bound"
-        );
         std::process::exit(1);
     }
 }

@@ -46,23 +46,17 @@ pub fn help_text() -> String {
      \t               as NAME:X — e.g. 5, exp, det:3  (default geometric:5)\n\
      \t--epochs N     horizon                     (default 50)\n\
      \t--seed S                                   (default 42)\n\
-     \t--engine E     event | incremental | proto | scratch\n\
-     \t               (default incremental; identical results — proto\n\
-     \t               computes each epoch by message-passing agents)\n\
+     \t--engine E     incremental | proto         (default incremental;\n\
+     \t               proto computes each epoch by message-passing\n\
+     \t               agents, identical results without faults)\n\
      \t--drop PCT     proto engine: per-message loss percentage (default 0)\n\
      \t--delay D      proto engine: immediate | fixed:N | random:MAX\n\
      \t--crash B@E    proto engine: comma-separated BS fail-stops,\n\
      \t               BS id @ simulation epoch\n\
-     \t--shards N     region-sharded row builds on a near-square N-cell grid\n\
-     \t               (incremental engine only; identical results)\n\
-     \t--shard-grid RxC  explicit shard grid, e.g. 3x3 (alternative to --shards)\n\
      mobility  moving UEs, handover statistics\n\
      \t--ues N --speed MPS --epochs N --seed S    (defaults 300, 5, 30, 42)\n\
      \t--policy P     full | sticky               (default full)\n\
      \t--stationary F fraction of UEs pinned in place (default 0)\n\
-     \t--engine E     incremental | scratch       (default incremental; identical results)\n\
-     \t--shards N     region-sharded row builds (incremental engine only)\n\
-     \t--shard-grid RxC  explicit shard grid, e.g. 3x3 (alternative to --shards)\n\
      plan      Erlang-B blocking prediction & dimensioning\n\
      \t--rate X --holding X --target PCT          (defaults 100, 5, 2)\n\
      help      this text\n\
@@ -505,55 +499,9 @@ fn cmd_protocol(parsed: &ParsedArgs) -> Result<String, ArgError> {
     Ok(text)
 }
 
-/// The `--shards N` / `--shard-grid RxC` surface shared by `dynamic` and
-/// `mobility`.
-enum ShardArg {
-    /// `--shards N`: a near-square grid with exactly N cells.
-    Count(usize),
-    /// `--shard-grid RxC`: an explicit rows × cols grid.
-    Grid(usize, usize),
-}
-
-/// Parses the sharding flags; the two are mutually exclusive and only
-/// the incremental engine supports sharded row builds.
-fn shard_spec(parsed: &ParsedArgs) -> Result<Option<ShardArg>, ArgError> {
-    let arg = match (parsed.get("shards"), parsed.get("shard-grid")) {
-        (Some(_), Some(_)) => {
-            return Err(ArgError(
-                "--shards and --shard-grid are mutually exclusive".into(),
-            ))
-        }
-        (Some(raw), None) => {
-            let n = raw
-                .parse::<usize>()
-                .map_err(|_| ArgError(format!("cannot parse shard count '{raw}'")))?;
-            Some(ShardArg::Count(n))
-        }
-        (None, Some(raw)) => {
-            let (rows, cols) = raw
-                .split_once('x')
-                .and_then(|(r, c)| Some((r.parse::<usize>().ok()?, c.parse::<usize>().ok()?)))
-                .ok_or_else(|| {
-                    ArgError(format!("--shard-grid must look like '3x3', got '{raw}'"))
-                })?;
-            Some(ShardArg::Grid(rows, cols))
-        }
-        (None, None) => None,
-    };
-    if arg.is_some() {
-        let engine = parsed.get("engine").unwrap_or("incremental");
-        if engine != "incremental" {
-            return Err(ArgError(format!(
-                "--shards/--shard-grid require the incremental engine, got --engine {engine}"
-            )));
-        }
-    }
-    Ok(arg)
-}
-
 /// Parses the fault-injection flags for `dynamic`; they only make sense
 /// for the protocol-backed engine, so any of them with another engine is
-/// an error (mirroring the `--shards`/incremental gate).
+/// an error.
 fn proto_fault_spec(parsed: &ParsedArgs, n_bss: usize) -> Result<ProtoFaults, ArgError> {
     let engine = parsed.get("engine").unwrap_or("incremental");
     let faulty = ["drop", "delay", "crash"]
@@ -584,8 +532,6 @@ fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "drop",
         "delay",
         "crash",
-        "shards",
-        "shard-grid",
         "log-level",
         "trace-out",
         "record",
@@ -611,24 +557,16 @@ fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
     );
     let n_bss = config.scenario.n_bss() as usize;
     let simulator = DynamicSimulator::new(config);
-    let sharding = shard_spec(parsed)?;
     let faults = proto_fault_spec(parsed, n_bss)?;
-    // All engines are bit-identical (proto under its default fault-free
-    // spec); `event` skips idle epochs, `scratch` is the slow executable
-    // specification, exposed for spot-checks and benchmarking, `proto`
-    // computes each epoch's matching by message-passing agents (the only
-    // engine taking --drop/--delay/--crash), and the sharded variants fan
-    // the incremental engine's row builds out to region workers.
-    let out = match (parsed.get("engine").unwrap_or("incremental"), sharding) {
-        (_, Some(ShardArg::Count(n))) => simulator.run_sharded_n(n),
-        (_, Some(ShardArg::Grid(rows, cols))) => simulator.run_sharded(rows, cols),
-        ("event", None) => simulator.run_event(),
-        ("incremental", None) => simulator.run(),
-        ("proto", None) => simulator.run_proto(&faults),
-        ("scratch", None) => simulator.run_scratch(),
-        (other, None) => {
+    // Both engines are bit-identical under proto's default fault-free
+    // spec; `proto` computes each epoch's matching by message-passing
+    // agents and is the only engine taking --drop/--delay/--crash.
+    let out = match parsed.get("engine").unwrap_or("incremental") {
+        "incremental" => simulator.run(),
+        "proto" => simulator.run_proto(&faults),
+        other => {
             return Err(ArgError(format!(
-                "--engine must be 'event', 'incremental', 'proto' or 'scratch', got '{other}'"
+                "--engine must be 'incremental' or 'proto', got '{other}'"
             )))
         }
     }
@@ -684,9 +622,6 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "placement",
         "policy",
         "stationary",
-        "engine",
-        "shards",
-        "shard-grid",
         "log-level",
         "trace-out",
         "record",
@@ -718,32 +653,13 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
         policy,
         stationary_fraction: parsed.get_or("stationary", 0.0f64)?,
     };
-    let simulator = MobilitySimulator::new(config);
-    let sharding = shard_spec(parsed)?;
-    // All engines are bit-identical; `scratch` is the slow exhaustive
-    // full-rebuild specification, exposed for spot-checks and benchmarks,
-    // and the sharded variants fan the incremental engine's row builds
-    // out to region workers.
-    let out = match (parsed.get("engine").unwrap_or("incremental"), sharding) {
-        (_, Some(ShardArg::Count(n))) => simulator.run_sharded_n(n),
-        (_, Some(ShardArg::Grid(rows, cols))) => simulator.run_sharded(rows, cols),
-        ("incremental", None) => simulator.run(),
-        ("scratch", None) => simulator.run_scratch(),
-        (other, None) => {
-            return Err(ArgError(format!(
-                "--engine must be 'incremental' or 'scratch', got '{other}'"
-            )))
-        }
-    }
-    .map_err(|e| ArgError(e.to_string()))?;
+    let out = MobilitySimulator::new(config)
+        .run()
+        .map_err(|e| ArgError(e.to_string()))?;
     let served_last = out.served_timeline.last().copied().unwrap_or(0);
     Ok(format!(
-        "handovers:       {}
-handover rate:   {:.4} per served-UE-epoch
-         drops:           {}
-recoveries:      {}
-served (final):  {served_last}
-",
+        "handovers:       {}\nhandover rate:   {:.4} per served-UE-epoch\n\
+         drops:           {}\nrecoveries:      {}\nserved (final):  {served_last}\n",
         out.handovers,
         out.handover_rate(),
         out.drops,
@@ -774,11 +690,9 @@ fn cmd_plan(parsed: &ParsedArgs) -> Result<String, ArgError> {
     let blocking = model.predicted_blocking(rate, holding);
     let needed = dmra_sim::erlang::servers_for_blocking(offered, target_pct / 100.0);
     Ok(format!(
-        "trunk model:        {} effective servers ({:.2} RRBs/task)
-         offered load:       {offered:.1} erlang
-         predicted blocking: {:.2}%
-         servers needed for {target_pct}% blocking: {needed}
-",
+        "trunk model:        {} effective servers ({:.2} RRBs/task)\n\
+         offered load:       {offered:.1} erlang\npredicted blocking: {:.2}%\n\
+         servers needed for {target_pct}% blocking: {needed}\n",
         model.servers,
         model.mean_rrbs_per_task,
         blocking * 100.0
@@ -879,11 +793,7 @@ mod tests {
         let args = ["--rate", "15", "--epochs", "12", "--holding", "3"];
         let incremental =
             run(&[&["dynamic", "--engine", "incremental"], &args[..]].concat()).unwrap();
-        let scratch = run(&[&["dynamic", "--engine", "scratch"], &args[..]].concat()).unwrap();
-        let event = run(&[&["dynamic", "--engine", "event"], &args[..]].concat()).unwrap();
         let proto = run(&[&["dynamic", "--engine", "proto"], &args[..]].concat()).unwrap();
-        assert_eq!(incremental, scratch);
-        assert_eq!(incremental, event);
         assert_eq!(incremental, proto);
     }
 
@@ -919,7 +829,7 @@ mod tests {
         ] {
             let err = run(&[&["dynamic"], flags].concat()).unwrap_err();
             assert!(err.to_string().contains("proto"), "{err}");
-            let err = run(&[&["dynamic", "--engine", "event"], flags].concat()).unwrap_err();
+            let err = run(&[&["dynamic", "--engine", "incremental"], flags].concat()).unwrap_err();
             assert!(err.to_string().contains("proto"), "{err}");
         }
     }
@@ -952,14 +862,12 @@ mod tests {
                 "10",
                 "--holding",
                 holding,
-                "--engine",
-                "event",
             ])
             .unwrap();
             assert!(text.contains("admitted"), "--holding {holding} failed");
         }
         // A bare number is still geometric with that mean: same report.
-        let args = ["--rate", "8", "--epochs", "10", "--engine", "event"];
+        let args = ["--rate", "8", "--epochs", "10"];
         let numeric = run(&[&["dynamic", "--holding", "5"], &args[..]].concat()).unwrap();
         let named = run(&[&["dynamic", "--holding", "geometric:5"], &args[..]].concat()).unwrap();
         assert_eq!(numeric, named);
@@ -991,65 +899,56 @@ mod tests {
     }
 
     #[test]
-    fn mobility_engines_print_identical_reports() {
-        let args = [
-            "--ues",
-            "80",
-            "--speed",
-            "12",
-            "--epochs",
-            "6",
-            "--policy",
-            "sticky",
-            "--stationary",
-            "0.5",
-        ];
-        let incremental =
-            run(&[&["mobility", "--engine", "incremental"], &args[..]].concat()).unwrap();
-        let scratch = run(&[&["mobility", "--engine", "scratch"], &args[..]].concat()).unwrap();
-        assert_eq!(incremental, scratch);
-    }
-
-    #[test]
     fn mobility_rejects_unknown_engine() {
         let err = run(&["mobility", "--engine", "warp"]).unwrap_err();
         assert!(err.to_string().contains("--engine"));
     }
 
     #[test]
-    fn sharded_runs_print_identical_reports() {
-        let args = ["--rate", "10", "--epochs", "8"];
-        let unsharded = run(&[&["dynamic"], &args[..]].concat()).unwrap();
-        let count = run(&[&["dynamic", "--shards", "4"], &args[..]].concat()).unwrap();
-        let grid = run(&[&["dynamic", "--shard-grid", "2x2"], &args[..]].concat()).unwrap();
-        assert_eq!(unsharded, count);
-        assert_eq!(unsharded, grid);
-
-        let margs = ["--ues", "60", "--speed", "12", "--epochs", "5"];
-        let m_unsharded = run(&[&["mobility"], &margs[..]].concat()).unwrap();
-        let m_sharded = run(&[&["mobility", "--shard-grid", "3x3"], &margs[..]].concat()).unwrap();
-        assert_eq!(m_unsharded, m_sharded);
+    fn removed_engines_and_shard_flags_are_rejected() {
+        // `dynamic` runs one epoch loop; its error names both engines it
+        // still has, so a removed engine points at the replacement.
+        for engine in ["event", "scratch"] {
+            let err = run(&["dynamic", "--engine", engine]).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(engine) && msg.contains("'incremental' or 'proto'"),
+                "{engine}: {msg}"
+            );
+        }
+        // `mobility` has no engine choice, and neither command shards.
+        for args in [
+            &["mobility", "--engine", "incremental"][..],
+            &["mobility", "--engine", "scratch"][..],
+            &["dynamic", "--shards", "4"][..],
+            &["dynamic", "--shard-grid", "2x2"][..],
+            &["mobility", "--shards", "2"][..],
+            &["mobility", "--shard-grid", "3x3"][..],
+        ] {
+            let err = run(args).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown option {}", args[1])),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
-    fn shard_flags_are_validated() {
-        // Mutually exclusive flags.
-        let err = run(&["dynamic", "--shards", "4", "--shard-grid", "2x2"]).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"));
-        // Sharding fans out the incremental engine only.
-        for engine in ["event", "scratch"] {
-            let err = run(&["dynamic", "--shards", "4", "--engine", engine]).unwrap_err();
-            assert!(err.to_string().contains("incremental"), "engine {engine}");
+    fn reports_start_every_line_at_the_margin() {
+        for args in [
+            &["dynamic", "--rate", "8", "--epochs", "6"][..],
+            &["mobility", "--ues", "40", "--speed", "12", "--epochs", "3"][..],
+            &["plan"][..],
+        ] {
+            let text = run(args).unwrap();
+            for line in text.lines() {
+                assert!(
+                    !line.starts_with(char::is_whitespace),
+                    "{args:?}: indented report line {line:?}"
+                );
+            }
         }
-        let err = run(&["mobility", "--shards", "2", "--engine", "scratch"]).unwrap_err();
-        assert!(err.to_string().contains("incremental"));
-        // Malformed values.
-        let err = run(&["dynamic", "--shard-grid", "2by2"]).unwrap_err();
-        assert!(err.to_string().contains("3x3"));
-        let err = run(&["dynamic", "--shards", "none"]).unwrap_err();
-        assert!(err.to_string().contains("shard count"));
-        let err = run(&["dynamic", "--shards", "0"]).unwrap_err();
-        assert!(err.to_string().contains("at least 1"));
     }
 
     #[test]

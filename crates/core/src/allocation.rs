@@ -91,7 +91,7 @@ impl Allocation {
     /// on every platform, so the flight recorder can expose one
     /// deterministic "allocator outcome" scalar per epoch that the
     /// engine-equality contract makes byte-comparable across the
-    /// incremental, event and sharded engines.
+    /// incremental, scratch and fault-free protocol engines.
     #[must_use]
     pub fn digest(&self) -> u64 {
         const SEED: u64 = 0xcbf2_9ce4_8422_2325;

@@ -48,12 +48,6 @@
 //!   row depends on the whole batch. It holds one slot per batch
 //!   position and is meant for fixed populations (the mobility regime),
 //!   so it is sized by the largest batch seen and never evicts.
-//!
-//! The region-sharded runtime in `dmra-sim` builds on two more pieces
-//! here: [`DeploymentContext::with_site_filter`] narrows the prune index
-//! to one shard's site subset (rectangle + coverage-radius halo), and
-//! [`DeploymentContext::epoch_instance_prebuilt`] assembles the epoch
-//! instance from candidate rows the shard workers already built.
 
 use crate::instance::{
     coverage_prune_index, scan_candidate_row, scan_candidate_row_batch, validate_ues,
@@ -295,32 +289,6 @@ impl DeploymentContext {
         self
     }
 
-    /// Narrows the spatial prune index to the sites selected by `keep`
-    /// (one flag per BS), reusing the full index's CSR layout via
-    /// [`GridIndex::subset`]. Queries keep returning **global** BS
-    /// indices, so candidate rows stay globally indexed; for any UE whose
-    /// full prune disc lies inside the kept set, the built row is
-    /// bit-identical to the unfiltered context's. The region-sharded
-    /// runtime passes a shard-rectangle-plus-coverage-halo mask
-    /// (DESIGN.md §13). A no-op when the coverage model admits no prune
-    /// index — the exhaustive scan already visits every BS.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len()` differs from the deployment's BS count.
-    #[must_use]
-    pub fn with_site_filter(mut self, keep: &[bool]) -> Self {
-        assert_eq!(
-            keep.len(),
-            self.instance.bss.len(),
-            "keep mask must cover every BS"
-        );
-        if let Some((index, _)) = &mut self.prune {
-            *index = index.subset(keep);
-        }
-        self
-    }
-
     /// Lifetime row-cache totals as `(hits, misses)`, or `None` when the
     /// cache is disabled. Counted unconditionally (telemetry on or off),
     /// so tests and benches can assert hit rates deterministically.
@@ -348,124 +316,6 @@ impl DeploymentContext {
         rem_cru: &[Vec<Cru>],
         rem_rrb: &[RrbCount],
         ues: Vec<UeSpec>,
-    ) -> Result<&ProblemInstance> {
-        self.rebuild(rem_cru, rem_rrb, ues, None)
-    }
-
-    /// Event-timestamped variant of [`DeploymentContext::epoch_instance`]
-    /// for the event-driven simulator: the instance build is identical
-    /// (same buffers, same candidate rows, same errors), but telemetry is
-    /// recorded under the `online.event_*` names and the trace event
-    /// carries the event time, so an event-engine run can be correlated
-    /// against an epoch-engine run without the two streams colliding.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DeploymentContext::epoch_instance`].
-    pub fn event_instance(
-        &mut self,
-        time: f64,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        ues: Vec<UeSpec>,
-    ) -> Result<&ProblemInstance> {
-        self.rebuild(rem_cru, rem_rrb, ues, Some(time))
-    }
-
-    /// Assembles this epoch's instance from candidate rows built
-    /// elsewhere: the region-sharded runtime has per-shard contexts build
-    /// the rows in parallel, merges them in global UE order, and calls
-    /// this on a coordinator context. Budget validation, UE validation,
-    /// budget patching and the pricing-margin high-water check are the
-    /// same as [`DeploymentContext::epoch_instance`]; only the row scan
-    /// is skipped, so `links`/`row_start` must hold exactly what this
-    /// context's own scan would have produced (`tests/sharding.rs` pins
-    /// that equality end to end). `row_start[u]..row_start[u + 1]` is UE
-    /// `u`'s row, `row_start` has `ues.len() + 1` entries starting at 0
-    /// and ending at `links.len()`.
-    ///
-    /// # Errors
-    ///
-    /// The budget/UE/margin errors [`DeploymentContext::epoch_instance`]
-    /// would return, plus [`Error::InvalidConfig`] when the rows are
-    /// malformed (offsets that do not partition `links`, a link to an
-    /// unknown BS) or when the deployment uses load-proportional
-    /// interference — there every row depends on the whole batch, which
-    /// rows built per shard cannot see.
-    pub fn epoch_instance_prebuilt(
-        &mut self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        ues: Vec<UeSpec>,
-        links: &[CandidateLink],
-        row_start: &[usize],
-    ) -> Result<&ProblemInstance> {
-        if self.interference_factor > 0.0 {
-            return Err(Error::InvalidConfig(
-                "prebuilt candidate rows require the noise-only interference model; \
-                 under load-proportional interference every row depends on the whole batch"
-                    .to_string(),
-            ));
-        }
-        let inst = &mut self.instance;
-        let n_bss = inst.bss.len();
-        // No row is built here, but the stamps must still follow every
-        // budget the instance takes (see `patch_budgets`).
-        patch_budgets(inst, rem_cru, rem_rrb, self.row_cache.as_mut())?;
-        validate_ues(&ues, inst.sps.len(), inst.catalog)?;
-        if row_start.len() != ues.len() + 1
-            || row_start.first() != Some(&0)
-            || row_start.last() != Some(&links.len())
-            || row_start.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(Error::InvalidConfig(format!(
-                "prebuilt row offsets do not partition {} links over {} UEs",
-                links.len(),
-                ues.len()
-            )));
-        }
-        if links.iter().any(|l| l.bs.as_usize() >= n_bss) {
-            return Err(Error::InvalidConfig(
-                "prebuilt candidate link references an unknown BS".to_string(),
-            ));
-        }
-
-        inst.ues = ues;
-        inst.links.clear();
-        inst.links.extend_from_slice(links);
-        inst.row_start.clear();
-        inst.row_start.extend_from_slice(row_start);
-        inst.f_u.clear();
-        // `row_max` in the scans is the max over *accepted* links, so the
-        // merged links' distances reproduce it exactly.
-        let mut max_candidate_distance = Meters::new(0.0);
-        for u in 0..inst.ues.len() {
-            let row = &inst.links[row_start[u]..row_start[u + 1]];
-            inst.f_u.push(row.len() as u32);
-            for link in row {
-                if link.distance > max_candidate_distance {
-                    max_candidate_distance = link.distance;
-                }
-            }
-        }
-        if max_candidate_distance > self.validated_distance {
-            inst.pricing
-                .validate_margin(&inst.sps, max_candidate_distance)?;
-            self.validated_distance = max_candidate_distance;
-        }
-        Ok(&self.instance)
-    }
-
-    /// The shared rebuild behind both public entry points. `event_time`
-    /// only selects which telemetry stream the build is recorded under —
-    /// it must never influence candidate generation, which is what keeps
-    /// the two engines bit-identical.
-    fn rebuild(
-        &mut self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        ues: Vec<UeSpec>,
-        event_time: Option<f64>,
     ) -> Result<&ProblemInstance> {
         // Observe-only telemetry: one flag read up front, all recording
         // after the rebuild. Nothing here touches candidate generation.
@@ -621,8 +471,6 @@ impl DeploymentContext {
             // is one atomic op per metric (see BENCH_obs_overhead.json).
             static EPOCH_BUILDS: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.epoch_builds");
-            static EVENT_BUILDS: dmra_obs::LazyCounter =
-                dmra_obs::LazyCounter::new("online.event_builds");
             static ROWS_REBUILT: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.rows_rebuilt");
             static PRECULL_KEPT: dmra_obs::LazyCounter =
@@ -637,8 +485,6 @@ impl DeploymentContext {
                 dmra_obs::LazyGauge::new("online.validated_distance_m");
             static EPOCH_BUILD_NS: dmra_obs::LazyHistogram =
                 dmra_obs::LazyHistogram::new("online.epoch_build_ns");
-            static EVENT_BUILD_NS: dmra_obs::LazyHistogram =
-                dmra_obs::LazyHistogram::new("online.event_build_ns");
             static BATCH_KERNEL_NS: dmra_obs::LazyHistogram =
                 dmra_obs::LazyHistogram::new("online.batch_kernel_ns");
             static ROW_CACHE_HITS: dmra_obs::LazyCounter =
@@ -648,15 +494,7 @@ impl DeploymentContext {
             static ROW_CACHE_INVALIDATIONS: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.row_cache_invalidations");
             let inst = &self.instance;
-            // The event path mirrors the epoch path under its own build
-            // counter/histogram/trace names; the per-row counters below
-            // are shared, so aggregate prune statistics stay comparable
-            // across engines.
-            let builds = if event_time.is_some() {
-                EVENT_BUILDS.get()
-            } else {
-                EPOCH_BUILDS.get()
-            };
+            let builds = EPOCH_BUILDS.get();
             builds.inc();
             ROWS_REBUILT.get().add(inst.ues.len() as u64);
             PRECULL_KEPT.get().add(precull_kept);
@@ -672,11 +510,7 @@ impl DeploymentContext {
             let build_ns = build_started.map_or(0, |t| {
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
             });
-            if event_time.is_some() {
-                EVENT_BUILD_NS.get().record(build_ns);
-            } else {
-                EPOCH_BUILD_NS.get().record(build_ns);
-            }
+            EPOCH_BUILD_NS.get().record(build_ns);
             // The row scan/batch-kernel phase of the build, cache hits
             // included (a hit is the phase doing its job in O(row)).
             BATCH_KERNEL_NS.get().record(kernel_ns);
@@ -701,15 +535,8 @@ impl DeploymentContext {
                 fields.push(("cache_misses", cache_misses as f64));
                 fields.push(("cache_invalidated_bss", invalidated_bss as f64));
             }
-            if let Some(t) = event_time {
-                fields.insert(0, ("time", t));
-            }
             dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-                name: if event_time.is_some() {
-                    "online.event_build"
-                } else {
-                    "online.epoch_build"
-                },
+                name: "online.epoch_build",
                 index: builds.get(),
                 fields,
             });
@@ -839,30 +666,6 @@ mod tests {
                 .unwrap();
             let fast = ctx.epoch_instance(rem_cru, rem_rrb, batch).unwrap();
             assert_same_instance(fast, &scratch);
-        }
-    }
-
-    #[test]
-    fn event_instance_builds_the_same_instance_as_epoch_instance() {
-        let deployment = two_sp_instance();
-        let mut epoch_ctx = DeploymentContext::new(&deployment);
-        let mut event_ctx = DeploymentContext::new(&deployment);
-        let rem_cru: Vec<Vec<Cru>> = deployment
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let rem_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
-        for e in 0..3usize {
-            let batch = fresh_batch(e + 1);
-            let scratch = epoch_ctx
-                .epoch_instance(&rem_cru, &rem_rrb, batch.clone())
-                .unwrap()
-                .clone();
-            let event = event_ctx
-                .event_instance(e as f64, &rem_cru, &rem_rrb, batch)
-                .unwrap();
-            assert_same_instance(event, &scratch);
         }
     }
 
@@ -1144,99 +947,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(ctx.row_cache_stats(), Some((6, 3)));
-    }
-
-    #[test]
-    fn prebuilt_rows_assemble_the_identical_instance() {
-        // Build an epoch normally, lift its rows out, and re-assemble
-        // them on a second context: instance, budgets and margin handling
-        // must come out identical.
-        let deployment = two_sp_instance();
-        let mut built = DeploymentContext::new(&deployment);
-        let mut assembled = DeploymentContext::new(&deployment);
-        let rem_cru = vec![
-            vec![Cru::new(20), Cru::new(10)],
-            vec![Cru::new(15), Cru::ZERO],
-        ];
-        let rem_rrb = vec![RrbCount::new(12), RrbCount::new(8)];
-        for e in 0..3usize {
-            let batch = fresh_batch(e + 2);
-            let reference = built
-                .epoch_instance(&rem_cru, &rem_rrb, batch.clone())
-                .unwrap();
-            let mut links = Vec::new();
-            let mut row_start = vec![0usize];
-            for u in 0..reference.n_ues() {
-                links.extend_from_slice(reference.candidates(UeId::new(u as u32)));
-                row_start.push(links.len());
-            }
-            let reference = reference.clone();
-            let fast = assembled
-                .epoch_instance_prebuilt(&rem_cru, &rem_rrb, batch, &links, &row_start)
-                .unwrap();
-            assert_same_instance(fast, &reference);
-        }
-    }
-
-    #[test]
-    fn prebuilt_rows_reject_malformed_offsets() {
-        let deployment = two_sp_instance();
-        let mut ctx = DeploymentContext::new(&deployment);
-        let rem_cru: Vec<Vec<Cru>> = deployment
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let rem_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
-        // Offsets that do not cover the batch.
-        let err = ctx
-            .epoch_instance_prebuilt(&rem_cru, &rem_rrb, fresh_batch(2), &[], &[0, 0])
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)));
-        // And the context still works afterwards.
-        let ok = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, fresh_batch(1))
-            .unwrap();
-        assert_eq!(ok.n_ues(), 1);
-    }
-
-    #[test]
-    fn site_filter_preserves_rows_whose_disc_stays_inside_the_kept_set() {
-        let deployment = two_sp_instance();
-        let rem_cru: Vec<Vec<Cru>> = deployment
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let rem_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
-        // A UE at (-50, 0): BS 0 is 50 m away, BS 1 is 350 m away — its
-        // whole 300 m prune disc lives in the kept set {BS 0}.
-        let batch = vec![UeSpec::new(
-            UeId::new(0),
-            SpId::new(0),
-            Point::new(-50.0, 0.0),
-            ServiceId::new(0),
-            Cru::new(4),
-            BitsPerSec::from_mbps(3.0),
-            Dbm::new(10.0),
-        )];
-        let mut full = DeploymentContext::new(&deployment);
-        let reference = full
-            .epoch_instance(&rem_cru, &rem_rrb, batch.clone())
-            .unwrap()
-            .clone();
-        let mut filtered = DeploymentContext::new(&deployment).with_site_filter(&[true, false]);
-        let fast = filtered.epoch_instance(&rem_cru, &rem_rrb, batch).unwrap();
-        assert_same_instance(fast, &reference);
-        // All-true mask: trivially identical for any batch.
-        let mut all = DeploymentContext::new(&deployment).with_site_filter(&[true, true]);
-        let batch = fresh_batch(4);
-        let reference = full
-            .epoch_instance(&rem_cru, &rem_rrb, batch.clone())
-            .unwrap()
-            .clone();
-        let fast = all.epoch_instance(&rem_cru, &rem_rrb, batch).unwrap();
-        assert_same_instance(fast, &reference);
     }
 
     #[test]

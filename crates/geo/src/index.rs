@@ -211,51 +211,6 @@ impl GridIndex {
         n
     }
 
-    /// Derives an index over the subset of points selected by `keep`,
-    /// reusing this index's CSR layout: same cell size, same dense-grid
-    /// origin and extents, entries filtered by the mask in one pass — no
-    /// re-bucketing and no re-validation of the placement. Query results
-    /// still refer to positions in the **parent's** original slice (the
-    /// kept indices), so a subset query equals the parent query filtered
-    /// to kept points; [`GridIndex::len`] keeps reporting the parent's
-    /// point count. The shard runtime builds one subset per spatial shard
-    /// (shard rectangle plus a coverage-radius halo).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len()` differs from the number of indexed points.
-    #[must_use]
-    pub fn subset(&self, keep: &[bool]) -> Self {
-        assert_eq!(
-            keep.len(),
-            self.points.len(),
-            "keep mask must cover every indexed point"
-        );
-        let n_cells = self.nx * self.ny;
-        let mut cell_start = Vec::with_capacity(n_cells + 1);
-        cell_start.push(0usize);
-        let mut entries = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-        for c in 0..n_cells {
-            entries.extend(
-                self.entries[self.cell_start[c]..self.cell_start[c + 1]]
-                    .iter()
-                    .copied()
-                    .filter(|&i| keep[i]),
-            );
-            cell_start.push(entries.len());
-        }
-        Self {
-            cell_size: self.cell_size,
-            min_cx: self.min_cx,
-            min_cy: self.min_cy,
-            nx: self.nx,
-            ny: self.ny,
-            cell_start,
-            entries,
-            points: self.points.clone(),
-        }
-    }
-
     /// Visits every point with `distance(center) ≤ r`, passing its index
     /// and exact distance, in cell order (not index order).
     ///
@@ -404,97 +359,7 @@ mod tests {
         let _ = GridIndex::build(&[], Meters::new(0.0));
     }
 
-    #[test]
-    fn subset_queries_match_filtered_full_index_queries() {
-        let mut rng = component_rng(19, "index-subset");
-        let pts = uniform_random(350, Rect::default(), &mut rng);
-        let idx = GridIndex::build(&pts, Meters::new(150.0));
-        // A few deterministic masks: every 3rd point, one half-plane, none.
-        let masks: Vec<Vec<bool>> = vec![
-            (0..pts.len()).map(|i| i % 3 == 0).collect(),
-            pts.iter().map(|p| p.x < 600.0).collect(),
-            vec![false; pts.len()],
-        ];
-        for keep in &masks {
-            let sub = idx.subset(keep);
-            assert_eq!(sub.len(), idx.len(), "subset reports the parent count");
-            for &(x, y, r) in &[
-                (600.0, 600.0, 200.0),
-                (0.0, 0.0, 500.0),
-                (1200.0, 300.0, 90.0),
-                (300.0, 900.0, 0.0),
-            ] {
-                let c = Point::new(x, y);
-                let expect: Vec<usize> = idx
-                    .query_within(c, Meters::new(r))
-                    .into_iter()
-                    .filter(|&i| keep[i])
-                    .collect();
-                assert_eq!(sub.query_within(c, Meters::new(r)), expect);
-                let mut with_dist = Vec::new();
-                sub.query_within_dist_into(c, Meters::new(r), &mut with_dist);
-                let indices: Vec<usize> = with_dist.iter().map(|&(i, _)| i).collect();
-                assert_eq!(indices, expect);
-                for &(i, d) in &with_dist {
-                    assert_eq!(d, c.distance(pts[i]), "carried distance differs for {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn subset_with_all_true_mask_behaves_like_the_parent() {
-        let mut rng = component_rng(23, "index-subset");
-        let pts = uniform_random(200, Rect::default(), &mut rng);
-        let idx = GridIndex::build(&pts, Meters::new(300.0));
-        let sub = idx.subset(&vec![true; pts.len()]);
-        for &(x, y, r) in &[(100.0, 100.0, 400.0), (900.0, 400.0, 80.0)] {
-            let c = Point::new(x, y);
-            assert_eq!(
-                sub.query_within(c, Meters::new(r)),
-                idx.query_within(c, Meters::new(r))
-            );
-        }
-    }
-
-    #[test]
-    fn subset_of_empty_index_is_empty() {
-        let idx = GridIndex::build(&[], Meters::new(100.0));
-        let sub = idx.subset(&[]);
-        assert!(sub
-            .query_within(Point::new(0.0, 0.0), Meters::new(1e6))
-            .is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "keep mask")]
-    fn subset_rejects_wrong_mask_length() {
-        let pts = [Point::new(0.0, 0.0)];
-        let _ = GridIndex::build(&pts, Meters::new(100.0)).subset(&[true, false]);
-    }
-
     proptest! {
-        #[test]
-        fn prop_subset_equals_filtered_brute_force(
-            seed in 0u64..100,
-            n in 0usize..100,
-            x in 0.0f64..1200.0,
-            y in 0.0f64..1200.0,
-            r in 0.0f64..900.0,
-            modulus in 1usize..5,
-        ) {
-            let mut rng = component_rng(seed, "prop-index-subset");
-            let pts = uniform_random(n, Rect::default(), &mut rng);
-            let keep: Vec<bool> = (0..n).map(|i| i % modulus == 0).collect();
-            let idx = GridIndex::build(&pts, Meters::new(150.0));
-            let c = Point::new(x, y);
-            let expect: Vec<usize> = brute_force(&pts, c, r)
-                .into_iter()
-                .filter(|&i| keep[i])
-                .collect();
-            prop_assert_eq!(idx.subset(&keep).query_within(c, Meters::new(r)), expect);
-        }
-
         #[test]
         fn prop_index_equals_brute_force(
             seed in 0u64..200,

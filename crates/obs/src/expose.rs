@@ -2,21 +2,15 @@
 //! `text/plain; version=0.0.4` format and (optionally) serve it from a
 //! std-only `TcpListener` (`--metrics-addr 127.0.0.1:PORT`). Zero
 //! dependencies — the handler speaks just enough HTTP/1.0 for a
-//! scraper or `curl`, one request per connection.
-//!
-//! A scrape renders the *live merged* view: the global registry plus
-//! every registered scrape source. The sharded engines register their
-//! per-worker registries for the duration of a run
-//! ([`register_scrape_sources`] returns an RAII guard), so `/metrics`
-//! reflects shard-local counters mid-run even though those registries
-//! are only folded into the global one after the final epoch.
+//! scraper or `curl`, one request per connection. A scrape renders a
+//! live snapshot of the global registry.
 
 use crate::metrics::HISTOGRAM_BUCKETS;
-use crate::registry::{global, Registry, Snapshot};
+use crate::registry::{global, Snapshot};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -87,58 +81,6 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Live scrape sources: weak handles to per-worker registries that
-/// should be merged into scrapes while a sharded run is in flight.
-static SOURCES: Mutex<Vec<(u64, Weak<Registry>)>> = Mutex::new(Vec::new());
-static NEXT_SOURCE_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Unregisters its registries when dropped. Engines drop (or
-/// explicitly `drop(guard)`) *before* folding worker registries into
-/// the global one, so a scrape never double-counts.
-#[derive(Debug, Default)]
-pub struct ScrapeGuard {
-    ids: Vec<u64>,
-}
-
-impl Drop for ScrapeGuard {
-    fn drop(&mut self) {
-        let mut sources = SOURCES.lock().expect("scrape sources poisoned");
-        sources.retain(|(id, _)| !self.ids.contains(id));
-    }
-}
-
-/// Registers `registries` as live scrape sources until the returned
-/// guard is dropped. Holds weak references only, so a leaked guard
-/// cannot keep a worker registry alive.
-#[must_use]
-pub fn register_scrape_sources(registries: &[Arc<Registry>]) -> ScrapeGuard {
-    let mut sources = SOURCES.lock().expect("scrape sources poisoned");
-    let mut ids = Vec::with_capacity(registries.len());
-    for r in registries {
-        let id = NEXT_SOURCE_ID.fetch_add(1, Ordering::Relaxed);
-        sources.push((id, Arc::downgrade(r)));
-        ids.push(id);
-    }
-    ScrapeGuard { ids }
-}
-
-/// The merged live view served by `/metrics`: the global registry plus
-/// every currently registered scrape source (dead sources are pruned).
-#[must_use]
-pub fn scrape_snapshot() -> Snapshot {
-    let mut snap = global().snapshot();
-    let mut sources = SOURCES.lock().expect("scrape sources poisoned");
-    sources.retain(|(_, w)| {
-        if let Some(r) = w.upgrade() {
-            snap.merge(&r.snapshot());
-            true
-        } else {
-            false
-        }
-    });
-    snap
-}
-
 fn handle_connection(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(2000)));
@@ -146,7 +88,7 @@ fn handle_connection(mut stream: TcpStream) {
     // the same for every path, there is only one resource here).
     let mut buf = [0u8; 1024];
     let _ = stream.read(&mut buf);
-    let body = render_prometheus(&scrape_snapshot());
+    let body = render_prometheus(&global().snapshot());
     let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -228,6 +170,7 @@ impl Drop for MetricsServer {
 mod tests {
     use super::*;
     use crate::metrics::Histogram;
+    use crate::registry::Registry;
 
     fn snapshot_with(f: impl Fn(&Registry)) -> Snapshot {
         let reg = Registry::new();
@@ -308,24 +251,6 @@ mod tests {
         let text = render_prometheus(&snap);
         assert!(text.contains("dmra_idle_ns_bucket{le=\"+Inf\"} 0\n"));
         assert!(text.contains("dmra_idle_ns_count 0\n"));
-    }
-
-    #[test]
-    fn scrape_sources_merge_and_unregister() {
-        let worker = Arc::new(Registry::new());
-        worker.counter("test.expose.shard_rows").add(41);
-        let before = scrape_snapshot().counter("test.expose.shard_rows");
-        {
-            let _guard = register_scrape_sources(&[Arc::clone(&worker)]);
-            let live = scrape_snapshot().counter("test.expose.shard_rows");
-            assert_eq!(
-                live.unwrap_or(0),
-                before.unwrap_or(0) + 41,
-                "live scrape merges the worker registry"
-            );
-        }
-        let after = scrape_snapshot().counter("test.expose.shard_rows");
-        assert_eq!(after, before, "guard drop unregisters the source");
     }
 
     #[test]

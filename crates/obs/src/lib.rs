@@ -11,9 +11,8 @@
 //! * [`Counter`] / [`Gauge`] — lock-free atomic scalars,
 //! * [`Histogram`] — fixed power-of-two-bucket latency histogram,
 //! * [`SpanTimer`] — RAII wall-clock span recorder,
-//! * [`Registry`] — a named, thread-safe collection of the above that
-//!   per-worker registries can [`Registry::merge`] into without
-//!   contending on the hot path,
+//! * [`Registry`] — a named, thread-safe collection of the above, with
+//!   [`Snapshot`]s for export and per-run deltas,
 //! * [`TraceLog`] — a bounded, append-only event log for convergence
 //!   traces (`trace.json`),
 //! * a logging facade ([`Level`], [`obs_error!`], [`obs_warn!`],
@@ -50,10 +49,7 @@ mod span;
 mod timeseries;
 mod trace;
 
-pub use crate::expose::{
-    register_scrape_sources, render_prometheus, sanitize_metric_name, scrape_snapshot,
-    MetricsServer, ScrapeGuard,
-};
+pub use crate::expose::{render_prometheus, sanitize_metric_name, MetricsServer};
 pub use crate::handles::{LazyCounter, LazyGauge, LazyHistogram};
 pub use crate::log::{
     capture_start, capture_take, level, log_at, set_level, Level, ParseLevelError,

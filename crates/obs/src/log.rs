@@ -106,8 +106,9 @@ pub fn capture_take() -> Vec<String> {
 }
 
 /// Emits a message at `msg_level` if it passes the current filter.
-/// Prefer the [`obs_error!`] / [`obs_warn!`] / [`obs_info!`] /
-/// [`obs_debug!`] macros.
+/// Prefer the [`obs_error!`](crate::obs_error) /
+/// [`obs_warn!`](crate::obs_warn) / [`obs_info!`](crate::obs_info) /
+/// [`obs_debug!`](crate::obs_debug) macros.
 pub fn log_at(msg_level: Level, args: fmt::Arguments<'_>) {
     if msg_level > level() {
         return;

@@ -1,7 +1,6 @@
 //! Atomic metric primitives: counters, gauges and fixed-bucket
 //! histograms. All operations are lock-free and safe to call from any
-//! thread; cross-registry aggregation goes through `merge` methods so
-//! per-worker registries never contend on the hot path.
+//! thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,11 +39,6 @@ impl Counter {
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
-
-    /// Folds another counter's value into this one.
-    pub fn merge(&self, other: &Counter) {
-        self.add(other.get());
-    }
 }
 
 /// A last-value / high-water-mark gauge.
@@ -82,11 +76,6 @@ impl Gauge {
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
-
-    /// Folds another gauge into this one, keeping the maximum.
-    pub fn merge(&self, other: &Gauge) {
-        self.set_max(other.get());
-    }
 }
 
 /// Number of histogram buckets. Bucket `i` counts observations `v`
@@ -100,8 +89,7 @@ pub const HISTOGRAM_BUCKETS: usize = 48;
 /// Recording is a handful of relaxed atomic RMWs: one bucket
 /// increment plus count/sum/min/max updates. Bucket boundaries are
 /// powers of two, which is plenty of resolution for wall-clock spans
-/// and makes merging across worker registries a plain element-wise
-/// add.
+/// and makes a per-run delta a plain element-wise subtraction.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -168,22 +156,6 @@ impl Histogram {
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
-    }
-
-    /// Folds another histogram into this one (element-wise bucket add,
-    /// min/max fold).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Summarizes the histogram (count, sum, min/mean/max, bucket
@@ -330,30 +302,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_add_get_reset_merge() {
+    fn counter_add_get_reset() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let d = Counter::new();
-        d.add(7);
-        c.merge(&d);
-        assert_eq!(c.get(), 12);
         c.reset();
         assert_eq!(c.get(), 0);
     }
 
     #[test]
-    fn gauge_set_max_merges_as_high_water() {
+    fn gauge_set_max_keeps_the_high_water() {
         let g = Gauge::new();
         g.set(10);
         g.set_max(3);
         assert_eq!(g.get(), 10);
         g.set_max(42);
-        assert_eq!(g.get(), 42);
-        let h = Gauge::new();
-        h.set(7);
-        g.merge(&h);
         assert_eq!(g.get(), 42);
     }
 
@@ -420,20 +384,5 @@ mod tests {
         assert_eq!(empty.count, 0);
         assert_eq!(empty.max, 0);
         assert_eq!(empty.p99, 0);
-    }
-
-    #[test]
-    fn histogram_merge_is_elementwise() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        b.record(100);
-        b.record(2);
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sum, 107);
-        assert_eq!(s.min, 2);
-        assert_eq!(s.max, 100);
     }
 }

@@ -9,12 +9,13 @@
 //! * **det** — deterministic, engine-independent quantities (epoch
 //!   index, arrivals, admissions, occupancy, outcome digest). The
 //!   workspace's engine-equality contract guarantees these are
-//!   bit-identical across the incremental, event and sharded engines
-//!   and across thread counts, so their serialized projection can be
-//!   byte-compared in tests.
+//!   bit-identical across each simulator's epoch loop, its
+//!   rebuild-from-scratch specification and the fault-free protocol
+//!   matcher, and across thread counts, so their serialized projection
+//!   can be byte-compared in tests.
 //! * **aux** — timing and engine-specific quantities (wall-clock
-//!   spans, cache hit deltas, per-shard loads) that legitimately vary
-//!   run to run and are excluded from determinism checks.
+//!   spans, cache hit deltas, protocol degradation) that legitimately
+//!   vary run to run and are excluded from determinism checks.
 //!
 //! Engines hold an optional observer directly (`with_observer`); code
 //! that cannot be reached through a constructor — the proto round
@@ -28,8 +29,8 @@ use std::sync::{Arc, RwLock};
 /// not survive an `f64` round-trip); `f64` carries ratios and
 /// occupancies and serializes via Rust's shortest-round-trip `Display`,
 /// so bit-identical values produce byte-identical text. The sequence
-/// variants carry small per-entity vectors (per-shard loads, per-cell
-/// output rows) as JSON arrays.
+/// variants carry small per-entity vectors (per-cell output rows, for
+/// example) as JSON arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// An exact unsigned integer.
@@ -240,9 +241,9 @@ pub fn det_projection(jsonl: &str) -> String {
 
 /// A sink for [`EpochRecord`]s. Implementations must be cheap and
 /// non-blocking-ish: engines call `on_record` once per epoch on the
-/// simulation thread. `&self` because the sharded engines may invoke
-/// observers from coordinator context while workers are parked;
-/// implementors serialize internally.
+/// simulation thread. `&self` because the process-wide slot hands one
+/// shared observer to every thread that runs an engine; implementors
+/// serialize internally.
 pub trait EpochObserver: Send + Sync {
     /// Receives one record. Implementations must not panic.
     fn on_record(&self, record: &EpochRecord);
@@ -318,10 +319,10 @@ mod tests {
     #[test]
     fn sequence_fields_render_as_arrays() {
         let r = EpochRecord::new("sim.epoch", 0)
-            .aux("shard_load", vec![3u64, 0, 5])
+            .aux("loads", vec![3u64, 0, 5])
             .aux("values", vec![1.5f64, 2.0]);
         let line = r.to_json_line();
-        assert!(line.contains("\"shard_load\": [3, 0, 5]"), "{line}");
+        assert!(line.contains("\"loads\": [3, 0, 5]"), "{line}");
         assert!(line.contains("\"values\": [1.5, 2]"), "{line}");
     }
 

@@ -5,10 +5,8 @@
 //! `BTreeMap` and hands back an `Arc` handle; recording through the
 //! handle is lock-free. Instrumented code looks a handle up once per
 //! solve/epoch/cell — never inside inner loops — so the mutex is cold.
-//! Parallel workers may either record straight into the global
-//! registry (atomics scale fine at per-cell granularity) or into a
-//! private `Registry` that the coordinating thread [`Registry::merge`]s
-//! after the join, which keeps the fan-out entirely contention-free.
+//! Parallel workers record straight into the global registry (atomics
+//! scale fine at per-cell granularity).
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
 use std::collections::BTreeMap;
@@ -69,26 +67,6 @@ impl Registry {
             map.entry(name.to_owned())
                 .or_insert_with(|| Arc::new(Histogram::new())),
         )
-    }
-
-    /// Folds every metric of `other` into this registry: counters and
-    /// histogram buckets add, gauges keep the maximum. Used to absorb
-    /// per-worker registries after a `dmra-par` join.
-    pub fn merge(&self, other: &Registry) {
-        for (name, theirs) in other.counters.lock().expect("obs registry poisoned").iter() {
-            self.counter(name).merge(theirs);
-        }
-        for (name, theirs) in other.gauges.lock().expect("obs registry poisoned").iter() {
-            self.gauge(name).merge(theirs);
-        }
-        for (name, theirs) in other
-            .histograms
-            .lock()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            self.histogram(name).merge(theirs);
-        }
     }
 
     /// Resets every registered metric to its empty state (names are
@@ -259,59 +237,6 @@ impl Snapshot {
         }
     }
 
-    /// Folds `other` into this snapshot: counters and histogram buckets
-    /// add, gauges keep the maximum. Mirrors [`Registry::merge`] but on
-    /// immutable copies — the live `/metrics` endpoint uses this to
-    /// combine per-shard registries at scrape time without touching the
-    /// workers' hot path.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (name, theirs) in &other.counters {
-            match self.counters.binary_search_by(|(k, _)| k.cmp(name)) {
-                Ok(i) => self.counters[i].1 += theirs,
-                Err(i) => self.counters.insert(i, (name.clone(), *theirs)),
-            }
-        }
-        for (name, theirs) in &other.gauges {
-            match self.gauges.binary_search_by(|(k, _)| k.cmp(name)) {
-                Ok(i) => self.gauges[i].1 = self.gauges[i].1.max(*theirs),
-                Err(i) => self.gauges.insert(i, (name.clone(), *theirs)),
-            }
-        }
-        for (name, theirs) in &other.histograms {
-            match self.histograms.binary_search_by(|(k, _)| k.cmp(name)) {
-                Ok(i) => {
-                    let mine = &mut self.histograms[i].1;
-                    let count = mine.count + theirs.count;
-                    let sum = mine.sum + theirs.sum;
-                    let mut merged = HistogramSummary {
-                        count,
-                        sum,
-                        min: match (mine.count, theirs.count) {
-                            (0, _) => theirs.min,
-                            (_, 0) => mine.min,
-                            _ => mine.min.min(theirs.min),
-                        },
-                        max: mine.max.max(theirs.max),
-                        mean: if count == 0 {
-                            0.0
-                        } else {
-                            sum as f64 / count as f64
-                        },
-                        p50: 0,
-                        p90: 0,
-                        p99: 0,
-                        buckets: std::array::from_fn(|b| mine.buckets[b] + theirs.buckets[b]),
-                    };
-                    merged.p50 = merged.percentile(0.50);
-                    merged.p90 = merged.percentile(0.90);
-                    merged.p99 = merged.percentile(0.99);
-                    *mine = merged;
-                }
-                Err(i) => self.histograms.insert(i, (name.clone(), *theirs)),
-            }
-        }
-    }
-
     /// Renders the snapshot as a JSON object (hand-rolled: the
     /// workspace's vendored serde stub cannot derive serialization).
     /// Schema: `{"counters": {name: u64, ...}, "gauges": {...},
@@ -441,24 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_worker_registries() {
-        let main = Registry::new();
-        main.counter("cells").add(1);
-        main.gauge("hw").set(5);
-        main.histogram("ns").record(100);
-        let worker = Registry::new();
-        worker.counter("cells").add(9);
-        worker.gauge("hw").set(3);
-        worker.histogram("ns").record(300);
-        main.merge(&worker);
-        assert_eq!(main.counter("cells").get(), 10);
-        assert_eq!(main.gauge("hw").get(), 5);
-        let s = main.histogram("ns").summary();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 400);
-    }
-
-    #[test]
     fn reset_clears_values_but_keeps_handles() {
         let reg = Registry::new();
         let c = reg.counter("a");
@@ -488,23 +395,6 @@ mod tests {
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 4000);
         assert!(h.p50 >= 4000, "window p50 = {}", h.p50);
-    }
-
-    #[test]
-    fn snapshot_merge_matches_registry_merge() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("cells").add(1);
-        b.counter("cells").add(9);
-        b.counter("only_b").add(4);
-        a.gauge("hw").set(5);
-        b.gauge("hw").set(3);
-        a.histogram("ns").record(100);
-        b.histogram("ns").record(300);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        a.merge(&b);
-        assert_eq!(merged, a.snapshot());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deterministic fan-out over scoped threads.
 //!
 //! Everything parallel in this workspace goes through
-//! [`par_map_indexed`]: the index space `0..n` is split into contiguous
+//! [`par_map_indexed`] or its per-worker-scratch twin
+//! [`par_map_indexed_scratch`]: the index space `0..n` is split into contiguous
 //! chunks, one `std::thread::scope` worker maps each chunk, and the
 //! per-chunk outputs are concatenated **in chunk order**. Because every
 //! output lands at the slot of its input index, the result is the same
@@ -23,9 +24,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::OnceLock;
 
 /// Name of the environment variable [`Threads::Auto`] consults.
 pub const THREADS_ENV: &str = "DMRA_THREADS";
@@ -188,131 +187,6 @@ where
     })
 }
 
-/// A job shipped to a worker: borrows the worker's state, runs, and
-/// reports back through the per-call result channel.
-type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
-
-/// A pool of long-lived worker threads, each owning one state value.
-///
-/// Where [`par_map_indexed`] spawns scoped threads per call, a
-/// `WorkerPool` spawns its workers **once** and feeds them jobs over
-/// channels — the shape the region-sharded online engines need, where
-/// each worker owns a shard's `DeploymentContext` and row cache across
-/// thousands of epochs and a per-call spawn would throw that state away.
-///
-/// [`WorkerPool::run`] is the epoch barrier: it ships one job per state,
-/// blocks until every worker has answered, and returns the outputs in
-/// state order — the same `Vec` a serial loop over the states would
-/// produce. Workers mark themselves as fan-out workers, so nested
-/// [`par_map_indexed`] calls inside a job degrade to serial instead of
-/// oversubscribing the machine. Dropping the pool closes the channels
-/// and joins every thread.
-pub struct WorkerPool<S> {
-    senders: Vec<mpsc::Sender<Job<S>>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<S: Send + 'static> WorkerPool<S> {
-    /// Spawns one named worker thread per state value; worker `w` owns
-    /// `states[w]` for the pool's lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS refuses to spawn a thread.
-    #[must_use]
-    pub fn new(states: Vec<S>) -> Self {
-        let mut senders = Vec::with_capacity(states.len());
-        let mut handles = Vec::with_capacity(states.len());
-        for (w, mut state) in states.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<Job<S>>();
-            let handle = std::thread::Builder::new()
-                .name(format!("dmra-shard-{w}"))
-                .spawn(move || {
-                    ON_WORKER.with(|flag| flag.set(true));
-                    while let Ok(job) = rx.recv() {
-                        job(&mut state);
-                    }
-                })
-                .expect("spawn shard worker");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        Self { senders, handles }
-    }
-
-    /// Number of workers (= number of states).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Returns `true` if the pool has no workers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Runs `f(worker_index, &mut state, input)` on every worker — one
-    /// input per worker, `inputs.len()` must equal [`WorkerPool::len`] —
-    /// and blocks until all have finished (the epoch barrier). Outputs
-    /// come back in worker order, so for a pure `f` the result equals
-    /// the serial `states.iter_mut().zip(inputs).map(f).collect()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != self.len()`, if a worker has died, or
-    /// to propagate the first panicking job in worker order.
-    pub fn run<In, Out, F>(&self, inputs: Vec<In>, f: F) -> Vec<Out>
-    where
-        In: Send + 'static,
-        Out: Send + 'static,
-        F: Fn(usize, &mut S, In) -> Out + Send + Sync + 'static,
-    {
-        assert_eq!(inputs.len(), self.senders.len(), "one input per worker");
-        let f = Arc::new(f);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, std::thread::Result<Out>)>();
-        for (w, (sender, input)) in self.senders.iter().zip(inputs).enumerate() {
-            let f = Arc::clone(&f);
-            let result_tx = result_tx.clone();
-            let job: Job<S> = Box::new(move |state: &mut S| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(w, state, input)));
-                // A dropped receiver means the caller already panicked;
-                // nothing useful to do with the result then.
-                let _ = result_tx.send((w, outcome));
-            });
-            sender.send(job).expect("worker thread is alive");
-        }
-        drop(result_tx);
-        let mut slots: Vec<Option<std::thread::Result<Out>>> =
-            (0..self.senders.len()).map(|_| None).collect();
-        for _ in 0..self.senders.len() {
-            let (w, outcome) = result_rx.recv().expect("worker answers the barrier");
-            slots[w] = Some(outcome);
-        }
-        // Propagate the first panic in worker order, like the scoped
-        // fan-outs above do in chunk order.
-        let mut out = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot.expect("every worker reported") {
-                Ok(value) => out.push(value),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    }
-}
-
-impl<S> Drop for WorkerPool<S> {
-    fn drop(&mut self) {
-        self.senders.clear(); // close the channels → workers exit their loops
-        for handle in self.handles.drain(..) {
-            // A worker that panicked outside a job already delivered its
-            // payload through the result channel; ignore the join error.
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,80 +272,6 @@ mod tests {
             par_map_indexed_scratch(Threads::Fixed(4), 0, || 0u8, |_, i| i),
             Vec::<usize>::new()
         );
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_in_worker_order_and_keeps_state() {
-        let pool = WorkerPool::new(vec![0u64, 100, 200, 300]);
-        assert_eq!(pool.len(), 4);
-        for round in 1..=5u64 {
-            let inputs: Vec<u64> = (0..4).map(|w| w as u64 + round).collect();
-            let out = pool.run(inputs, |w, state, input| {
-                *state += input;
-                (w, *state)
-            });
-            let expect: Vec<(usize, u64)> = (0..4)
-                .map(|w| {
-                    let base = w as u64 * 100;
-                    let gained: u64 = (1..=round).map(|r| w as u64 + r).sum();
-                    (w, base + gained)
-                })
-                .collect();
-            assert_eq!(out, expect, "round {round}");
-        }
-    }
-
-    #[test]
-    fn worker_pool_barrier_returns_every_output() {
-        // Stagger the per-worker work so the fast workers answer first;
-        // the barrier must still return outputs in worker order.
-        let pool = WorkerPool::new(vec![(); 3]);
-        let out = pool.run(vec![30u64, 1, 10], |w, (), ms| {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            w
-        });
-        assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn worker_pool_marks_workers_so_nested_fanouts_serialize() {
-        let pool = WorkerPool::new(vec![(); 2]);
-        let out = pool.run(vec![(), ()], |w, (), ()| {
-            assert!(ON_WORKER.with(Cell::get), "pool worker is marked");
-            par_map_indexed(Threads::Fixed(4), 3, move |j| w * 10 + j)
-        });
-        assert_eq!(out, vec![vec![0, 1, 2], vec![10, 11, 12]]);
-    }
-
-    #[test]
-    fn worker_pool_propagates_job_panics_and_stays_usable() {
-        let pool = WorkerPool::new(vec![0u32, 0]);
-        let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(vec![true, false], |_, state, explode| {
-                *state += 1;
-                assert!(!explode, "job exploded");
-                *state
-            })
-        }));
-        assert!(boom.is_err(), "panic propagates to the caller");
-        // The surviving workers still answer the next barrier.
-        let out = pool.run(vec![false, false], |_, state, _| *state);
-        assert_eq!(out, vec![1, 1], "state survived the panicking round");
-    }
-
-    #[test]
-    fn empty_worker_pool_is_fine() {
-        let pool = WorkerPool::new(Vec::<u8>::new());
-        assert!(pool.is_empty());
-        let out: Vec<u8> = pool.run(Vec::new(), |_, s, ()| *s);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "one input per worker")]
-    fn worker_pool_rejects_mismatched_inputs() {
-        let pool = WorkerPool::new(vec![(), ()]);
-        let _ = pool.run(vec![()], |_, (), ()| ());
     }
 
     #[test]

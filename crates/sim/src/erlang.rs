@@ -248,7 +248,7 @@ mod tests {
                 epochs: 60,
                 seed: 13,
             })
-            .run_event()
+            .run()
             .unwrap();
             let simulated = 1.0 - sim.admission_ratio();
             assert!(
@@ -264,7 +264,7 @@ mod tests {
         // mean — but the *discrete* occupancy of a continuous Exp(mean)
         // holding time is ceil(h), whose mean is 1/(1 − e^(−1/mean))
         // (≈ mean + ½). Compare the simulation against the prediction at
-        // that effective mean (DESIGN.md §11 derives the correction).
+        // that effective mean (DESIGN.md §9 derives the correction).
         let scenario = ScenarioConfig::paper_defaults();
         let model = TrunkModel::estimate(&scenario, 400, 3).unwrap();
         let mean = 5.0f64;
@@ -279,7 +279,7 @@ mod tests {
                 epochs: 120,
                 seed: 17,
             })
-            .run_event()
+            .run()
             .unwrap();
             let simulated = 1.0 - sim.admission_ratio();
             assert!(

@@ -14,17 +14,14 @@
 //! * [`experiments`] holds one function per paper figure (`fig2` … `fig7`)
 //!   plus the ablations documented in DESIGN.md §5.
 //! * [`dynamic`] runs the online regime the paper motivates in Section V:
-//!   Poisson task arrivals, geometric holding times, per-epoch DMRA
-//!   matching against the remaining capacities.
+//!   Poisson task arrivals, geometric, deterministic or exponential
+//!   holding times, per-epoch DMRA matching against the remaining
+//!   capacities — by the in-memory matcher or the message-passing
+//!   protocol.
 //! * [`mobility`] moves a fixed UE population under a random-waypoint
 //!   model and measures the handover cost of re-running DMRA each epoch.
 //! * [`erlang`] cross-checks the online simulator against Erlang-B loss
 //!   theory (blocking prediction and trunk dimensioning).
-//! * [`shard`] partitions the site grid into rectangular spatial shards
-//!   with long-lived worker threads building candidate rows in parallel;
-//!   the sharded engines ([`dynamic::DynamicSimulator::run_sharded`],
-//!   [`mobility::MobilitySimulator::run_sharded`]) stay bit-identical to
-//!   their unsharded counterparts.
 //!
 //! # Examples
 //!
@@ -52,10 +49,8 @@ pub mod erlang;
 pub mod experiments;
 mod metrics;
 pub mod mobility;
-pub mod shard;
 mod sweep;
 
 pub use config::{BsPlacement, ScenarioConfig, ServicePopularity, SpOverride, UePlacement};
 pub use metrics::Metrics;
-pub use shard::ShardGrid;
 pub use sweep::{Stat, SweepRunner, Table, TableRow};

@@ -46,14 +46,11 @@
 
 use crate::config::ScenarioConfig;
 use crate::dynamic::{push_common_aux, AuxCounters};
-use crate::shard::{self, EpochBudgets, ShardGrid, ShardJob};
 use dmra_core::{
-    Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext, Dmra, ProblemInstance,
-    Threads,
+    Allocation, Allocator, CandidateScan, DeploymentContext, Dmra, ProblemInstance, Threads,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{EpochObserver, EpochRecord};
-use dmra_par::WorkerPool;
 use dmra_types::{Cru, Error, Money, Point, Rect, Result, RrbCount, UeId, UeSpec};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -259,157 +256,6 @@ impl MobilitySimulator {
         Ok(outcome)
     }
 
-    /// Runs the simulation on the **region-sharded engine**: UEs are
-    /// routed to `rows × cols` rectangular shards by position each
-    /// epoch; long-lived shard workers build the candidate rows in
-    /// parallel, each against a [`DeploymentContext`] narrowed to the
-    /// shard's sites plus a coverage halo **with the cross-epoch row
-    /// cache enabled** — routing preserves global UE order within a
-    /// shard, so a stationary UE keeps a stable shard-local slot and its
-    /// cached row keeps hitting. A UE crossing a shard seam is simply
-    /// re-routed (counted in the `sim.shard_handovers` telemetry
-    /// counter); its serving-BS stickiness is untouched, because the
-    /// sticky-residual re-matching runs on the coordinator against the
-    /// merged instance exactly as in [`MobilitySimulator::run`].
-    /// Outcomes are bit-identical to the unsharded engines for every
-    /// shard count (`tests/sharding.rs` pins it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MobilitySimulator::run`], plus [`Error::InvalidConfig`]
-    /// for a zero shard dimension or a load-proportional interference
-    /// model (per-shard row builds cannot see the whole batch).
-    pub fn run_sharded(&self, rows: usize, cols: usize) -> Result<MobilityOutcome> {
-        let grid = ShardGrid::new(rows, cols, self.config.scenario.region)?;
-        self.run_sharded_grid(&grid)
-    }
-
-    /// [`MobilitySimulator::run_sharded`] with a near-square shard grid
-    /// of exactly `shards` cells ([`ShardGrid::for_count`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MobilitySimulator::run_sharded`].
-    pub fn run_sharded_n(&self, shards: usize) -> Result<MobilityOutcome> {
-        let grid = ShardGrid::for_count(shards, self.config.scenario.region)?;
-        self.run_sharded_grid(&grid)
-    }
-
-    fn run_sharded_grid(&self, grid: &ShardGrid) -> Result<MobilityOutcome> {
-        let cfg = &self.config;
-        shard::reject_interference(&cfg.scenario.radio)?;
-        let initial = cfg.scenario.clone().build()?;
-        let mut ues: Vec<UeSpec> = initial.ues().to_vec();
-        let region = cfg.scenario.region;
-        let mut rng = component_rng(cfg.seed, "mobility");
-        let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
-
-        let full_cru: Vec<Vec<Cru>> = initial.bss().iter().map(|b| b.cru_budget.clone()).collect();
-        let full_rrb: Vec<RrbCount> = initial.bss().iter().map(|b| b.rrb_budget).collect();
-        // The population never departs, so every epoch re-matches against
-        // the full budgets — one shared snapshot serves the whole run.
-        let budgets = Arc::new(EpochBudgets {
-            cru: full_cru.clone(),
-            rrb: full_rrb.clone(),
-        });
-        let (slots, registries) = shard::build_slots(&initial, grid, true);
-        let pool = WorkerPool::new(slots);
-        let obs_on = dmra_obs::enabled();
-        // Expose the live shard registries to mid-run /metrics scrapes;
-        // the guard is dropped before `merge_registries` folds them into
-        // the global registry, so nothing is ever double-counted.
-        let scrape_guard = obs_on.then(|| dmra_obs::register_scrape_sources(&registries));
-        let worker = shard::row_build_worker(obs_on);
-        let mut asm = DeploymentContext::new(&initial);
-        // Sticky re-matching solves against churning residual budgets on
-        // the coordinator, exactly as in `run` — no cache.
-        let mut res_ctx = DeploymentContext::new(&initial);
-        let mut session = self.allocator.session();
-
-        let mut previous: Option<Allocation> = None;
-        let mut prev_owners: Vec<usize> = Vec::new();
-        let mut shard_handovers = 0u64;
-        let mut outcome = empty_outcome(cfg.epochs);
-        let mut merged_links: Vec<CandidateLink> = Vec::new();
-        let mut merged_starts: Vec<usize> = Vec::new();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-        for epoch in 0..cfg.epochs {
-            let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
-            let seam_before = shard_handovers;
-            let (owners, batches) = shard::route(grid, &ues);
-            if !prev_owners.is_empty() {
-                shard_handovers += owners
-                    .iter()
-                    .zip(&prev_owners)
-                    .filter(|(now, before)| now != before)
-                    .count() as u64;
-            }
-            let shard_load: Option<Vec<u64>> = observer
-                .as_ref()
-                .map(|_| batches.iter().map(|b| b.len() as u64).collect());
-            let jobs: Vec<ShardJob> = batches
-                .into_iter()
-                .map(|batch| (Arc::clone(&budgets), batch))
-                .collect();
-            let rows = pool
-                .run(jobs, worker.clone())
-                .into_iter()
-                .collect::<Result<Vec<_>>>()?;
-            shard::merge_rows(&owners, &rows, &mut merged_links, &mut merged_starts);
-            let instance = asm.epoch_instance_prebuilt(
-                &full_cru,
-                &full_rrb,
-                ues.clone(),
-                &merged_links,
-                &merged_starts,
-            )?;
-            let solve_started = obs_on.then(std::time::Instant::now);
-            let allocation = match (cfg.policy, &previous) {
-                (MobilityPolicy::Sticky, Some(prev)) => {
-                    let split = sticky_split(instance, prev);
-                    match split.residual_ues(instance) {
-                        None => split.kept,
-                        Some(res_ues) => {
-                            let residual =
-                                res_ctx.epoch_instance(&split.rem_cru, &split.rem_rrb, res_ues)?;
-                            split.merge(session.allocate(residual))
-                        }
-                    }
-                }
-                _ => session.allocate(instance),
-            };
-            let solve_ns = crate::dynamic::record_solve_phase(obs_on, solve_started);
-            debug_assert!(allocation.validate(instance).is_ok());
-            account_epoch(&mut outcome, instance, &allocation, previous.as_ref());
-            if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
-                let record = push_common_aux(
-                    mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
-                    elapsed_ns(epoch_started),
-                    solve_ns,
-                    counters,
-                    aux_before,
-                )
-                .aux("shard_load", shard_load.unwrap_or_default())
-                .aux("shard_handovers", shard_handovers - seam_before);
-                obs.on_record(&record);
-            }
-            previous = Some(allocation);
-            prev_owners = owners;
-            advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
-        }
-        drop(scrape_guard);
-        if obs_on {
-            static SHARD_HANDOVERS: dmra_obs::LazyCounter =
-                dmra_obs::LazyCounter::new("sim.shard_handovers");
-            SHARD_HANDOVERS.get().add(shard_handovers);
-            shard::merge_registries(&registries);
-        }
-        Ok(outcome)
-    }
-
     /// Runs the simulation on the executable-specification engine: a full
     /// [`ProblemInstance`] rebuild per epoch with the exhaustive O(U×B)
     /// candidate scan and the scalar link evaluator — no pruning, no
@@ -500,8 +346,8 @@ impl MobilitySimulator {
 }
 
 /// Builds the engine-independent `det` section of a `"mobility.epoch"`
-/// flight record. All three mobility engines go through this one helper
-/// so field order and content are byte-identical across engines.
+/// flight record. Both mobility loops go through this one helper so
+/// field order and content are byte-identical across them.
 /// Counters are per-epoch deltas against the `before` reading of
 /// `(handovers, drops, recoveries)`; `digest` is the epoch allocation's
 /// [`Allocation::digest`].
@@ -858,27 +704,6 @@ mod tests {
             min,
             max
         );
-    }
-
-    #[test]
-    fn sharded_engine_matches_incremental_at_unit_scale() {
-        // The workspace-root `sharding` tests sweep the full grid; this
-        // is the in-crate smoke for both policies with movers crossing
-        // shard seams.
-        for policy in [MobilityPolicy::FullReallocation, MobilityPolicy::Sticky] {
-            let mut cfg = config((8.0, 16.0), 5, 11);
-            cfg.policy = policy;
-            cfg.stationary_fraction = 0.4;
-            let sim = MobilitySimulator::new(cfg);
-            let unsharded = sim.run().unwrap();
-            for shards in [2usize, 4] {
-                assert_eq!(
-                    sim.run_sharded_n(shards).unwrap(),
-                    unsharded,
-                    "{shards} shards diverged under {policy:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn main() -> Result<(), dmra::types::Error> {
                     epochs: 80,
                     seed: 900 + seed,
                 })
-                .run_event()?;
+                .run()?;
                 ratio_sum += out.admission_ratio();
             }
             print!("  {:>10.1}%", 100.0 * ratio_sum / 3.0);

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints as errors, and the whole-workspace
-# test suite. CI and pre-commit should both run exactly this.
+# Full local gate: formatting, lints and rustdoc warnings as errors, and
+# the whole-workspace test suite. CI and pre-commit should both run
+# exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy -q --workspace --all-targets -- -D warnings
+# Rustdoc warnings as errors: an intra-doc link to a renamed or deleted
+# item fails the gate instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 cargo test --workspace -q
 # The solver and the engines again in the release profile, the one the
 # benchmark runs: no overflow checks (integer arithmetic wraps) and no

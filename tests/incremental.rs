@@ -1,12 +1,12 @@
 //! The incremental online engine is bit-identical to rebuild-from-scratch.
 //!
-//! The dynamic simulator has two engines: the epoch-persistent
-//! incremental engine (`run`) and the original full-residual-rebuild loop
-//! (`run_scratch`), kept as the executable specification. These tests pin
+//! The dynamic simulator ships one epoch loop, the epoch-persistent
+//! incremental engine (`run`), and keeps the original full-residual-rebuild
+//! loop (`run_scratch`) as the executable specification. These tests pin
 //! their equality — identical `DynamicOutcome`s, byte for byte — across
-//! allocators, seeds, arrival rates and scratch-side thread counts, and
-//! separately pin the spatial candidate pruning bit-identical to the
-//! exhaustive O(U×B) scan at paper scale.
+//! allocators, seeds, arrival rates, holding distributions and
+//! scratch-side thread counts, and separately pin the spatial candidate
+//! pruning bit-identical to the exhaustive O(U×B) scan at paper scale.
 
 use dmra_core::{Allocator, CandidateScan, CoverageModel, Dmra, ProblemInstance, Threads};
 use dmra_radio::InterferenceModel;
@@ -61,11 +61,46 @@ fn incremental_engine_matches_scratch_for_every_thread_count() {
 }
 
 #[test]
+fn incremental_engine_matches_scratch_for_every_holding_distribution() {
+    // Exponential holding lands departures between epoch boundaries;
+    // both loops must release them at the same boundary.
+    for dist in [
+        HoldingDistribution::Geometric,
+        HoldingDistribution::Deterministic,
+        HoldingDistribution::Exponential,
+    ] {
+        for rate in [20.0, 120.0] {
+            for seed in [5u64, 12] {
+                let mut cfg = config(rate, seed, 25);
+                cfg.holding = dist;
+                let sim = DynamicSimulator::new(cfg);
+                assert_eq!(
+                    sim.run().unwrap(),
+                    sim.run_scratch().unwrap(),
+                    "{dist} diverged at rate {rate}, seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn incremental_engine_matches_scratch_at_saturating_load() {
     // Past saturation most arrivals bounce; the residual instances then
     // exercise drained-budget candidate pruning heavily.
     let sim = DynamicSimulator::new(config(400.0, 13, 15));
     assert_eq!(sim.run().unwrap(), sim.run_scratch().unwrap());
+    // The other extreme: at rate 0.5 over 10 000 epochs most epochs are
+    // idle, and departures drain between sparse arrival batches.
+    let sim = DynamicSimulator::new(config(0.5, 7, 10_000));
+    let incremental = sim.run().unwrap();
+    assert_eq!(incremental, sim.run_scratch().unwrap());
+    assert_eq!(incremental.rrb_occupancy.len(), 10_000);
+    assert!(
+        incremental.arrivals < 6_000,
+        "expected a sparse trace, got {} arrivals",
+        incremental.arrivals
+    );
 }
 
 /// Rebuilds an instance's inputs with a forced scan mode.

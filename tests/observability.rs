@@ -60,8 +60,6 @@ fn online_engines_identical_with_telemetry_enabled() {
         incremental, scratch,
         "telemetry perturbed the incremental engine"
     );
-    let event = sim.run_event().unwrap();
-    assert_eq!(incremental, event, "telemetry perturbed the event engine");
     let reg = dmra_obs::global();
     assert!(reg.counter("sim.epochs").get() >= 25);
     assert!(reg.counter("online.epoch_builds").get() >= 25);
@@ -71,13 +69,6 @@ fn online_engines_identical_with_telemetry_enabled() {
     );
     assert!(reg.histogram("sim.epoch_ns").count() >= 25);
     assert!(reg.histogram("online.epoch_build_ns").count() >= 25);
-    // The event engine mirrors the epoch set under its own names; at
-    // rate 60 every epoch has arrivals, so events == builds == 25.
-    assert!(reg.counter("sim.events").get() >= 25);
-    assert!(reg.counter("sim.event_arrivals").get() > 0);
-    assert!(reg.counter("online.event_builds").get() >= 25);
-    assert!(reg.histogram("sim.event_ns").count() >= 25);
-    assert!(reg.histogram("online.event_build_ns").count() >= 25);
 }
 
 #[test]

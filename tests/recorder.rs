@@ -3,10 +3,11 @@
 //! counts and decimation settings.
 //!
 //! Every engine builds its `det` section through one shared helper per
-//! stream (DESIGN.md §15), so the incremental, event-driven and
-//! region-sharded dynamic engines — and the mobility engines — must
-//! produce the same `det` bytes for the same configuration; only the
-//! `aux` section (wall times, cache deltas, shard loads) may differ.
+//! stream (DESIGN.md §15), so each simulator's epoch loop, its
+//! rebuild-from-scratch specification and the fault-free protocol
+//! matcher must produce the same `det` bytes for the same
+//! configuration; only the `aux` section (wall times, cache deltas,
+//! protocol degradation) may differ.
 //! These tests attach per-instance recorders via `with_observer`
 //! (leaving the process-wide observer slot alone, so they are safe to
 //! run in parallel with everything else) and byte-compare
@@ -43,19 +44,12 @@ fn mob_config() -> MobilityConfig {
 
 /// Records one dynamic run of `config` through `engine` into an
 /// in-memory buffer and returns the full JSONL document.
-fn record_dynamic_with(
-    config: DynamicConfig,
-    engine: &str,
-    shards: usize,
-    sample_every: u64,
-) -> String {
+fn record_dynamic_with(config: DynamicConfig, engine: &str, sample_every: u64) -> String {
     let buf = SharedBuf::new();
     let recorder = Arc::new(Recorder::to_writer(Box::new(buf.clone()), sample_every));
     let sim = DynamicSimulator::new(config).with_observer(recorder.clone());
     match engine {
         "incremental" => sim.run().unwrap(),
-        "event" => sim.run_event().unwrap(),
-        "sharded" => sim.run_sharded_n(shards).unwrap(),
         "scratch" => sim.run_scratch().unwrap(),
         // Fault-free message-passing protocol: per-round flight records go
         // only through the process-global slot, so this instance-attached
@@ -68,17 +62,16 @@ fn record_dynamic_with(
 }
 
 /// [`record_dynamic_with`] on the default [`dyn_config`].
-fn record_dynamic(engine: &str, shards: usize, sample_every: u64) -> String {
-    record_dynamic_with(dyn_config(), engine, shards, sample_every)
+fn record_dynamic(engine: &str, sample_every: u64) -> String {
+    record_dynamic_with(dyn_config(), engine, sample_every)
 }
 
-fn record_mobility(engine: &str, shards: usize) -> String {
+fn record_mobility(engine: &str) -> String {
     let buf = SharedBuf::new();
     let recorder = Arc::new(Recorder::to_writer(Box::new(buf.clone()), 1));
     let sim = MobilitySimulator::new(mob_config()).with_observer(recorder.clone());
     match engine {
         "incremental" => sim.run().unwrap(),
-        "sharded" => sim.run_sharded_n(shards).unwrap(),
         "scratch" => sim.run_scratch().unwrap(),
         other => panic!("unknown engine {other}"),
     };
@@ -87,32 +80,23 @@ fn record_mobility(engine: &str, shards: usize) -> String {
 }
 
 #[test]
-fn dynamic_det_projection_is_identical_across_engines_and_shard_counts() {
-    let reference = det_projection(&record_dynamic("incremental", 0, 1));
+fn dynamic_det_projection_is_identical_across_engines() {
+    let reference = det_projection(&record_dynamic("incremental", 1));
     assert!(
         reference.contains("\"stream\": \"sim.epoch\""),
         "{reference}"
     );
     assert_eq!(reference.lines().count(), dyn_config().epochs);
-    // The event engine emits records for idle epochs too, so the stream
-    // is line-for-line comparable with the fixed-epoch engines.
     assert_eq!(
-        det_projection(&record_dynamic("event", 0, 1)),
-        reference,
-        "event engine det stream diverged"
-    );
-    assert_eq!(
-        det_projection(&record_dynamic("scratch", 0, 1)),
+        det_projection(&record_dynamic("scratch", 1)),
         reference,
         "scratch engine det stream diverged"
     );
-    for shards in [1usize, 2, 4] {
-        assert_eq!(
-            det_projection(&record_dynamic("sharded", shards, 1)),
-            reference,
-            "sharded engine det stream diverged at {shards} shards"
-        );
-    }
+    assert_eq!(
+        det_projection(&record_dynamic("proto", 1)),
+        reference,
+        "proto engine det stream diverged"
+    );
 }
 
 /// The acceptance witness for the protocol-backed engine: under reliable
@@ -124,10 +108,10 @@ fn proto_engine_det_stream_matches_incremental_across_seeds() {
     for seed in [7u64, 21, 1234] {
         let mut config = dyn_config();
         config.seed = seed;
-        let reference = det_projection(&record_dynamic_with(config.clone(), "incremental", 0, 1));
+        let reference = det_projection(&record_dynamic_with(config.clone(), "incremental", 1));
         assert!(reference.contains("\"digest\":"), "{reference}");
         assert_eq!(
-            det_projection(&record_dynamic_with(config, "proto", 0, 1)),
+            det_projection(&record_dynamic_with(config, "proto", 1)),
             reference,
             "proto engine det stream diverged at seed {seed}"
         );
@@ -136,7 +120,7 @@ fn proto_engine_det_stream_matches_incremental_across_seeds() {
 
 #[test]
 fn dynamic_records_carry_digest_and_occupancy() {
-    let doc = record_dynamic("incremental", 0, 1);
+    let doc = record_dynamic("incremental", 1);
     let first = doc.lines().next().unwrap();
     for key in [
         "\"arrivals\":",
@@ -151,22 +135,12 @@ fn dynamic_records_carry_digest_and_occupancy() {
     ] {
         assert!(first.contains(key), "missing {key} in {first}");
     }
-    // The sharded engine additionally reports per-shard batch sizes.
-    let sharded = record_dynamic("sharded", 4, 1);
-    assert!(
-        sharded
-            .lines()
-            .next()
-            .unwrap()
-            .contains("\"shard_load\": ["),
-        "{sharded}"
-    );
 }
 
 #[test]
 fn decimation_keeps_every_nth_record_of_the_full_stream() {
-    let full = record_dynamic("incremental", 0, 1);
-    let sampled = record_dynamic("incremental", 0, 3);
+    let full = record_dynamic("incremental", 1);
+    let sampled = record_dynamic("incremental", 3);
     let expected: String = full
         .lines()
         .filter(|l| !l.is_empty())
@@ -179,8 +153,8 @@ fn decimation_keeps_every_nth_record_of_the_full_stream() {
 }
 
 #[test]
-fn mobility_det_projection_is_identical_across_engines_and_shard_counts() {
-    let reference = det_projection(&record_mobility("incremental", 0));
+fn mobility_det_projection_is_identical_across_engines() {
+    let reference = det_projection(&record_mobility("incremental"));
     assert!(
         reference.contains("\"stream\": \"mobility.epoch\""),
         "{reference}"
@@ -189,17 +163,10 @@ fn mobility_det_projection_is_identical_across_engines_and_shard_counts() {
     assert!(reference.contains("\"handovers\":"));
     assert!(reference.contains("\"profit\":"));
     assert_eq!(
-        det_projection(&record_mobility("scratch", 0)),
+        det_projection(&record_mobility("scratch")),
         reference,
         "scratch engine det stream diverged"
     );
-    for shards in [1usize, 2, 4] {
-        assert_eq!(
-            det_projection(&record_mobility("sharded", shards)),
-            reference,
-            "sharded engine det stream diverged at {shards} shards"
-        );
-    }
 }
 
 #[test]
