@@ -741,8 +741,7 @@ pub(crate) fn scan_candidate_row(
 /// `query_within_dist_into` output) goes through
 /// [`LinkEvaluator::evaluate_batch`] in structure-of-arrays passes, then a
 /// scalar tail applies the same coverage/demand/budget filters in the same
-/// order. Under [`BatchMode::Exact`](dmra_radio::BatchMode::Exact) — the
-/// default — every accepted link is bit-identical to the scalar scan's,
+/// order. Every accepted link is bit-identical to the scalar scan's,
 /// which the `incremental` and `mobility_incremental` integration tests
 /// pin against the exhaustive executable spec.
 #[allow(clippy::too_many_arguments)]

@@ -83,6 +83,5 @@ pub use allocator::{Allocator, AllocatorSession};
 pub use components::{decompose, Component, Decomposition};
 pub use dmra::{Dmra, DmraConfig, DmraOutcome, DmraWorkspace};
 pub use dmra_par::Threads;
-pub use dmra_radio::{batch_mode_default, set_batch_mode_default, BatchMode};
 pub use instance::{CandidateLink, CandidateScan, CoverageModel, ProblemInstance};
 pub use online::DeploymentContext;

@@ -20,7 +20,7 @@
 //!   into the same buffers. One pass over the BSs checks the budgets'
 //!   arity, compares them with the ones the instance holds (the previous
 //!   epoch's) and patches only the BSs that differ; with the row cache
-//!   on, the same pass stamps those BSs.
+//!   on, the same pass stamps the cache whenever one of them differs.
 //!
 //! The result is pinned **bit-identical** to the rebuild-from-scratch
 //! path ([`ProblemInstance::residual`]) by the `incremental` integration
@@ -36,18 +36,17 @@
 //!   thread fan-out cost more than it saved (DESIGN.md §12);
 //! * an opt-in cross-epoch [`row cache`](DeploymentContext::with_row_cache)
 //!   reuses the candidate row of any UE whose key (position bits, SP,
-//!   service, demands, transmit power) is unchanged since the previous
-//!   epoch *and* none of the BSs the row's build **consulted** saw a
-//!   remaining-budget change since — budgets are stamped per BS, so
-//!   churn in one cell invalidates only the rows whose coverage disc
-//!   touches that cell, not the whole deployment. The consulted set (the
-//!   prune query's hits, budget-independent) is the correct dependency
-//!   footprint: a freed budget could re-admit a candidate the build-time
-//!   scan dropped, but only at a BS the scan actually looked at. The
-//!   cache stays off under load-proportional interference, where every
-//!   row depends on the whole batch. It holds one slot per batch
-//!   position and is meant for fixed populations (the mobility regime),
-//!   so it is sized by the largest batch seen and never evicts.
+//!   service, demands, transmit power) is unchanged since the row was
+//!   built *and* no BS's remaining budgets changed since — one budget
+//!   stamp for the whole deployment. A row depends on the budgets of
+//!   every BS its scan looked at (a freed budget could re-admit a
+//!   candidate the scan dropped), and the one cached caller, the
+//!   mobility loop, hands every epoch the same full budgets, so a finer
+//!   stamp would save nothing there. The cache stays off under
+//!   load-proportional interference, where every row depends on the
+//!   whole batch. It holds one slot per batch position and is meant for
+//!   fixed populations (the mobility regime), so it is sized by the
+//!   largest batch seen and never evicts.
 
 use crate::instance::{
     coverage_prune_index, scan_candidate_row, scan_candidate_row_batch, validate_ues,
@@ -95,8 +94,7 @@ pub struct DeploymentContext {
 /// Everything a candidate row depends on besides the fixed deployment and
 /// the remaining budgets: the UE's own spec (position as raw bits — a
 /// cache hit must mean *bit-identical* inputs, so no epsilon). Budget
-/// freshness is tracked separately, per consulted BS, by the cache's
-/// stamp vector.
+/// freshness is tracked separately, by the cache's budget stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RowKey {
     x_bits: u64,
@@ -130,30 +128,19 @@ struct CachedRow {
     row_max: Meters,
     /// The budget epoch the row was built under.
     built: u64,
-    /// The BS indices the build **consulted** (the prune query's hits),
-    /// or `None` for a row built by the exhaustive scan, which consulted
-    /// every BS. Consulted, not kept: a freed budget could re-admit a
-    /// candidate the build-time scan dropped, so the row depends on the
-    /// budgets of every BS the scan looked at — a set that depends only
-    /// on the UE's position and the fixed geometry, never on budgets.
-    deps: Option<Vec<u32>>,
 }
 
 /// Cross-epoch candidate-row cache. Slot `u` caches the row of the UE at
 /// batch position `u` (UE ids are dense per epoch); the key carries the
-/// UE-spec inputs, and a **per-BS stamp vector** tracks budget churn: a
-/// row is fresh while none of its consulted BSs' budgets changed after it
-/// was built, so churn in one cell leaves rows in distant cells valid.
+/// UE-spec inputs, and one budget stamp tracks budget churn: a row is
+/// fresh while no BS's budgets changed after it was built.
 #[derive(Debug, Clone, Default)]
 struct RowCache {
     slots: Vec<Option<CachedRow>>,
     /// Monotone budget epoch, bumped once per budget pass.
     epoch: u64,
-    /// `bs_stamps[b]` = the epoch at which BS `b`'s remaining budgets
-    /// last changed.
-    bs_stamps: Vec<u64>,
-    /// `max(bs_stamps)` — the freshness bar for exhaustive-scan rows.
-    max_stamp: u64,
+    /// The last epoch in which some BS's remaining budgets changed.
+    budgets_changed: u64,
     /// Lifetime hit/miss totals (see
     /// [`DeploymentContext::row_cache_stats`]).
     hits: u64,
@@ -161,60 +148,39 @@ struct RowCache {
 }
 
 impl RowCache {
-    /// Opens the budget epoch of one [`patch_budgets`] pass over `n_bss`
-    /// BSs. On the cache's first epoch (or a budget-arity change) every
-    /// BS is stamped, and this returns `true`.
-    fn open_epoch(&mut self, n_bss: usize) -> bool {
+    /// Opens the budget epoch of one [`patch_budgets`] pass. Returns
+    /// `true` on the cache's first epoch, when every row is cold.
+    fn open_epoch(&mut self) -> bool {
         self.epoch += 1;
-        if self.bs_stamps.len() == n_bss {
-            return false;
-        }
-        self.bs_stamps.clear();
-        self.bs_stamps.resize(n_bss, self.epoch);
-        self.max_stamp = self.epoch;
-        true
+        self.epoch == 1
     }
 
-    /// Records that BS `b`'s budgets changed in the open epoch.
-    fn stamp(&mut self, b: usize) {
-        self.bs_stamps[b] = self.epoch;
-        self.max_stamp = self.epoch;
+    /// Records that some BS's budgets changed in the open epoch.
+    fn stamp(&mut self) {
+        self.budgets_changed = self.epoch;
     }
 
-    /// Whether none of the BSs the row's build consulted saw a budget
-    /// change after the row was built.
-    fn row_fresh(&self, row: &CachedRow) -> bool {
-        match &row.deps {
-            Some(deps) => deps
-                .iter()
-                .all(|&b| self.bs_stamps[b as usize] <= row.built),
-            None => self.max_stamp <= row.built,
-        }
-    }
-
-    /// The cached row for batch slot `u`, if its key matches and its
-    /// consulted BSs' budgets are unchanged since it was built.
+    /// The cached row for batch slot `u`, if its key matches and no
+    /// budget changed since it was built.
     fn lookup(&self, u: usize, key: &RowKey) -> Option<&CachedRow> {
         match self.slots.get(u) {
-            Some(Some(row)) if row.key == *key && self.row_fresh(row) => Some(row),
+            Some(Some(row)) if row.key == *key && self.budgets_changed <= row.built => Some(row),
             _ => None,
         }
     }
 
-    /// Stores (or overwrites) slot `u`, reusing its allocation. `deps` is
-    /// the consulted BS set (`None` = exhaustive scan).
-    fn store(
-        &mut self,
-        u: usize,
-        key: RowKey,
-        links: &[CandidateLink],
-        row_max: Meters,
-        deps: Option<Vec<u32>>,
-    ) {
-        let built = self.epoch;
-        if self.slots.len() <= u {
-            self.slots.resize_with(u + 1, || None);
+    /// Grows the slot table to cover a batch of `n_ues`, once per build,
+    /// so that [`RowCache::store`] never reallocates it row by row.
+    fn reserve_slots(&mut self, n_ues: usize) {
+        if self.slots.len() < n_ues {
+            self.slots.resize_with(n_ues, || None);
         }
+    }
+
+    /// Stores (or overwrites) slot `u`, reusing its allocation. The slot
+    /// table must already cover `u` ([`RowCache::reserve_slots`]).
+    fn store(&mut self, u: usize, key: RowKey, links: &[CandidateLink], row_max: Meters) {
+        let built = self.epoch;
         match &mut self.slots[u] {
             Some(row) => {
                 row.key = key;
@@ -222,7 +188,6 @@ impl RowCache {
                 row.links.extend_from_slice(links);
                 row.row_max = row_max;
                 row.built = built;
-                row.deps = deps;
             }
             slot @ None => {
                 *slot = Some(CachedRow {
@@ -230,7 +195,6 @@ impl RowCache {
                     links: links.to_vec(),
                     row_max,
                     built,
-                    deps,
                 });
             }
         }
@@ -272,14 +236,11 @@ impl DeploymentContext {
 
     /// Enables the cross-epoch candidate-row cache: a UE whose key
     /// (position bits, SP, service, demands, transmit power) is unchanged
-    /// since the previous epoch reuses its cached row verbatim, provided
-    /// none of the BSs its build **consulted** (the prune query's hits —
-    /// a freed budget could re-admit a candidate the build-time scan
-    /// dropped, but only at a BS the scan looked at) saw a remaining-
-    /// budget change in between. Budgets are stamped per BS, so churn in
-    /// one cell leaves rows in distant cells valid. Intended for fixed
-    /// populations (the mobility regime): the cache keeps one slot per
-    /// batch position, so its size is the largest batch seen. Under
+    /// since its row was built reuses that row verbatim, provided no BS's
+    /// remaining budgets changed in between (a freed budget could
+    /// re-admit a candidate the build-time scan dropped). Intended for
+    /// fixed populations (the mobility regime): the cache keeps one slot
+    /// per batch position, so its size is the largest batch seen. Under
     /// load-proportional interference the cache is bypassed, because
     /// every row depends on the whole batch. Outputs stay bit-identical
     /// to an uncached rebuild — `tests/mobility_incremental.rs` pins this.
@@ -327,11 +288,10 @@ impl DeploymentContext {
         let inst = &mut self.instance;
         let n_bss = inst.bss.len();
         // Patch the budgets and do the row-cache epoch bookkeeping before
-        // any row is built: every BS whose remaining budgets differ from
-        // the previous epoch's gets a fresh stamp, so exactly the slots
-        // whose builds consulted a changed BS miss. Load-proportional
-        // interference couples each row to the whole batch, so the cache
-        // is bypassed entirely there.
+        // any row is built: if any BS's remaining budgets differ from the
+        // previous epoch's, the cache is stamped and every slot misses.
+        // Load-proportional interference couples each row to the whole
+        // batch, so the cache is bypassed entirely there.
         let cache_active = self.row_cache.is_some() && self.interference_factor == 0.0;
         let invalidated_bss = patch_budgets(
             inst,
@@ -341,6 +301,13 @@ impl DeploymentContext {
         )?;
         validate_ues(&ues, inst.sps.len(), inst.catalog)?;
         inst.ues = ues;
+        let n_ues = inst.ues.len();
+        if cache_active {
+            self.row_cache
+                .as_mut()
+                .expect("cache_active")
+                .reserve_slots(n_ues);
+        }
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
 
@@ -365,7 +332,6 @@ impl DeploymentContext {
         inst.f_u.clear();
         let kernel_started = obs_on.then(std::time::Instant::now);
         let mut max_candidate_distance = Meters::new(0.0);
-        let n_ues = inst.ues.len();
         for u in 0..n_ues {
             let row_from = inst.links.len();
             let key = if cache_active {
@@ -428,17 +394,12 @@ impl DeploymentContext {
                 };
                 if let Some(key) = key {
                     cache_misses += 1;
-                    // The consulted set is this row's prune-query
-                    // hits, still sitting in the query buffer.
-                    let deps = self
-                        .prune
-                        .is_some()
-                        .then(|| self.query_buf.iter().map(|&(b, _)| b as u32).collect());
-                    let links = &inst.links[row_from..];
-                    self.row_cache
-                        .as_mut()
-                        .expect("cache_active")
-                        .store(u, key, links, row_max, deps);
+                    self.row_cache.as_mut().expect("cache_active").store(
+                        u,
+                        key,
+                        &inst.links[row_from..],
+                        row_max,
+                    );
                 }
             }
             if row_max > max_candidate_distance {
@@ -517,8 +478,7 @@ impl DeploymentContext {
             if self.row_cache.is_some() {
                 ROW_CACHE_HITS.get().add(cache_hits);
                 ROW_CACHE_MISSES.get().add(cache_misses);
-                // One unit per BS whose budgets changed this epoch — the
-                // per-BS stamping granularity.
+                // One unit per BS whose budgets changed this epoch.
                 ROW_CACHE_INVALIDATIONS.get().add(invalidated_bss);
             }
             let mut fields = vec![
@@ -553,14 +513,15 @@ impl DeploymentContext {
 
 /// The budget pass of every epoch build: checks the budgets' arity
 /// against the instance, compares each BS's incoming budgets with the ones
-/// the instance holds (the previous call's), and patches and stamps in
-/// `cache` only the BSs that differ — one walk over the BSs. Returns the
-/// number of BSs stamped: every BS on the cache's first epoch, otherwise
-/// the changed ones, and none without a cache.
+/// the instance holds (the previous call's), and patches only the BSs
+/// that differ, stamping `cache` at each — one walk over the BSs. Returns
+/// the number of BSs whose budgets changed: every BS on the cache's first
+/// epoch, otherwise the patched ones, and none without a cache.
 ///
 /// An arity error part-way through leaves the BSs before it patched and
-/// stamped, so the instance's budgets and the cache's stamps always agree
-/// and the next call only has to compare against the instance.
+/// the cache stamped, so the instance's budgets and the cache's stamp
+/// always agree and the next call only has to compare against the
+/// instance.
 fn patch_budgets(
     inst: &mut ProblemInstance,
     rem_cru: &[Vec<Cru>],
@@ -576,7 +537,7 @@ fn patch_budgets(
             n_bss
         )));
     }
-    let first = cache.as_deref_mut().is_some_and(|c| c.open_epoch(n_bss));
+    let first = cache.as_deref_mut().is_some_and(RowCache::open_epoch);
     let mut stamped = 0u64;
     for (b, bs) in inst.bss.iter_mut().enumerate() {
         let cru = &rem_cru[b];
@@ -592,7 +553,7 @@ fn patch_budgets(
             bs.cru_budget.copy_from_slice(cru);
             bs.rrb_budget = rem_rrb[b];
             if let Some(cache) = cache.as_deref_mut() {
-                cache.stamp(b);
+                cache.stamp();
                 stamped += 1;
             }
         }
@@ -767,7 +728,7 @@ mod tests {
     }
 
     /// Two cells 5 km apart — far beyond the 300 m coverage radius — so
-    /// no UE's prune query ever consults both BSs.
+    /// each UE's candidate row holds only its own cell's BS.
     fn two_distant_cells() -> ProblemInstance {
         use dmra_types::{BsId, BsSpec, Hertz, Money, ServiceCatalog, SpSpec};
         let sps = vec![
@@ -807,9 +768,10 @@ mod tests {
 
     #[test]
     fn budget_churn_in_one_cell_keeps_distant_rows_cached() {
-        // The per-BS stamp regression: UE 0 lives in BS 0's cell, UE 1 in
-        // BS 1's. Draining BS 1's budgets must invalidate only UE 1's
-        // row — under the old global stamp both would miss.
+        // UE 0 lives in BS 0's cell, UE 1 in BS 1's. The cache keeps one
+        // budget stamp for the whole deployment, so draining BS 1's
+        // budgets misses UE 0's row too; every epoch still equals the
+        // scratch residual.
         let deployment = two_distant_cells();
         let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
         let full_cru = vec![
@@ -839,7 +801,7 @@ mod tests {
         ];
         let epochs: [(Vec<Vec<Cru>>, Vec<RrbCount>); 4] = [
             (full_cru.clone(), full_rrb.clone()),
-            // Drain the *distant* cell: UE 0's row must survive.
+            // Drain the distant cell only.
             (
                 vec![
                     vec![Cru::new(100), Cru::new(100)],
@@ -847,7 +809,7 @@ mod tests {
                 ],
                 vec![RrbCount::new(55), RrbCount::new(9)],
             ),
-            // And again — only UE 1 rebuilds each time.
+            // And again.
             (
                 vec![
                     vec![Cru::new(100), Cru::new(100)],
@@ -858,23 +820,17 @@ mod tests {
             // Back to full: BS 1's budgets changed again, BS 0's did not.
             (full_cru, full_rrb),
         ];
-        let mut expect_hits = 0u64;
-        let mut expect_misses = 0u64;
         for (e, (rem_cru, rem_rrb)) in epochs.iter().enumerate() {
             let scratch = deployment
                 .residual(rem_cru, rem_rrb, batch.clone())
                 .unwrap();
             let fast = ctx.epoch_instance(rem_cru, rem_rrb, batch.clone()).unwrap();
             assert_same_instance(fast, &scratch);
-            if e == 0 {
-                expect_misses += 2; // cold cache: both rows built
-            } else {
-                expect_hits += 1; // UE 0 rides through the distant churn
-                expect_misses += 1; // UE 1's cell changed
-            }
+            // Cold on the first epoch, and a budget change on every later
+            // one: both rows are rebuilt each time.
             assert_eq!(
                 ctx.row_cache_stats(),
-                Some((expect_hits, expect_misses)),
+                Some((0, 2 * (e as u64 + 1))),
                 "epoch {e}"
             );
         }
@@ -882,11 +838,11 @@ mod tests {
 
     #[test]
     fn budget_arity_error_stamps_the_bss_it_already_patched() {
-        // UE 0 consults only BS 0, UE 1 only BS 1. The third call changes
-        // BS 0 (patched in place) and then fails on BS 1's arity; the
-        // fourth call reuses that BS 0 budget, so only the stamp from the
-        // failed call can tell UE 0's cached row (built under the
-        // second call's BS 0 budget, with BS 0 as a candidate) is stale.
+        // The third call changes BS 0 (patched in place) and then fails on
+        // BS 1's arity; the fourth call reuses that BS 0 budget, so only
+        // the stamp from the failed call can tell that the rows cached by
+        // the second call (built under its BS 0 budget) are stale. A
+        // stamp deferred to the end of the pass would serve them.
         let deployment = two_distant_cells();
         let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
         let full = vec![Cru::new(100), Cru::new(100)];
@@ -920,16 +876,16 @@ mod tests {
         };
         // A cold epoch, then one that changes BS 1's budgets only.
         assert_eq!(build(&mut ctx, &[full.clone(), full.clone()]), (0, 2));
-        assert_eq!(build(&mut ctx, &[full, drained.clone()]), (1, 3));
+        assert_eq!(build(&mut ctx, &[full, drained.clone()]), (0, 4));
         let err = ctx
             .epoch_instance(&[drained.clone(), vec![Cru::new(1)]], &rrb, batch.clone())
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
-        assert_eq!(ctx.row_cache_stats(), Some((1, 3)));
-        // Exactly UE 0's row misses: it consults BS 0, patched before the
-        // error. UE 1's BS has kept its budgets since the second call.
+        assert_eq!(ctx.row_cache_stats(), Some((0, 4)));
+        // Both rows miss: BS 0 was patched, and stamped, before the error,
+        // although this call's budgets equal the ones the instance holds.
         let stats = build(&mut ctx, &[drained.clone(), drained]);
-        assert_eq!(stats, (2, 4));
+        assert_eq!(stats, (0, 6));
     }
 
     #[test]

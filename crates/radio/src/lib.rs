@@ -43,8 +43,6 @@ mod pathloss;
 mod shadowing;
 
 pub use config::{InterferenceModel, NoiseModel, RadioConfig};
-pub use link::{
-    batch_mode_default, set_batch_mode_default, BatchMode, LinkBatch, LinkEvaluator, LinkMetrics,
-};
+pub use link::{LinkBatch, LinkEvaluator, LinkMetrics};
 pub use pathloss::PathLossModel;
 pub use shadowing::Shadowing;

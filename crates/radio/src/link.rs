@@ -7,56 +7,13 @@
 //!   at a time — the executable specification;
 //! * the batched kernel ([`LinkEvaluator::evaluate_batch`]), which takes
 //!   one UE's whole pruned candidate slice and computes path loss, SINR
-//!   and per-RRB rate in structure-of-arrays passes. Under
-//!   [`BatchMode::Exact`] (the default) every lane performs the scalar
-//!   chain's operations in the scalar chain's order, so the outputs are
-//!   **bit-identical** to `evaluate_at_distance` — pinned by property
-//!   tests. [`BatchMode::Approx`] is the opt-in fast lane: `log10`, `2^x`
-//!   rewritten through shared polynomial `ln`/`exp` helpers with no libm
-//!   calls inside the loops, so LLVM can auto-vectorize the passes; it is
-//!   accurate to ≲1e−10 relative error (also property-tested) but *not*
-//!   bit-identical, which is why it is never the default.
+//!   and per-RRB rate in structure-of-arrays passes. Every lane performs
+//!   the scalar chain's operations in the scalar chain's order, so the
+//!   outputs are **bit-identical** to `evaluate_at_distance` — pinned by
+//!   property tests.
 
 use crate::config::RadioConfig;
 use dmra_types::{BitsPerSec, Db, Dbm, Meters, Point, RrbCount};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// How [`LinkEvaluator::evaluate_batch`] computes its transcendentals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Per-lane operations identical to the scalar chain: bit-identical
-    /// outputs, still benefits from the structure-of-arrays layout.
-    #[default]
-    Exact,
-    /// Polynomial `ln`/`exp` replacements (no libm in the loop): the
-    /// passes auto-vectorize, outputs agree with the scalar chain to
-    /// ≲1e−10 relative error. Opt in via `--candidate-batch approx` or
-    /// [`set_batch_mode_default`].
-    Approx,
-}
-
-/// Process-wide default consumed by [`LinkEvaluator::new`] (`false` =
-/// [`BatchMode::Exact`]). A plain relaxed atomic: the flag is set once at
-/// CLI startup, before any evaluator exists.
-static BATCH_MODE_APPROX: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default [`BatchMode`] picked up by every
-/// subsequently constructed [`LinkEvaluator`]. Intended for CLI startup
-/// (`--candidate-batch`); library code should use
-/// [`LinkEvaluator::with_batch_mode`] instead.
-pub fn set_batch_mode_default(mode: BatchMode) {
-    BATCH_MODE_APPROX.store(mode == BatchMode::Approx, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`BatchMode`].
-#[must_use]
-pub fn batch_mode_default() -> BatchMode {
-    if BATCH_MODE_APPROX.load(Ordering::Relaxed) {
-        BatchMode::Approx
-    } else {
-        BatchMode::Exact
-    }
-}
 
 /// Everything the allocation layer needs to know about one UE–BS link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,8 +113,7 @@ impl LinkBatch {
     }
 
     /// The full metrics of lane `j` (valid after
-    /// [`LinkEvaluator::evaluate_batch`]). Under [`BatchMode::Exact`]
-    /// this is bit-identical to the scalar
+    /// [`LinkEvaluator::evaluate_batch`]), bit-identical to the scalar
     /// [`LinkEvaluator::evaluate_at_distance`] result for the lane.
     #[must_use]
     pub fn metrics(&self, j: usize) -> LinkMetrics {
@@ -171,81 +127,6 @@ impl LinkBatch {
     }
 }
 
-/// `ln(x)` without libm, for the [`BatchMode::Approx`] lanes: exponent
-/// split via the bit pattern, mantissa via the atanh series on
-/// `[√½, √2]`. Requires a positive, normal, finite input (all batch
-/// operands are: clamped distances and `1 + SINR ≥ 1`). Relative error
-/// ≲1e−12.
-#[inline]
-fn fast_ln(x: f64) -> f64 {
-    debug_assert!(x.is_normal() && x > 0.0, "fast_ln needs a positive normal");
-    let bits = x.to_bits();
-    let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    if m > std::f64::consts::SQRT_2 {
-        m *= 0.5;
-        e += 1;
-    }
-    let t = (m - 1.0) / (m + 1.0);
-    let t2 = t * t;
-    // ln(m) = 2·atanh(t); |t| ≤ 0.172 so the truncation tail is ≤ 2e−13.
-    let series = 2.0
-        * t
-        * (1.0
-            + t2 * (1.0 / 3.0
-                + t2 * (1.0 / 5.0
-                    + t2 * (1.0 / 7.0 + t2 * (1.0 / 9.0 + t2 * (1.0 / 11.0 + t2 / 13.0))))));
-    (e as f64) * std::f64::consts::LN_2 + series
-}
-
-/// `e^x` without libm, for the [`BatchMode::Approx`] lanes: power-of-two
-/// split plus a degree-11 Taylor polynomial on `|r| ≤ ln2/2`. Valid for
-/// the batch's operand range (|x| ≲ 700). Relative error ≲1e−13.
-#[inline]
-fn fast_exp(x: f64) -> f64 {
-    let k = (x * std::f64::consts::LOG2_E).round();
-    let r = x - k * std::f64::consts::LN_2;
-    let mut poly = 1.0 / 39_916_800.0; // 1/11!
-    for inv_fact in [
-        1.0 / 3_628_800.0,
-        1.0 / 362_880.0,
-        1.0 / 40_320.0,
-        1.0 / 5_040.0,
-        1.0 / 720.0,
-        1.0 / 120.0,
-        1.0 / 24.0,
-        1.0 / 6.0,
-        0.5,
-        1.0,
-        1.0,
-    ] {
-        poly = poly * r + inv_fact;
-    }
-    // 2^k via the exponent field; k is within ±1074 for every finite
-    // input this kernel sees, and the debug assert keeps it honest.
-    let ik = k as i64;
-    debug_assert!((-1022..=1023).contains(&ik), "fast_exp overflow: {x}");
-    poly * f64::from_bits(((ik + 1023) as u64) << 52)
-}
-
-/// `log10(x)` via [`fast_ln`].
-#[inline]
-fn fast_log10(x: f64) -> f64 {
-    fast_ln(x) * std::f64::consts::LOG10_E
-}
-
-/// `log2(x)` via [`fast_ln`].
-#[inline]
-fn fast_log2(x: f64) -> f64 {
-    fast_ln(x) * std::f64::consts::LOG2_E
-}
-
-/// `10^x` via [`fast_exp`].
-#[inline]
-fn fast_pow10(x: f64) -> f64 {
-    fast_exp(x * std::f64::consts::LN_10)
-}
-
 /// Evaluates links under a fixed [`RadioConfig`].
 ///
 /// The evaluator is cheap to clone and stateless; all randomness
@@ -254,35 +135,14 @@ fn fast_pow10(x: f64) -> f64 {
 pub struct LinkEvaluator {
     config: RadioConfig,
     noise_mw: f64,
-    mode: BatchMode,
 }
 
 impl LinkEvaluator {
-    /// Creates an evaluator, precomputing the per-RRB noise floor. The
-    /// batch mode is the process-wide default ([`batch_mode_default`]),
-    /// which is [`BatchMode::Exact`] unless the CLI opted in to the
-    /// approximate lane.
+    /// Creates an evaluator, precomputing the per-RRB noise floor.
     #[must_use]
     pub fn new(config: RadioConfig) -> Self {
         let noise_mw = config.noise_power_per_rrb_mw();
-        Self {
-            config,
-            noise_mw,
-            mode: batch_mode_default(),
-        }
-    }
-
-    /// Overrides the [`BatchMode`] for this evaluator.
-    #[must_use]
-    pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The batch mode this evaluator runs under.
-    #[must_use]
-    pub fn batch_mode(&self) -> BatchMode {
-        self.mode
+        Self { config, noise_mw }
     }
 
     /// The configuration this evaluator was built with.
@@ -358,15 +218,12 @@ impl LinkEvaluator {
     /// Evaluates one UE's whole candidate slice in structure-of-arrays
     /// passes over the lanes pushed into `batch`.
     ///
-    /// Lane `j` computes exactly what
+    /// Lane `j` computes, bit for bit, what
     /// [`LinkEvaluator::evaluate_at_distance`] computes for
     /// `(tx_power, ue, batch.bs_pos[j], batch.dist[j])` with interference
     /// `interference_factor × (total_rx_mw[j] − own_rx)⁺` — the
-    /// load-proportional term of the candidate scan. Under
-    /// [`BatchMode::Exact`] every lane is bit-identical to the scalar
-    /// chain; under [`BatchMode::Approx`] the transcendentals run through
-    /// the polynomial helpers and agree to ≲1e−10 relative error. Results
-    /// are read back with [`LinkBatch::metrics`].
+    /// load-proportional term of the candidate scan. Results are read
+    /// back with [`LinkBatch::metrics`].
     pub fn evaluate_batch(
         &self,
         tx_power: Dbm,
@@ -389,56 +246,10 @@ impl LinkEvaluator {
         // Pass 1: attenuation = path loss + shadowing. The scalar chain
         // computes `loss(d) + sample(ue, bs)` as one f64 addition; doing
         // the loss and the shadowing in two passes performs the identical
-        // addition per lane. The approximate lane hoists the model match
-        // out of the loop and runs pure polynomial arithmetic inside it.
-        match self.mode {
-            BatchMode::Exact => {
-                for j in 0..n {
-                    batch.att[j] = self.config.path_loss.loss(Meters::new(batch.dist[j])).get();
-                }
-            }
-            BatchMode::Approx => {
-                use crate::PathLossModel;
-                const MIN_D: f64 = 1.0; // the path-loss module's clamp
-                match self.config.path_loss {
-                    PathLossModel::Icdcs2019 => {
-                        for j in 0..n {
-                            batch.att[j] =
-                                140.7 + 36.7 * fast_log10(batch.dist[j].max(MIN_D) / 1000.0);
-                        }
-                    }
-                    PathLossModel::LogDistance {
-                        ref_loss,
-                        ref_distance,
-                        exponent,
-                    } => {
-                        let d0 = ref_distance.get().max(MIN_D);
-                        for j in 0..n {
-                            batch.att[j] = ref_loss.get()
-                                + 10.0 * exponent * fast_log10(batch.dist[j].max(MIN_D) / d0);
-                        }
-                    }
-                    PathLossModel::FreeSpace { frequency } => {
-                        let f_term = 20.0 * frequency.get().log10() - 147.55;
-                        for j in 0..n {
-                            batch.att[j] = 20.0 * fast_log10(batch.dist[j].max(MIN_D)) + f_term;
-                        }
-                    }
-                    // `PathLossModel` is non-exhaustive: fall back to the
-                    // exact per-lane evaluation for models this kernel
-                    // has no fast lane for.
-                    #[allow(unreachable_patterns)]
-                    _ => {
-                        for j in 0..n {
-                            batch.att[j] =
-                                self.config.path_loss.loss(Meters::new(batch.dist[j])).get();
-                        }
-                    }
-                }
-            }
+        // addition per lane.
+        for j in 0..n {
+            batch.att[j] = self.config.path_loss.loss(Meters::new(batch.dist[j])).get();
         }
-        // Shadowing is deterministic integer hashing per endpoint pair —
-        // identical in both modes (its cost is not transcendental-bound).
         for j in 0..n {
             batch.att[j] += self.config.shadowing.sample(ue, batch.bs_pos[j]).get();
         }
@@ -450,17 +261,8 @@ impl LinkEvaluator {
         }
 
         // Pass 3: dBm → linear milliwatts (`Dbm::to_milliwatts`).
-        match self.mode {
-            BatchMode::Exact => {
-                for j in 0..n {
-                    batch.rx_mw[j] = 10f64.powf(batch.rx_dbm[j] / 10.0);
-                }
-            }
-            BatchMode::Approx => {
-                for j in 0..n {
-                    batch.rx_mw[j] = fast_pow10(batch.rx_dbm[j] / 10.0);
-                }
-            }
+        for j in 0..n {
+            batch.rx_mw[j] = 10f64.powf(batch.rx_dbm[j] / 10.0);
         }
 
         // Pass 4: SINR. The own-received-power term of the interference
@@ -482,17 +284,8 @@ impl LinkEvaluator {
 
         // Pass 5: per-RRB Shannon rate (Eq. (2)).
         let bw = self.config.rrb_bandwidth.get();
-        match self.mode {
-            BatchMode::Exact => {
-                for j in 0..n {
-                    batch.rate[j] = bw * (1.0 + batch.sinr[j]).log2();
-                }
-            }
-            BatchMode::Approx => {
-                for j in 0..n {
-                    batch.rate[j] = bw * fast_log2(1.0 + batch.sinr[j]);
-                }
-            }
+        for j in 0..n {
+            batch.rate[j] = bw * (1.0 + batch.sinr[j]).log2();
         }
     }
 
@@ -697,9 +490,7 @@ mod tests {
                 seed: 7,
             };
         }
-        // Pin the mode explicitly: `batch_mode_default_round_trips`
-        // briefly flips the process-wide default on a parallel thread.
-        LinkEvaluator::new(cfg).with_batch_mode(BatchMode::Exact)
+        LinkEvaluator::new(cfg)
     }
 
     /// Pushes the candidate lanes and returns, per lane, the interference
@@ -738,21 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_mode_default_round_trips() {
-        assert_eq!(batch_mode_default(), BatchMode::Exact);
-        set_batch_mode_default(BatchMode::Approx);
-        assert_eq!(batch_mode_default(), BatchMode::Approx);
-        assert_eq!(
-            LinkEvaluator::new(RadioConfig::paper_defaults()).batch_mode(),
-            BatchMode::Approx
-        );
-        set_batch_mode_default(BatchMode::Exact);
-        assert_eq!(batch_mode_default(), BatchMode::Exact);
-        let e = eval().with_batch_mode(BatchMode::Approx);
-        assert_eq!(e.batch_mode(), BatchMode::Approx);
-    }
-
-    #[test]
     fn batch_exact_matches_scalar_below_min_distance_clamp() {
         // The d→0 clamp: lanes closer than MIN_DISTANCE_M evaluate at the
         // 1 m floor in both chains, bit for bit.
@@ -778,8 +554,7 @@ mod tests {
     }
 
     proptest! {
-        /// Tentpole invariant: under `BatchMode::Exact` every lane of the
-        /// batched kernel is **bit-identical** to the scalar
+        /// Every lane of the batched kernel is **bit-identical** to the scalar
         /// `evaluate_at_distance` chain — across path-loss models,
         /// shadowing on/off, and zero/positive interference factors.
         #[test]
@@ -814,39 +589,6 @@ mod tests {
                 // indistinguishable from the scalar build.
                 prop_assert_eq!(batched, scalar, "lane {}", j);
                 prop_assert_eq!(batch.tag(j), j as u32);
-            }
-        }
-
-        /// The opt-in approximate lane agrees with the scalar chain to
-        /// tight relative error (the polynomial helpers are good to
-        /// ≲1e−12; 1e−9 leaves slack for cancellation in the SINR chain).
-        #[test]
-        fn prop_batch_approx_is_close_to_scalar(
-            offsets in prop::collection::vec((-1500.0f64..1500.0, -1500.0f64..1500.0), 1..40),
-            model_sel in 0u8..3,
-            shadowed in prop::bool::ANY,
-            factor in 0.0f64..1.0,
-        ) {
-            let e = eval_variant(model_sel, shadowed).with_batch_mode(BatchMode::Approx);
-            let tx = Dbm::new(10.0);
-            let ue = Point::new(1500.0, 1500.0);
-            let candidates: Vec<(Point, f64)> = offsets
-                .iter()
-                .map(|&(dx, dy)| (Point::new(1500.0 + dx, 1500.0 + dy), 8.0))
-                .collect();
-            let mut batch = LinkBatch::new();
-            let interference = fill_batch(&e, tx, ue, &candidates, factor, &mut batch);
-            e.evaluate_batch(tx, ue, factor, &mut batch);
-            for (j, &(bs, _)) in candidates.iter().enumerate() {
-                let scalar = e.evaluate_at_distance(tx, ue, bs, ue.distance(bs), interference[j]);
-                let batched = batch.metrics(j);
-                let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-                prop_assert!(rel(batched.attenuation.get(), scalar.attenuation.get()) < 1e-9);
-                prop_assert!(rel(batched.sinr_linear, scalar.sinr_linear) < 1e-9);
-                prop_assert!(
-                    rel(batched.per_rrb_rate.get(), scalar.per_rrb_rate.get()) < 1e-9,
-                    "rate {} vs {}", batched.per_rrb_rate.get(), scalar.per_rrb_rate.get()
-                );
             }
         }
     }

@@ -692,8 +692,8 @@ impl DynamicSimulator {
     /// loop**: every epoch clones the deployment into a full
     /// [`ProblemInstance::residual`] build with an exhaustive candidate
     /// scan. Kept as the executable specification
-    /// [`DynamicSimulator::run`] is tested bit-identical against, and as
-    /// the baseline of `figures -- bench` (`BENCH_dynamic.json`).
+    /// [`DynamicSimulator::run`] is tested bit-identical against
+    /// (`tests/incremental.rs`).
     ///
     /// # Errors
     ///
@@ -940,11 +940,11 @@ fn empty_outcome(epochs: usize) -> DynamicOutcome {
 }
 
 /// Records the allocator-solve slice of an epoch into the `sim.solve_ns`
-/// histogram, so the `figures -- bench` per-phase breakdown can separate
-/// matching time from the rest of the epoch (instance assembly, commit,
-/// departure bookkeeping), which `sim.epoch_ns` lumps together. Observe
-/// only: called after the allocation exists, records nothing when
-/// telemetry is off.
+/// histogram, so the telemetry report can separate matching time from
+/// the rest of the epoch (instance assembly, commit, departure
+/// bookkeeping), which `sim.epoch_ns` lumps together. Observe only:
+/// called after the allocation exists, records nothing when telemetry is
+/// off.
 pub(crate) fn record_solve_phase(obs_on: bool, solve_started: Option<std::time::Instant>) -> u64 {
     if !obs_on {
         return 0;

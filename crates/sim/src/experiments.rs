@@ -17,7 +17,9 @@
 //! ordering of algorithms, saturation with #UEs, monotonicity in ρ.
 
 use crate::config::ScenarioConfig;
-use crate::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution};
+use crate::dynamic::{
+    DynamicConfig, DynamicSimulator, HoldingDistribution, ProtoDelay, ProtoFaults,
+};
 use crate::metrics::Metrics;
 use crate::sweep::{Stat, SweepRunner, Table, TableRow};
 use dmra_baselines::{Dcsp, NonCo};
@@ -25,7 +27,7 @@ use dmra_core::agents::run_decentralized;
 use dmra_core::{Allocation, Allocator, Dmra, DmraConfig, ProblemInstance};
 use dmra_proto::DropPolicy;
 use dmra_radio::InterferenceModel;
-use dmra_types::Result;
+use dmra_types::{BsId, Result};
 
 /// Replication and seeding options shared by every experiment.
 #[derive(Debug, Clone, Copy)]
@@ -433,6 +435,86 @@ pub fn decentralized_cost(opts: &ExperimentOptions) -> Result<Table> {
     })
 }
 
+/// Extension: degradation of the protocol-backed online engine under
+/// message loss, delivery delay and a BS fail-stop crash. Each cell is
+/// the percentage of the [`DynamicSimulator::run`] oracle's profit that
+/// [`DynamicSimulator::run_proto`] loses on the same arrival trace (paper
+/// grid, 15 arrivals per epoch, mean holding 4, 20 epochs). Rows are drop
+/// percentages, series are delay × crash cells; the fault-free cell (row
+/// 0, first series) is the oracle's own matching and reads exactly 0.
+///
+/// # Errors
+///
+/// Propagates scenario build and engine errors.
+pub fn proto_degradation(opts: &ExperimentOptions) -> Result<Table> {
+    const DROP_PCTS: [f64; 3] = [0.0, 10.0, 25.0];
+    const DELAYS: [ProtoDelay; 3] = [
+        ProtoDelay::Immediate,
+        ProtoDelay::Fixed(1),
+        ProtoDelay::Random(2),
+    ];
+    // The crash cells fail-stop BS 1 at epoch 5.
+    const CRASH: (u32, usize) = (1, 5);
+    let cells: Vec<(ProtoDelay, bool)> = DELAYS
+        .iter()
+        .flat_map(|&delay| [(delay, false), (delay, true)])
+        .collect();
+    let runner = opts.runner();
+    let mut losses = vec![vec![Vec::new(); cells.len()]; DROP_PCTS.len()];
+    for r in 0..runner.replications {
+        let sim = DynamicSimulator::new(DynamicConfig {
+            scenario: ScenarioConfig::paper_defaults(),
+            arrival_rate: 15.0,
+            mean_holding: 4.0,
+            holding: HoldingDistribution::Geometric,
+            epochs: 20,
+            seed: dmra_geo::rng::sub_seed(runner.base_seed, &format!("proto-rep-{r}")),
+        });
+        let oracle = sim.run()?.total_profit.get();
+        for (row, &drop_pct) in DROP_PCTS.iter().enumerate() {
+            for (col, &(delay, crashed)) in cells.iter().enumerate() {
+                let faults = ProtoFaults {
+                    drop_prob: drop_pct / 100.0,
+                    delay,
+                    crashes: if crashed {
+                        vec![(BsId::new(CRASH.0), CRASH.1)]
+                    } else {
+                        Vec::new()
+                    },
+                    max_rounds: 0,
+                };
+                let profit = sim.run_proto(&faults)?.total_profit.get();
+                losses[row][col].push(100.0 * (oracle - profit) / oracle);
+            }
+        }
+    }
+    Ok(Table {
+        title: "Extension: protocol engine profit loss vs the centralized oracle, % \
+                (paper grid, rate 15, mean holding 4, 20 epochs; +crash = BS 1 \
+                fail-stops at epoch 5)"
+            .into(),
+        x_label: "drop %".into(),
+        series_labels: cells
+            .iter()
+            .map(|&(delay, crashed)| {
+                if crashed {
+                    format!("{delay}+crash")
+                } else {
+                    delay.to_string()
+                }
+            })
+            .collect(),
+        rows: DROP_PCTS
+            .iter()
+            .zip(&losses)
+            .map(|(&x, row)| TableRow {
+                x,
+                values: row.iter().map(|s| Stat::from_samples(s)).collect(),
+            })
+            .collect(),
+    })
+}
+
 /// Runs every paper figure (not the ablations) and returns the tables in
 /// figure order.
 ///
@@ -494,6 +576,18 @@ mod tests {
     }
 
     #[test]
+    fn ablation_interference_layout() {
+        let t = ablation_interference(&tiny()).unwrap();
+        assert_eq!(t.rows.len(), UE_COUNTS.len());
+        assert_eq!(
+            t.series_labels,
+            vec!["noise-only", "load-proportional (1%)"]
+        );
+        assert!((t.rows[0].x - 400.0).abs() < 1e-12);
+        assert!(t.rows.iter().all(|r| r.values.iter().all(|v| v.mean > 0.0)));
+    }
+
+    #[test]
     fn online_comparison_layout() {
         let t = online_comparison(&tiny()).unwrap();
         assert_eq!(t.rows.len(), 4);
@@ -501,6 +595,34 @@ mod tests {
         // Profit grows with offered load for every algorithm.
         for col in 0..3 {
             assert!(t.rows[3].values[col].mean > t.rows[0].values[col].mean);
+        }
+    }
+
+    #[test]
+    fn proto_degradation_stays_within_the_loss_bound() {
+        let t = proto_degradation(&ExperimentOptions::quick()).unwrap();
+        assert_eq!(t.rows.len(), 3);
+        assert_eq!(
+            t.series_labels,
+            vec![
+                "immediate",
+                "immediate+crash",
+                "fixed:1",
+                "fixed:1+crash",
+                "random:2",
+                "random:2+crash"
+            ]
+        );
+        // Reliable, immediate, crash-free delivery reproduces the
+        // oracle's profit exactly, in every replication.
+        assert_eq!(t.rows[0].values[0].mean, 0.0);
+        assert_eq!(t.rows[0].values[0].std_dev, 0.0);
+        // A quarter of all messages lost plus a crashed BS may cost
+        // profit, but no cell collapses past 60% of the oracle's.
+        for row in &t.rows {
+            for (label, v) in t.series_labels.iter().zip(&row.values) {
+                assert!(v.mean <= 60.0, "drop {}%, {label}: {v}", row.x);
+            }
         }
     }
 

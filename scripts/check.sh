@@ -30,7 +30,8 @@ cargo build -q -p dmra-cli
 record="$(mktemp /tmp/dmra-smoke-XXXXXX.jsonl)"
 stderr_log="$(mktemp /tmp/dmra-smoke-XXXXXX.log)"
 proto_record="$(mktemp /tmp/dmra-smoke-proto-XXXXXX.jsonl)"
-trap 'rm -f "$record" "$stderr_log" "$proto_record"' EXIT
+figures_dir="$(mktemp -d /tmp/dmra-figures-XXXXXX)"
+trap 'rm -f "$record" "$stderr_log" "$proto_record"; rm -rf "$figures_dir"' EXIT
 ./target/debug/dmra dynamic --rate 120 --epochs 8000 \
     --record "$record" --metrics-addr 127.0.0.1:0 \
     >/dev/null 2>"$stderr_log" &
@@ -80,14 +81,26 @@ grep -q '"proto_dropped":' "$proto_record" || { echo "proto epochs carry no degr
 grep -q '"oracle_profit_gap":' "$proto_record" || { echo "proto epochs carry no oracle gap" >&2; exit 1; }
 echo "proto-engine smoke OK ($(wc -l <"$proto_record") records)"
 
+# Figures smoke: an experiment job writes its CSV, and an unknown job
+# fails instead of being skipped.
+cargo build -q --release -p dmra-bench
+figures="$PWD/target/release/figures"
+(cd "$figures_dir" && "$figures" --quick --quiet proto_degradation)
+[[ -s "$figures_dir/results/proto_degradation.csv" ]] || { echo "figures proto_degradation wrote no CSV" >&2; exit 1; }
+if (cd "$figures_dir" && "$figures" --quiet no_such_job 2>/dev/null); then
+    echo "figures accepted an unknown job" >&2; exit 1
+fi
+echo "figures smoke OK (proto_degradation CSV written, unknown job rejected)"
+
 # Repository benchmark: `perfbench/` is a workspace of its own, so the
 # workspace build and tests above never compile it. Build and unit-test
 # it here, then run every workload for one second and require the
 # correctness gate to pass: outcomes must match the golden table and no
-# epoch may fail its checks.
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# epoch may fail its checks. `--locked` fails the gate when a dependency
+# change would rewrite perfbench/Cargo.lock instead of editing it.
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 for workload in paper_arrivals paper_mobility metro_mobility; do
-    line="$(cargo run -q --offline --release --manifest-path perfbench/Cargo.toml -- \
+    line="$(cargo run -q --offline --locked --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1)"
     grep -q '"golden": "match"' <<<"$line" || { echo "perfbench $workload: golden mismatch: $line" >&2; exit 1; }
     grep -q '"failed": 0[,}]' <<<"$line" || { echo "perfbench $workload: failed epochs: $line" >&2; exit 1; }
