@@ -23,8 +23,20 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
+/// The flags `figures` accepts; any other argument starting with `-` is
+/// an error, so a mistyped `--quick` cannot fall back to the paper-scale
+/// settings.
+const FLAGS: [&str; 4] = ["--quick", "--quiet", "--verbose", "-v"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| a.starts_with('-') && !FLAGS.contains(&a.as_str()))
+    {
+        obs_error!("unknown flag '{unknown}' (accepted: {})", FLAGS.join(", "));
+        std::process::exit(1);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     if args.iter().any(|a| a == "--quiet") {
         dmra_obs::set_level(Level::Warn);

@@ -30,11 +30,11 @@ pub fn help_text() -> String {
      \t--rho X        Eq. (17) weight             (default 100)\n\
      \t--placement P  regular | random            (default regular)\n\
      \t--algo A       dmra|dcsp|nonco|greedy|random|cloud|all (default all)\n\
-     \t--threads N    worker threads (0 = auto; or set DMRA_THREADS)\n\
      sweep     profit vs #UEs table (DMRA, DCSP, NonCo)\n\
      \t--seed S --iota X --placement P --reps R   (defaults 42, 2.0, regular, 3)\n\
      \t--format F     markdown | csv              (default markdown)\n\
-     \t--threads N    worker threads (0 = auto; results are identical)\n\
+     \t--threads N    worker threads (0 = auto; or set DMRA_THREADS;\n\
+     \t               results are identical)\n\
      protocol  decentralized execution statistics\n\
      \t--ues N --seed S --drop PCT                (defaults 400, 42, 0)\n\
      \t--delay D      immediate | fixed:N | random:MAX (default immediate)\n\
@@ -80,12 +80,16 @@ pub fn help_text() -> String {
         .to_owned()
 }
 
-/// A command's implementation: returns the text to print.
-type Command = fn(&ParsedArgs) -> Result<String, ArgError>;
+/// A parsed command, ready to run: returns the text to print.
+type Run = Box<dyn FnOnce() -> Result<String, ArgError>>;
+
+/// A command's parse step: checks every option value and returns the run.
+type Command = fn(&ParsedArgs) -> Result<Run, ArgError>;
 
 /// Every command with the options it accepts. [`dispatch`] checks a
-/// command line against this table before any global option acts, so a
-/// rejected command line opens, truncates and binds nothing.
+/// command line against this table, and lets the command parse its
+/// option values, before any global option acts, so a rejected command
+/// line opens, truncates, binds and writes nothing.
 const COMMANDS: &[(&str, Command, &[&str])] = &[
     (
         "run",
@@ -97,11 +101,8 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "rho",
             "placement",
             "algo",
-            "threads",
             "log-level",
             "trace-out",
-            "record",
-            "sample-every",
             "metrics-addr",
         ],
     ),
@@ -193,14 +194,15 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "log-level",
         ],
     ),
-    ("help", |_| Ok(help_text()), &["log-level"]),
+    ("help", |_| Ok(Box::new(|| Ok(help_text()))), &["log-level"]),
 ];
 
 /// Dispatches a parsed command line to its implementation, handling the
 /// global observability surface: `--quiet` / `-v` / `--log-level` set the
 /// logging facade's level, and `--trace-out PATH` enables telemetry for
 /// the run, writes the trace JSON, and appends the human report table to
-/// the command's output.
+/// the command's output. Every option name and value is checked first;
+/// `--metrics-addr`, `--record` and `--trace-out` act only after that.
 ///
 /// # Errors
 ///
@@ -227,29 +229,8 @@ pub fn dispatch(parsed: &ParsedArgs) -> Result<String, ArgError> {
         return Err(ArgError("--sample-every must be at least 1".into()));
     }
     let metrics_addr = parsed.get("metrics-addr");
-    if trace_out.is_some() || record_out.is_some() || metrics_addr.is_some() {
-        // Start the observed run from a clean slate so the emitted
-        // artefacts describe exactly this command.
-        dmra_obs::global().reset();
-        dmra_obs::global_trace().clear();
-        dmra_obs::set_enabled(true);
-    }
-    let recorder = match &record_out {
-        Some(path) => {
-            let recorder =
-                std::sync::Arc::new(dmra_obs::Recorder::create(path, sample_every).map_err(
-                    |e| ArgError(format!("cannot open flight record {}: {e}", path.display())),
-                )?);
-            // The process-wide slot reaches every engine — the dynamic
-            // and mobility simulators, the sweep runner and the proto
-            // round engine all fall back to it.
-            dmra_obs::set_epoch_observer(Some(
-                std::sync::Arc::clone(&recorder) as std::sync::Arc<dyn dmra_obs::EpochObserver>
-            ));
-            Some(recorder)
-        }
-        None => None,
-    };
+    let run = command(parsed)?;
+
     let server = match metrics_addr {
         Some(addr) => {
             let server = dmra_obs::MetricsServer::bind(addr)
@@ -259,7 +240,37 @@ pub fn dispatch(parsed: &ParsedArgs) -> Result<String, ArgError> {
         }
         None => None,
     };
-    let result = command(parsed);
+    let recorder = match &record_out {
+        Some(path) => match dmra_obs::Recorder::create(path, sample_every) {
+            Ok(recorder) => Some(std::sync::Arc::new(recorder)),
+            Err(e) => {
+                if let Some(server) = server {
+                    server.shutdown();
+                }
+                return Err(ArgError(format!(
+                    "cannot open flight record {}: {e}",
+                    path.display()
+                )));
+            }
+        },
+        None => None,
+    };
+    if trace_out.is_some() || recorder.is_some() || server.is_some() {
+        // Start the observed run from a clean slate so the emitted
+        // artefacts describe exactly this command.
+        dmra_obs::global().reset();
+        dmra_obs::global_trace().clear();
+        dmra_obs::set_enabled(true);
+    }
+    if let Some(recorder) = &recorder {
+        // The process-wide slot reaches every engine — the dynamic and
+        // mobility simulators, the sweep runner and the proto round
+        // engine all fall back to it.
+        dmra_obs::set_epoch_observer(Some(
+            std::sync::Arc::clone(recorder) as std::sync::Arc<dyn dmra_obs::EpochObserver>
+        ));
+    }
+    let result = run();
     let mut record_note = String::new();
     if let (Some(recorder), Some(path)) = (recorder, &record_out) {
         dmra_obs::set_epoch_observer(None);
@@ -345,6 +356,9 @@ fn scenario_from(parsed: &ParsedArgs) -> Result<ScenarioConfig, ArgError> {
             )))
         }
     }
+    // A value that parses but leaves the scenario invalid (`--iota 0.5`)
+    // is rejected here too, before any global option acts.
+    cfg.validate().map_err(|e| ArgError(e.to_string()))?;
     Ok(cfg)
 }
 
@@ -382,46 +396,48 @@ fn algorithms(selector: &str, seed: u64, rho: f64) -> Result<Vec<Box<dyn Allocat
     })
 }
 
-fn cmd_run(parsed: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_run(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let seed = parsed.get_or("seed", 42u64)?;
     let rho = parsed.get_or("rho", 100.0f64)?;
-    let instance = scenario_from(parsed)?
-        .build_with_threads(threads_from(parsed)?)
-        .map_err(|e| ArgError(e.to_string()))?;
-    let mut out = format!(
-        "{} SPs, {} BSs, {} UEs, {} services\n\n{:<14} {:>12} {:>8} {:>8} {:>9} {:>9}\n",
-        instance.n_sps(),
-        instance.n_bss(),
-        instance.n_ues(),
-        instance.catalog().len(),
-        "algorithm",
-        "profit",
-        "served",
-        "cloud",
-        "same-SP%",
-        "RRB-util%"
-    );
-    for algo in algorithms(parsed.get("algo").unwrap_or("all"), seed, rho)? {
-        obs_debug!("running allocator {}", algo.name());
-        let allocation = algo.allocate(&instance);
-        allocation
-            .validate(&instance)
-            .map_err(|e| ArgError(format!("{}: {e}", algo.name())))?;
-        let m = Metrics::compute(&instance, &allocation);
-        out.push_str(&format!(
-            "{:<14} {:>12.1} {:>8} {:>8} {:>9.1} {:>9.1}\n",
-            algo.name(),
-            m.total_profit.get(),
-            m.edge_served,
-            m.cloud_forwarded,
-            m.same_sp_fraction * 100.0,
-            m.rrb_utilization * 100.0
-        ));
-    }
-    Ok(out)
+    let scenario = scenario_from(parsed)?;
+    let algos = algorithms(parsed.get("algo").unwrap_or("all"), seed, rho)?;
+    Ok(Box::new(move || {
+        let instance = scenario.build().map_err(|e| ArgError(e.to_string()))?;
+        let mut out = format!(
+            "{} SPs, {} BSs, {} UEs, {} services\n\n{:<14} {:>12} {:>8} {:>8} {:>9} {:>9}\n",
+            instance.n_sps(),
+            instance.n_bss(),
+            instance.n_ues(),
+            instance.catalog().len(),
+            "algorithm",
+            "profit",
+            "served",
+            "cloud",
+            "same-SP%",
+            "RRB-util%"
+        );
+        for algo in algos {
+            obs_debug!("running allocator {}", algo.name());
+            let allocation = algo.allocate(&instance);
+            allocation
+                .validate(&instance)
+                .map_err(|e| ArgError(format!("{}: {e}", algo.name())))?;
+            let m = Metrics::compute(&instance, &allocation);
+            out.push_str(&format!(
+                "{:<14} {:>12.1} {:>8} {:>8} {:>9.1} {:>9.1}\n",
+                algo.name(),
+                m.total_profit.get(),
+                m.edge_served,
+                m.cloud_forwarded,
+                m.same_sp_fraction * 100.0,
+                m.rrb_utilization * 100.0
+            ));
+        }
+        Ok(out)
+    }))
 }
 
-fn cmd_sweep(parsed: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_sweep(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let base = scenario_from(parsed)?;
     let reps = parsed.get_or("reps", 3u32)?;
     if reps == 0 {
@@ -429,24 +445,33 @@ fn cmd_sweep(parsed: &ParsedArgs) -> Result<String, ArgError> {
     }
     let runner =
         SweepRunner::new(reps, parsed.get_or("seed", 42u64)?).with_threads(threads_from(parsed)?);
-    let points: Vec<(f64, ScenarioConfig)> = dmra_sim::experiments::UE_COUNTS
-        .iter()
-        .map(|&n| (n as f64, base.clone().with_ues(n)))
-        .collect();
-    let dmra = Dmra::default();
-    let dcsp = Dcsp::default();
-    let nonco = NonCo::default();
-    let algos: Vec<&dyn Allocator> = vec![&dmra, &dcsp, &nonco];
-    let table = runner
-        .run_profit("Total SP profit vs number of UEs", "#UEs", &points, &algos)
-        .map_err(|e| ArgError(e.to_string()))?;
-    match parsed.get("format").unwrap_or("markdown") {
-        "markdown" => Ok(table.to_markdown()),
-        "csv" => Ok(table.to_csv()),
-        other => Err(ArgError(format!(
-            "--format must be 'markdown' or 'csv', got '{other}'"
-        ))),
-    }
+    let csv = match parsed.get("format").unwrap_or("markdown") {
+        "markdown" => false,
+        "csv" => true,
+        other => {
+            return Err(ArgError(format!(
+                "--format must be 'markdown' or 'csv', got '{other}'"
+            )))
+        }
+    };
+    Ok(Box::new(move || {
+        let points: Vec<(f64, ScenarioConfig)> = dmra_sim::experiments::UE_COUNTS
+            .iter()
+            .map(|&n| (n as f64, base.clone().with_ues(n)))
+            .collect();
+        let dmra = Dmra::default();
+        let dcsp = Dcsp::default();
+        let nonco = NonCo::default();
+        let algos: Vec<&dyn Allocator> = vec![&dmra, &dcsp, &nonco];
+        let table = runner
+            .run_profit("Total SP profit vs number of UEs", "#UEs", &points, &algos)
+            .map_err(|e| ArgError(e.to_string()))?;
+        Ok(if csv {
+            table.to_csv()
+        } else {
+            table.to_markdown()
+        })
+    }))
 }
 
 /// Parses a `--drop PCT` percentage into a probability in `[0, 1)`.
@@ -494,55 +519,57 @@ fn crash_spec(parsed: &ParsedArgs, n_bss: usize) -> Result<Vec<(BsId, usize)>, A
     Ok(crashes)
 }
 
-fn cmd_protocol(parsed: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_protocol(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let drop_prob = drop_probability(parsed)?;
     let seed = parsed.get_or("seed", 42u64)?;
     let rho = parsed.get_or("rho", 100.0f64)?;
     let mut cfg = scenario_from(parsed)?;
     cfg.n_ues = parsed.get_or("ues", 400usize)?;
-    let instance = cfg.build().map_err(|e| ArgError(e.to_string()))?;
     let policy = if drop_prob > 0.0 {
         DropPolicy::new(drop_prob, seed)
     } else {
         DropPolicy::reliable()
     };
     let delay = delay_spec(parsed)?;
-    let crashed_bss = crash_spec(parsed, instance.n_bss())?;
-    let defaults = ProtocolOptions::default();
-    let out = run_protocol(
-        &instance,
-        &DmraConfig::paper_defaults().with_rho(rho),
-        ProtocolOptions {
-            drop_policy: policy,
-            delay: delay.to_model(seed),
-            crashed_bss,
-            // Widen the grace by the delay bound so a maximally-delayed
-            // retry still counts as activity (same rule as the dynamic
-            // proto engine).
-            quiescence_grace: defaults.quiescence_grace + delay.extra_bound() as usize,
-            ..defaults
-        },
-    )
-    .map_err(|e| ArgError(e.to_string()))?;
-    let mut text = format!(
-        "rounds:    {}\nmessages:  {} ({} dropped, {} absorbed by crash, {} bytes)\n",
-        out.stats.rounds,
-        out.stats.messages_sent,
-        out.stats.messages_dropped,
-        out.stats.absorbed_by_crash,
-        out.stats.bytes_sent
-    );
-    for (kind, count) in &out.stats.by_kind {
-        text.push_str(&format!("  {kind:<18} {count}\n"));
-    }
-    text.push_str(&format!(
-        "served:    {} of {}\nprofit:    {:.1}\nconflicts: {}\n",
-        out.allocation.edge_served(),
-        instance.n_ues(),
-        instance.total_profit(&out.allocation).get(),
-        out.conflicting_accepts
-    ));
-    Ok(text)
+    let crashed_bss = crash_spec(parsed, cfg.n_bss() as usize)?;
+    Ok(Box::new(move || {
+        let instance = cfg.build().map_err(|e| ArgError(e.to_string()))?;
+        let defaults = ProtocolOptions::default();
+        let out = run_protocol(
+            &instance,
+            &DmraConfig::paper_defaults().with_rho(rho),
+            ProtocolOptions {
+                drop_policy: policy,
+                delay: delay.to_model(seed),
+                crashed_bss,
+                // Widen the grace by the delay bound so a maximally-delayed
+                // retry still counts as activity (same rule as the dynamic
+                // proto engine).
+                quiescence_grace: defaults.quiescence_grace + delay.extra_bound() as usize,
+                ..defaults
+            },
+        )
+        .map_err(|e| ArgError(e.to_string()))?;
+        let mut text = format!(
+            "rounds:    {}\nmessages:  {} ({} dropped, {} absorbed by crash, {} bytes)\n",
+            out.stats.rounds,
+            out.stats.messages_sent,
+            out.stats.messages_dropped,
+            out.stats.absorbed_by_crash,
+            out.stats.bytes_sent
+        );
+        for (kind, count) in &out.stats.by_kind {
+            text.push_str(&format!("  {kind:<18} {count}\n"));
+        }
+        text.push_str(&format!(
+            "served:    {} of {}\nprofit:    {:.1}\nconflicts: {}\n",
+            out.allocation.edge_served(),
+            instance.n_ues(),
+            instance.total_profit(&out.allocation).get(),
+            out.conflicting_accepts
+        ));
+        Ok(text)
+    }))
 }
 
 /// Parses the fault-injection flags for `dynamic`; they only make sense
@@ -566,7 +593,7 @@ fn proto_fault_spec(parsed: &ParsedArgs, n_bss: usize) -> Result<ProtoFaults, Ar
     })
 }
 
-fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_dynamic(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let (holding, mean_holding) = parse_holding(parsed.get("holding").unwrap_or("5"))?;
     let config = DynamicConfig {
         scenario: scenario_from(parsed)?,
@@ -576,40 +603,47 @@ fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
         epochs: parsed.get_or("epochs", 50usize)?,
         seed: parsed.get_or("seed", 42u64)?,
     };
-    obs_debug!(
-        "dynamic: rate {} holding {}:{} epochs {}",
-        config.arrival_rate,
-        config.holding,
-        config.mean_holding,
-        config.epochs
-    );
-    let n_bss = config.scenario.n_bss() as usize;
-    let simulator = DynamicSimulator::new(config);
-    let faults = proto_fault_spec(parsed, n_bss)?;
+    config.validate().map_err(|e| ArgError(e.to_string()))?;
+    let faults = proto_fault_spec(parsed, config.scenario.n_bss() as usize)?;
     // Both engines are bit-identical under proto's default fault-free
     // spec; `proto` computes each epoch's matching by message-passing
     // agents and is the only engine taking --drop/--delay/--crash.
-    let out = match parsed.get("engine").unwrap_or("incremental") {
-        "incremental" => simulator.run(),
-        "proto" => simulator.run_proto(&faults),
+    let proto = match parsed.get("engine").unwrap_or("incremental") {
+        "incremental" => false,
+        "proto" => true,
         other => {
             return Err(ArgError(format!(
                 "--engine must be 'incremental' or 'proto', got '{other}'"
             )))
         }
-    }
-    .map_err(|e| ArgError(e.to_string()))?;
-    Ok(format!(
-        "arrivals:          {}\nadmitted:          {} ({:.1}%)\ncloud forwarded:   {}\n\
-         completed:         {}\ntotal profit:      {:.1}\nsteady-state RRB:  {:.1}%\n",
-        out.arrivals,
-        out.admitted,
-        out.admission_ratio() * 100.0,
-        out.cloud_forwarded,
-        out.completed,
-        out.total_profit.get(),
-        out.steady_state_occupancy() * 100.0
-    ))
+    };
+    Ok(Box::new(move || {
+        obs_debug!(
+            "dynamic: rate {} holding {}:{} epochs {}",
+            config.arrival_rate,
+            config.holding,
+            config.mean_holding,
+            config.epochs
+        );
+        let simulator = DynamicSimulator::new(config);
+        let out = if proto {
+            simulator.run_proto(&faults)
+        } else {
+            simulator.run()
+        }
+        .map_err(|e| ArgError(e.to_string()))?;
+        Ok(format!(
+            "arrivals:          {}\nadmitted:          {} ({:.1}%)\ncloud forwarded:   {}\n\
+             completed:         {}\ntotal profit:      {:.1}\nsteady-state RRB:  {:.1}%\n",
+            out.arrivals,
+            out.admitted,
+            out.admission_ratio() * 100.0,
+            out.cloud_forwarded,
+            out.completed,
+            out.total_profit.get(),
+            out.steady_state_occupancy() * 100.0
+        ))
+    }))
 }
 
 /// Parses the `--holding` argument. Three accepted shapes:
@@ -640,7 +674,7 @@ fn parse_holding(raw: &str) -> Result<(HoldingDistribution, f64), ArgError> {
     Ok((dist, mean))
 }
 
-fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_mobility(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let speed = parsed.get_or("speed", 5.0f64)?;
     if speed < 0.0 {
         return Err(ArgError("--speed must be non-negative".into()));
@@ -656,6 +690,12 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
             )))
         }
     };
+    let stationary = parsed.get_or("stationary", 0.0f64)?;
+    if !(0.0..=1.0).contains(&stationary) {
+        return Err(ArgError(format!(
+            "--stationary must be a fraction in [0, 1], got {stationary}"
+        )));
+    }
     let config = MobilityConfig {
         scenario,
         speed_mps: (speed, speed),
@@ -663,23 +703,25 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
         epochs: parsed.get_or("epochs", 30usize)?,
         seed: parsed.get_or("seed", 42u64)?,
         policy,
-        stationary_fraction: parsed.get_or("stationary", 0.0f64)?,
+        stationary_fraction: stationary,
     };
-    let out = MobilitySimulator::new(config)
-        .run()
-        .map_err(|e| ArgError(e.to_string()))?;
-    let served_last = out.served_timeline.last().copied().unwrap_or(0);
-    Ok(format!(
-        "handovers:       {}\nhandover rate:   {:.4} per served-UE-epoch\n\
-         drops:           {}\nrecoveries:      {}\nserved (final):  {served_last}\n",
-        out.handovers,
-        out.handover_rate(),
-        out.drops,
-        out.recoveries
-    ))
+    Ok(Box::new(move || {
+        let out = MobilitySimulator::new(config)
+            .run()
+            .map_err(|e| ArgError(e.to_string()))?;
+        let served_last = out.served_timeline.last().copied().unwrap_or(0);
+        Ok(format!(
+            "handovers:       {}\nhandover rate:   {:.4} per served-UE-epoch\n\
+             drops:           {}\nrecoveries:      {}\nserved (final):  {served_last}\n",
+            out.handovers,
+            out.handover_rate(),
+            out.drops,
+            out.recoveries
+        ))
+    }))
 }
 
-fn cmd_plan(parsed: &ParsedArgs) -> Result<String, ArgError> {
+fn cmd_plan(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let rate = parsed.get_or("rate", 100.0f64)?;
     let holding = parsed.get_or("holding", 5.0f64)?;
     let target_pct = parsed.get_or("target", 2.0f64)?;
@@ -687,19 +729,22 @@ fn cmd_plan(parsed: &ParsedArgs) -> Result<String, ArgError> {
         return Err(ArgError("--target must be a percentage in (0, 100]".into()));
     }
     let scenario = scenario_from(parsed)?;
-    let model = TrunkModel::estimate(&scenario, 400, parsed.get_or("seed", 42u64)?)
-        .map_err(|e| ArgError(e.to_string()))?;
-    let offered = rate * holding;
-    let blocking = model.predicted_blocking(rate, holding);
-    let needed = dmra_sim::erlang::servers_for_blocking(offered, target_pct / 100.0);
-    Ok(format!(
-        "trunk model:        {} effective servers ({:.2} RRBs/task)\n\
-         offered load:       {offered:.1} erlang\npredicted blocking: {:.2}%\n\
-         servers needed for {target_pct}% blocking: {needed}\n",
-        model.servers,
-        model.mean_rrbs_per_task,
-        blocking * 100.0
-    ))
+    let seed = parsed.get_or("seed", 42u64)?;
+    Ok(Box::new(move || {
+        let model =
+            TrunkModel::estimate(&scenario, 400, seed).map_err(|e| ArgError(e.to_string()))?;
+        let offered = rate * holding;
+        let blocking = model.predicted_blocking(rate, holding);
+        let needed = dmra_sim::erlang::servers_for_blocking(offered, target_pct / 100.0);
+        Ok(format!(
+            "trunk model:        {} effective servers ({:.2} RRBs/task)\n\
+             offered load:       {offered:.1} erlang\npredicted blocking: {:.2}%\n\
+             servers needed for {target_pct}% blocking: {needed}\n",
+            model.servers,
+            model.mean_rrbs_per_task,
+            blocking * 100.0
+        ))
+    }))
 }
 
 #[cfg(test)]
@@ -993,27 +1038,70 @@ mod tests {
 
     #[test]
     fn rejected_command_lines_touch_no_file() {
-        // The options are checked before `--record` opens (and truncates)
-        // its file or `--trace-out` writes one.
+        // Option names and values are checked before `--record` opens
+        // (and truncates) its file or `--trace-out` writes one.
         let dir = std::env::temp_dir();
         let keep = dir.join(format!("dmra-keep-{}.jsonl", std::process::id()));
         std::fs::write(&keep, "keep me\n").unwrap();
         let keep_arg = keep.to_str().unwrap();
-        let err = run(&["plan", "--record", keep_arg]).unwrap_err();
-        assert!(err.to_string().contains("unknown option --record"), "{err}");
-        let err = run(&["frobnicate", "--record", keep_arg]).unwrap_err();
-        assert!(err.to_string().contains("unknown command"), "{err}");
-        let kept = std::fs::read_to_string(&keep).unwrap();
+        for (args, needle) in [
+            (
+                &["plan", "--record", keep_arg][..],
+                "unknown option --record",
+            ),
+            (&["frobnicate", "--record", keep_arg][..], "unknown command"),
+            (
+                &["run", "--record", keep_arg][..],
+                "unknown option --record",
+            ),
+            (
+                &["run", "--ues", "many", "--record", keep_arg][..],
+                "unknown option --record",
+            ),
+            (
+                &["mobility", "--policy", "bogus", "--record", keep_arg][..],
+                "--policy",
+            ),
+            (
+                &["mobility", "--stationary", "1.5", "--record", keep_arg][..],
+                "--stationary",
+            ),
+            (
+                &["dynamic", "--iota", "0.5", "--record", keep_arg][..],
+                "markup",
+            ),
+        ] {
+            let err = run(args).unwrap_err();
+            assert!(err.to_string().contains(needle), "{args:?}: {err}");
+            let kept = std::fs::read_to_string(&keep).unwrap();
+            assert_eq!(kept, "keep me\n", "{args:?} touched the record file");
+        }
         std::fs::remove_file(&keep).ok();
-        assert_eq!(kept, "keep me\n");
 
         let trace = dir.join(format!("dmra-no-trace-{}.json", std::process::id()));
-        let err = run(&["protocol", "--trace-out", trace.to_str().unwrap()]).unwrap_err();
-        assert!(
-            err.to_string().contains("unknown option --trace-out"),
-            "{err}"
-        );
-        assert!(!trace.exists(), "{} was written", trace.display());
+        let trace_arg = trace.to_str().unwrap();
+        for (args, needle) in [
+            (
+                &["protocol", "--trace-out", trace_arg][..],
+                "unknown option --trace-out",
+            ),
+            (
+                &["dynamic", "--rate", "fast", "--trace-out", trace_arg][..],
+                "cannot parse 'fast'",
+            ),
+            (
+                &["run", "--ues", "many", "--trace-out", trace_arg][..],
+                "cannot parse 'many'",
+            ),
+            (
+                &["run", "--iota", "0.5", "--trace-out", trace_arg][..],
+                "markup",
+            ),
+        ] {
+            let err = run(args).unwrap_err();
+            assert!(err.to_string().contains(needle), "{args:?}: {err}");
+            assert!(!trace.exists(), "{args:?} wrote {}", trace.display());
+        }
     }
 
     #[test]
@@ -1032,16 +1120,16 @@ mod tests {
     }
 
     #[test]
-    fn run_output_is_identical_across_thread_counts() {
-        let serial = run(&["run", "--ues", "80", "--threads", "1"]).unwrap();
-        let par = run(&["run", "--ues", "80", "--threads", "3"]).unwrap();
-        assert_eq!(serial, par);
-    }
-
-    #[test]
     fn threads_rejects_garbage() {
-        let err = run(&["run", "--ues", "40", "--threads", "many"]).unwrap_err();
-        assert!(err.to_string().contains("cannot parse"));
+        // `--threads` sizes the sweep's fan-out, the only one left; `run`
+        // builds serially and has no such option.
+        let err = run(&["sweep", "--reps", "1", "--threads", "many"]).unwrap_err();
+        assert!(err.to_string().contains("cannot parse"), "{err}");
+        let err = run(&["run", "--ues", "40", "--threads", "2"]).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown option --threads"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! The validated, immutable problem input.
+//!
+//! [`ProblemInstance::build`] validates the deployment and the UE batch,
+//! then fills the candidate rows through the same serial row loop the
+//! online engine runs every epoch (`online.rs`), without a row cache.
+//! The two scan kernels below are that loop's only row sources: the
+//! pruned batch scan and the exhaustive scalar scan it is checked
+//! against.
 
 use dmra_econ::{PricingConfig, ProfitLedger, ProfitReport};
-use dmra_geo::GridIndex;
-use dmra_par::{par_map_indexed, par_map_indexed_scratch, Threads};
-use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator, RadioConfig};
+use dmra_radio::{LinkBatch, LinkEvaluator, RadioConfig};
 use dmra_types::{
     BitsPerSec, BsId, BsSpec, Cru, Error, Meters, Money, Result, RrbCount, ServiceCatalog, SpSpec,
     UeId, UeSpec,
@@ -11,6 +16,7 @@ use dmra_types::{
 use serde::{Deserialize, Serialize};
 
 use crate::allocation::Allocation;
+use crate::online::RowBuilder;
 
 /// When is a UE "covered" by a BS?
 ///
@@ -40,13 +46,13 @@ impl Default for CoverageModel {
 /// How candidate generation enumerates the potential serving BSs of a UE.
 ///
 /// Under [`CoverageModel::FixedRadius`] every BS farther than the radius
-/// fails the coverage check anyway, so a [`GridIndex`] radius query can
-/// skip them without evaluating a single link. The query returns indices
-/// in ascending order — the same order the exhaustive loop visits BSs —
-/// and uses the identical `distance ≤ r` predicate on the identical
-/// (symmetric, `hypot`-based) distance, so the surviving candidate rows
-/// are bit-for-bit the rows the exhaustive scan produces. The
-/// `incremental` integration tests pin this equality at paper scale.
+/// fails the coverage check anyway, so a [`dmra_geo::GridIndex`] radius
+/// query can skip them without evaluating a single link. The query
+/// returns indices in ascending order — the same order the exhaustive
+/// loop visits BSs — and uses the identical `distance ≤ r` predicate on
+/// the identical (symmetric, `hypot`-based) distance, so the surviving
+/// candidate rows are bit-for-bit the rows the exhaustive scan produces.
+/// The `incremental` integration tests pin this equality at paper scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateScan {
     /// Prune with a spatial index when the coverage model allows it
@@ -54,7 +60,8 @@ pub enum CandidateScan {
     #[default]
     Auto,
     /// Always evaluate every BS — the original O(U×B) loop, kept as the
-    /// executable specification the pruned path is compared against.
+    /// executable specification the tests compare the pruned path
+    /// against.
     Exhaustive,
 }
 
@@ -123,39 +130,6 @@ impl ProblemInstance {
         radio: RadioConfig,
         coverage: CoverageModel,
     ) -> Result<Self> {
-        Self::build_with_threads(
-            sps,
-            bss,
-            ues,
-            catalog,
-            pricing,
-            radio,
-            coverage,
-            Threads::Auto,
-        )
-    }
-
-    /// [`ProblemInstance::build`] with an explicit thread-count knob.
-    ///
-    /// The per-UE candidate rows are independent, so they are fanned out
-    /// over `threads` workers and merged back in UE-id order — the result
-    /// is bit-identical to a serial build for every thread count (the
-    /// `parallelism` integration tests enforce this).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ProblemInstance::build`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_threads(
-        sps: Vec<SpSpec>,
-        bss: Vec<BsSpec>,
-        ues: Vec<UeSpec>,
-        catalog: ServiceCatalog,
-        pricing: PricingConfig,
-        radio: RadioConfig,
-        coverage: CoverageModel,
-        threads: Threads,
-    ) -> Result<Self> {
         Self::build_with_scan(
             sps,
             bss,
@@ -164,15 +138,13 @@ impl ProblemInstance {
             pricing,
             radio,
             coverage,
-            threads,
             CandidateScan::Auto,
         )
     }
 
-    /// [`ProblemInstance::build_with_threads`] with an explicit
-    /// [`CandidateScan`] knob, letting tests and benchmarks force the
-    /// exhaustive O(U×B) scan that [`CandidateScan::Auto`] prunes away
-    /// under a fixed coverage radius.
+    /// [`ProblemInstance::build`] with an explicit [`CandidateScan`]
+    /// knob, letting tests force the exhaustive O(U×B) scan that
+    /// [`CandidateScan::Auto`] prunes away under a fixed coverage radius.
     ///
     /// # Errors
     ///
@@ -186,7 +158,6 @@ impl ProblemInstance {
         pricing: PricingConfig,
         radio: RadioConfig,
         coverage: CoverageModel,
-        threads: Threads,
         scan: CandidateScan,
     ) -> Result<Self> {
         if sps.is_empty() {
@@ -222,79 +193,7 @@ impl ProblemInstance {
         validate_ues(&ues, sps.len(), catalog)?;
         pricing.validate()?;
 
-        let evaluator = LinkEvaluator::new(radio);
-
-        // Aggregate received power per BS, for the load-proportional
-        // interference model (zero under noise-only).
-        let interference_factor = match radio.interference {
-            InterferenceModel::NoiseOnly => 0.0,
-            InterferenceModel::LoadProportional { factor } => factor,
-        };
-        // Fan-out threshold of the aggregate-power pass: below this many
-        // UE×BS items the work is too small for thread spawns to pay off,
-        // so the pass stays serial.
-        const PAR_MIN_ITEMS: usize = 32;
-        let rx_threads = if ues.len() * bss.len() >= PAR_MIN_ITEMS * PAR_MIN_ITEMS {
-            threads
-        } else {
-            Threads::serial()
-        };
-        let total_rx_mw: Vec<f64> = if interference_factor > 0.0 {
-            // Each BS's aggregate sums over the UEs in id order, so the
-            // floating-point result is independent of the worker count.
-            par_map_indexed(rx_threads, bss.len(), |b| {
-                let bs = &bss[b];
-                ues.iter()
-                    .map(|ue| evaluator.rx_power_mw(ue.tx_power, ue.position, bs.position))
-                    .sum()
-            })
-        } else {
-            vec![0.0; bss.len()]
-        };
-
-        // Candidate rows are per-UE independent: compute them in parallel,
-        // then merge serially in UE-id order so the flattened rows and the
-        // max-distance fold come out exactly as in a serial build. Only
-        // populations of at least `PAR_MIN_ROWS` UEs fan out.
-        let row_threads = if ues.len() >= PAR_MIN_ROWS {
-            threads
-        } else {
-            Threads::serial()
-        };
-        let prune = coverage_prune_index(&bss, coverage, scan);
-        let rows: Vec<(Vec<CandidateLink>, Meters)> =
-            par_map_indexed_scratch(row_threads, ues.len(), RowScratch::default, |scratch, u| {
-                candidate_row(
-                    &ues[u],
-                    &bss,
-                    &evaluator,
-                    interference_factor,
-                    &total_rx_mw,
-                    coverage,
-                    &pricing,
-                    prune.as_ref(),
-                    scratch,
-                )
-            });
-
-        let mut links: Vec<CandidateLink> = Vec::new();
-        let mut row_start: Vec<usize> = Vec::with_capacity(ues.len() + 1);
-        row_start.push(0);
-        let mut f_u: Vec<u32> = Vec::with_capacity(ues.len());
-        let mut max_candidate_distance = Meters::new(0.0);
-        for (row, row_max) in rows {
-            if row_max > max_candidate_distance {
-                max_candidate_distance = row_max;
-            }
-            f_u.push(row.len() as u32);
-            links.extend(row);
-            row_start.push(links.len());
-        }
-
-        // Constraint (16) must hold for every reachable price.
-        pricing.validate_margin(&sps, max_candidate_distance)?;
-
-        Ok(Self {
+        let mut instance = Self {
             sps,
             bss,
             ues,
@@ -302,10 +201,16 @@ impl ProblemInstance {
             pricing,
             radio,
             coverage,
-            links,
-            row_start,
-            f_u,
-        })
+            links: Vec::new(),
+            row_start: Vec::new(),
+            f_u: Vec::new(),
+        };
+        let max_candidate_distance = RowBuilder::new(&instance, scan).build_once(&mut instance);
+        // Constraint (16) must hold for every reachable price.
+        instance
+            .pricing
+            .validate_margin(&instance.sps, max_candidate_distance)?;
+        Ok(instance)
     }
 
     /// The service providers, ordered by id.
@@ -489,14 +394,12 @@ impl ProblemInstance {
         rem_rrb: &[RrbCount],
         ues: Vec<UeSpec>,
     ) -> Result<ProblemInstance> {
-        self.residual_with(rem_cru, rem_rrb, ues, Threads::Auto, CandidateScan::Auto)
+        self.residual_with(rem_cru, rem_rrb, ues, CandidateScan::Auto)
     }
 
-    /// [`ProblemInstance::residual`] with explicit thread-count and
-    /// candidate-scan knobs. The scratch online engine uses this to pin
-    /// down its baseline exactly (serial or fixed-width exhaustive
-    /// rebuilds), and the equality tests sweep both knobs to prove the
-    /// incremental engine bit-identical to every configuration.
+    /// [`ProblemInstance::residual`] with an explicit candidate-scan
+    /// knob. The scratch engines pass [`CandidateScan::Exhaustive`], the
+    /// baseline the incremental engines are proven bit-identical to.
     ///
     /// # Errors
     ///
@@ -506,7 +409,6 @@ impl ProblemInstance {
         rem_cru: &[Vec<Cru>],
         rem_rrb: &[RrbCount],
         ues: Vec<UeSpec>,
-        threads: Threads,
         scan: CandidateScan,
     ) -> Result<ProblemInstance> {
         if rem_cru.len() != self.bss.len() || rem_rrb.len() != self.bss.len() {
@@ -536,7 +438,6 @@ impl ProblemInstance {
             self.pricing,
             self.radio,
             self.coverage,
-            threads,
             scan,
         )
     }
@@ -555,12 +456,6 @@ impl ProblemInstance {
         rem
     }
 }
-
-/// Populations below this many UEs build their candidate rows serially in
-/// [`ProblemInstance::build_with_threads`]: waking an idle core costs
-/// about as much as a paper-scale (2 000-UE) build saves by fanning out,
-/// while metro-scale builds still gain (DESIGN.md §8).
-const PAR_MIN_ROWS: usize = 4096;
 
 /// Validates one batch of UEs against the deployment (dense ids, known SP,
 /// known service) — shared between the static build and the online
@@ -583,99 +478,17 @@ pub(crate) fn validate_ues(ues: &[UeSpec], n_sps: usize, catalog: ServiceCatalog
     Ok(())
 }
 
-/// Builds the spatial prune index for candidate generation, when the scan
-/// mode and coverage model allow one: a [`GridIndex`] over the BS sites
-/// with the coverage radius as both cell size and query radius.
-pub(crate) fn coverage_prune_index(
-    bss: &[BsSpec],
-    coverage: CoverageModel,
-    scan: CandidateScan,
-) -> Option<(GridIndex, Meters)> {
-    match (scan, coverage) {
-        (CandidateScan::Auto, CoverageModel::FixedRadius(r)) if r.get() > 0.0 && r.is_finite() => {
-            let sites: Vec<_> = bss.iter().map(|b| b.position).collect();
-            Some((GridIndex::build(&sites, r), r))
-        }
-        _ => None,
-    }
-}
-
-/// Reusable per-worker scratch for candidate-row generation: the pruning
-/// query's hit list and the batch kernel's structure-of-arrays buffers.
-/// One lives on each fan-out worker (via [`par_map_indexed_scratch`]), so
-/// a build allocates only up to its high-water candidate count instead of
-/// once per UE.
-#[derive(Debug, Default)]
-struct RowScratch {
-    nearby: Vec<(usize, Meters)>,
-    batch: LinkBatch,
-}
-
-/// Computes one UE's candidate links (in BS-id order) and the largest
-/// candidate distance in the row. Pure function of its arguments (the
-/// scratch is overwritten before use) — the parallel build relies on that
-/// for bit-identical fan-out.
-#[allow(clippy::too_many_arguments)]
-fn candidate_row(
-    ue: &UeSpec,
-    bss: &[BsSpec],
-    evaluator: &LinkEvaluator,
-    interference_factor: f64,
-    total_rx_mw: &[f64],
-    coverage: CoverageModel,
-    pricing: &PricingConfig,
-    prune: Option<&(GridIndex, Meters)>,
-    scratch: &mut RowScratch,
-) -> (Vec<CandidateLink>, Meters) {
-    let mut links = Vec::new();
-    let row_max = match prune {
-        Some((index, r)) => {
-            index.query_within_dist_into(ue.position, *r, &mut scratch.nearby);
-            scan_candidate_row_batch(
-                ue,
-                bss,
-                &scratch.nearby,
-                evaluator,
-                interference_factor,
-                total_rx_mw,
-                coverage,
-                pricing,
-                &mut scratch.batch,
-                &mut links,
-            )
-        }
-        None => scan_candidate_row(
-            ue,
-            bss,
-            (0..bss.len()).map(|b| (b, None)),
-            evaluator,
-            interference_factor,
-            total_rx_mw,
-            coverage,
-            pricing,
-            &mut links,
-        ),
-    };
-    (links, row_max)
-}
-
-/// Appends one UE's candidate links over the given BS indices to `out`
-/// (the indices must be ascending so the row comes out sorted by BS id)
-/// and returns the largest accepted candidate distance.
-///
-/// This is the single scan kernel behind the static build (exhaustive or
-/// pruned) and the online engine's in-place epoch rebuild. Each index may
-/// carry the already-computed UE–BS distance (a pruning query measures it
-/// while filtering); the evaluator then skips its own `hypot`, which is
-/// bit-identical because the query uses the same `Point::distance`. When
-/// `interference_factor` is zero the per-BS own-received-power lookup is
-/// skipped entirely: the interference term is `factor × (total − own)⁺`,
-/// which is exactly `0.0` either way, so the skip is bit-identical.
+/// Appends one UE's candidate links over every BS, in BS-id order, to
+/// `out` and returns the largest accepted candidate distance — the
+/// exhaustive O(U×B) scan, kept as the oracle the pruned batch rows are
+/// compared against. When `interference_factor` is zero the per-BS
+/// own-received-power lookup is skipped entirely: the interference term
+/// is `factor × (total − own)⁺`, which is exactly `0.0` either way, so the
+/// skip is bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_candidate_row(
     ue: &UeSpec,
     bss: &[BsSpec],
-    bs_indices: impl Iterator<Item = (usize, Option<Meters>)>,
     evaluator: &LinkEvaluator,
     interference_factor: f64,
     total_rx_mw: &[f64],
@@ -684,8 +497,7 @@ pub(crate) fn scan_candidate_row(
     out: &mut Vec<CandidateLink>,
 ) -> Meters {
     let mut row_max = Meters::new(0.0);
-    for (b, known_distance) in bs_indices {
-        let bs = &bss[b];
+    for bs in bss {
         if !bs.hosts(ue.service) {
             continue;
         }
@@ -695,7 +507,7 @@ pub(crate) fn scan_candidate_row(
         } else {
             0.0
         };
-        let distance = known_distance.unwrap_or_else(|| ue.position.distance(bs.position));
+        let distance = ue.position.distance(bs.position);
         let metrics = evaluator.evaluate_at_distance(
             ue.tx_power,
             ue.position,

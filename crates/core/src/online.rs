@@ -22,18 +22,21 @@
 //!   epoch's) and patches only the BSs that differ; with the row cache
 //!   on, the same pass stamps the cache whenever one of them differs.
 //!
-//! The result is pinned **bit-identical** to the rebuild-from-scratch
-//! path ([`ProblemInstance::residual`]) by the `incremental` integration
-//! tests: identical candidate rows, identical allocations, identical
-//! simulated outcomes for every allocator, seed and thread count.
+//! The rows themselves come from this module's one candidate-row loop
+//! (`RowBuilder`), which [`ProblemInstance::build`] also runs, once and
+//! without a cache: the same scan kernels in the same order, so an epoch
+//! instance is pinned **bit-identical** to the rebuild-from-scratch path
+//! ([`ProblemInstance::residual`]) by the `incremental` integration
+//! tests — identical candidate rows, identical allocations, identical
+//! simulated outcomes for every allocator and seed.
 //!
 //! Two hot-path accelerators sit on top (both bit-identical, both pinned
 //! by the same test pattern):
 //!
 //! * pruned candidate rows run through the structure-of-arrays
-//!   [`LinkEvaluator::evaluate_batch`] kernel. The rebuild is one serial
-//!   loop at every batch size: on the benchmark workloads a per-epoch
-//!   thread fan-out cost more than it saved (DESIGN.md §12);
+//!   [`LinkEvaluator::evaluate_batch`] kernel. The loop is serial at
+//!   every batch size: on the benchmark workloads a thread fan-out cost
+//!   more than it saved (DESIGN.md §8, §12);
 //! * an opt-in cross-epoch [`row cache`](DeploymentContext::with_row_cache)
 //!   reuses the candidate row of any UE whose key (position bits, SP,
 //!   service, demands, transmit power) is unchanged since the row was
@@ -49,8 +52,8 @@
 //!   largest batch seen and never evicts.
 
 use crate::instance::{
-    coverage_prune_index, scan_candidate_row, scan_candidate_row_batch, validate_ues,
-    CandidateLink, CandidateScan, CoverageModel, ProblemInstance,
+    scan_candidate_row, scan_candidate_row_batch, validate_ues, CandidateLink, CandidateScan,
+    CoverageModel, ProblemInstance,
 };
 use dmra_geo::GridIndex;
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
@@ -67,25 +70,13 @@ pub struct DeploymentContext {
     /// The reused epoch instance; UEs/links/budgets are overwritten per
     /// epoch, everything else stays the validated deployment.
     instance: ProblemInstance,
-    /// Radio evaluator, derived once from the deployment's radio config.
-    evaluator: LinkEvaluator,
-    /// Load-proportional interference factor (zero under noise-only).
-    interference_factor: f64,
-    /// Per-BS aggregate received power for the current epoch's batch
-    /// (left untouched when the factor is zero).
-    total_rx_mw: Vec<f64>,
-    /// Spatial prune index over the BS sites, when the coverage model
-    /// admits one (fixed radius, positive and finite).
-    prune: Option<(GridIndex, Meters)>,
+    /// The candidate-row loop with its evaluator, prune index and
+    /// scratch buffers, built once from the deployment.
+    rows: RowBuilder,
     /// Largest candidate distance the pricing margin has been validated
     /// at so far. Constraint (16)'s worst-case price grows with distance,
     /// so any epoch whose rows stay under this mark is already covered.
     validated_distance: Meters,
-    /// Reused buffer for grid-index radius queries; each hit carries its
-    /// exact distance so the scan kernel never recomputes it.
-    query_buf: Vec<(usize, Meters)>,
-    /// Structure-of-arrays scratch for the batched link kernel.
-    batch: LinkBatch,
     /// Cross-epoch candidate-row cache (opt-in, see
     /// [`DeploymentContext::with_row_cache`]).
     row_cache: Option<RowCache>,
@@ -201,35 +192,197 @@ impl RowCache {
     }
 }
 
+/// The one candidate-row loop, shared by the one-shot
+/// [`ProblemInstance::build_with_scan`] and every
+/// [`DeploymentContext::epoch_instance`]: the per-BS aggregate-power pass
+/// (load-proportional interference only), then per UE either a row-cache
+/// hit or a fresh scan — the pruned batch kernel when a prune index
+/// exists, the exhaustive scalar scan otherwise — flattened in UE-id
+/// order into the instance's row buffers.
+#[derive(Debug, Clone)]
+pub(crate) struct RowBuilder {
+    /// Radio evaluator, derived once from the deployment's radio config.
+    evaluator: LinkEvaluator,
+    /// Load-proportional interference factor (zero under noise-only).
+    interference_factor: f64,
+    /// Per-BS aggregate received power for the current batch (left at
+    /// zero when the factor is zero).
+    total_rx_mw: Vec<f64>,
+    /// Spatial prune index over the BS sites, when the scan mode and the
+    /// coverage model admit one: a [`GridIndex`] with the coverage radius
+    /// as both cell size and query radius.
+    prune: Option<(GridIndex, Meters)>,
+    /// Reused buffer for grid-index radius queries; each hit carries its
+    /// exact distance so the scan kernel never recomputes it.
+    query_buf: Vec<(usize, Meters)>,
+    /// Structure-of-arrays scratch for the batched link kernel.
+    batch: LinkBatch,
+}
+
+/// What one [`RowBuilder::build`] pass produced besides the rows. The
+/// prune-query counts and the row-loop wall time are taken only with
+/// telemetry on.
+#[derive(Debug, Default)]
+struct RowStats {
+    /// The largest candidate distance over every row.
+    max_distance: Meters,
+    precull_kept: u64,
+    precull_rejected: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    kernel_ns: u64,
+}
+
+impl RowBuilder {
+    /// The builder for `deployment`'s BSs, radio and coverage model.
+    pub(crate) fn new(deployment: &ProblemInstance, scan: CandidateScan) -> Self {
+        let interference_factor = match deployment.radio.interference {
+            InterferenceModel::NoiseOnly => 0.0,
+            InterferenceModel::LoadProportional { factor } => factor,
+        };
+        let prune = match (scan, deployment.coverage) {
+            (CandidateScan::Auto, CoverageModel::FixedRadius(r))
+                if r.get() > 0.0 && r.is_finite() =>
+            {
+                let sites: Vec<_> = deployment.bss.iter().map(|b| b.position).collect();
+                Some((GridIndex::build(&sites, r), r))
+            }
+            _ => None,
+        };
+        Self {
+            evaluator: LinkEvaluator::new(deployment.radio),
+            interference_factor,
+            total_rx_mw: vec![0.0; deployment.bss.len()],
+            prune,
+            query_buf: Vec::new(),
+            batch: LinkBatch::new(),
+        }
+    }
+
+    /// Rebuilds `inst`'s candidate rows from its UEs and BS budgets, in
+    /// place. With a `cache`, a UE whose row is fresh there reuses it and
+    /// every scanned row is stored back.
+    fn build(
+        &mut self,
+        inst: &mut ProblemInstance,
+        mut cache: Option<&mut RowCache>,
+        obs_on: bool,
+    ) -> RowStats {
+        let n_bss = inst.bss.len();
+        let n_ues = inst.ues.len();
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.reserve_slots(n_ues);
+        }
+        // Each BS's aggregate sums over the UEs in id order.
+        if self.interference_factor > 0.0 {
+            for (b, total) in self.total_rx_mw.iter_mut().enumerate() {
+                let bs_pos = inst.bss[b].position;
+                *total = inst
+                    .ues
+                    .iter()
+                    .map(|ue| self.evaluator.rx_power_mw(ue.tx_power, ue.position, bs_pos))
+                    .sum();
+            }
+        }
+
+        inst.links.clear();
+        inst.row_start.clear();
+        inst.row_start.reserve(n_ues + 1);
+        inst.row_start.push(0);
+        inst.f_u.clear();
+        inst.f_u.reserve(n_ues);
+        let kernel_started = obs_on.then(std::time::Instant::now);
+        let mut stats = RowStats::default();
+        for u in 0..n_ues {
+            let ue = &inst.ues[u];
+            let row_from = inst.links.len();
+            let key = cache.is_some().then(|| RowKey::of(ue));
+            let cached = match (cache.as_deref(), &key) {
+                (Some(cache), Some(key)) => cache.lookup(u, key),
+                _ => None,
+            };
+            let row_max = if let Some(row) = cached {
+                inst.links.extend_from_slice(&row.links);
+                stats.cache_hits += 1;
+                row.row_max
+            } else {
+                let row_max = match &self.prune {
+                    Some((index, radius)) => {
+                        index.query_within_dist_into(ue.position, *radius, &mut self.query_buf);
+                        if obs_on {
+                            stats.precull_kept += self.query_buf.len() as u64;
+                            stats.precull_rejected += (n_bss - self.query_buf.len()) as u64;
+                        }
+                        scan_candidate_row_batch(
+                            ue,
+                            &inst.bss,
+                            &self.query_buf,
+                            &self.evaluator,
+                            self.interference_factor,
+                            &self.total_rx_mw,
+                            inst.coverage,
+                            &inst.pricing,
+                            &mut self.batch,
+                            &mut inst.links,
+                        )
+                    }
+                    None => scan_candidate_row(
+                        ue,
+                        &inst.bss,
+                        &self.evaluator,
+                        self.interference_factor,
+                        &self.total_rx_mw,
+                        inst.coverage,
+                        &inst.pricing,
+                        &mut inst.links,
+                    ),
+                };
+                if let (Some(cache), Some(key)) = (cache.as_deref_mut(), key) {
+                    stats.cache_misses += 1;
+                    cache.store(u, key, &inst.links[row_from..], row_max);
+                }
+                row_max
+            };
+            if row_max > stats.max_distance {
+                stats.max_distance = row_max;
+            }
+            inst.f_u.push((inst.links.len() - row_from) as u32);
+            inst.row_start.push(inst.links.len());
+        }
+        stats.kernel_ns = kernel_started.map_or(0, |t| {
+            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
+        if let Some(cache) = cache {
+            cache.hits += stats.cache_hits;
+            cache.misses += stats.cache_misses;
+        }
+        stats
+    }
+
+    /// Builds `inst`'s rows once, without a cache or telemetry, and
+    /// returns the largest candidate distance.
+    pub(crate) fn build_once(&mut self, inst: &mut ProblemInstance) -> Meters {
+        self.build(inst, None, false).max_distance
+    }
+}
+
 impl DeploymentContext {
     /// Creates a context from a validated deployment instance. The
     /// deployment's UEs (if any) are irrelevant — each epoch brings its
     /// own batch — so only the SPs/BSs/config are retained.
     #[must_use]
     pub fn new(deployment: &ProblemInstance) -> Self {
-        let evaluator = LinkEvaluator::new(*deployment.radio());
-        let interference_factor = match deployment.radio().interference {
-            InterferenceModel::NoiseOnly => 0.0,
-            InterferenceModel::LoadProportional { factor } => factor,
-        };
-        let prune =
-            coverage_prune_index(deployment.bss(), deployment.coverage(), CandidateScan::Auto);
+        let rows = RowBuilder::new(deployment, CandidateScan::Auto);
         let mut instance = deployment.clone();
         instance.ues.clear();
         instance.links.clear();
         instance.row_start.clear();
         instance.row_start.push(0);
         instance.f_u.clear();
-        let n_bss = instance.bss.len();
         Self {
             instance,
-            evaluator,
-            interference_factor,
-            total_rx_mw: vec![0.0; n_bss],
-            prune,
+            rows,
             validated_distance: Meters::new(0.0),
-            query_buf: Vec::new(),
-            batch: LinkBatch::new(),
             row_cache: None,
         }
     }
@@ -282,17 +435,14 @@ impl DeploymentContext {
         // after the rebuild. Nothing here touches candidate generation.
         let obs_on = dmra_obs::enabled();
         let build_started = obs_on.then(std::time::Instant::now);
-        let mut precull_kept = 0u64;
-        let mut precull_rejected = 0u64;
 
         let inst = &mut self.instance;
-        let n_bss = inst.bss.len();
         // Patch the budgets and do the row-cache epoch bookkeeping before
         // any row is built: if any BS's remaining budgets differ from the
         // previous epoch's, the cache is stamped and every slot misses.
         // Load-proportional interference couples each row to the whole
         // batch, so the cache is bypassed entirely there.
-        let cache_active = self.row_cache.is_some() && self.interference_factor == 0.0;
+        let cache_active = self.row_cache.is_some() && self.rows.interference_factor == 0.0;
         let invalidated_bss = patch_budgets(
             inst,
             rem_cru,
@@ -301,130 +451,19 @@ impl DeploymentContext {
         )?;
         validate_ues(&ues, inst.sps.len(), inst.catalog)?;
         inst.ues = ues;
-        let n_ues = inst.ues.len();
-        if cache_active {
-            self.row_cache
-                .as_mut()
-                .expect("cache_active")
-                .reserve_slots(n_ues);
-        }
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-
-        // Per-BS interference aggregates depend on the epoch's batch; the
-        // serial per-BS sum visits UEs in id order, exactly like the
-        // static build's fan-out.
-        if self.interference_factor > 0.0 {
-            for (b, total) in self.total_rx_mw.iter_mut().enumerate() {
-                let bs_pos = inst.bss[b].position;
-                *total = inst
-                    .ues
-                    .iter()
-                    .map(|ue| self.evaluator.rx_power_mw(ue.tx_power, ue.position, bs_pos))
-                    .sum();
-            }
-        }
-
-        // Rebuild the flattened candidate rows into the reused buffers.
-        inst.links.clear();
-        inst.row_start.clear();
-        inst.row_start.push(0);
-        inst.f_u.clear();
-        let kernel_started = obs_on.then(std::time::Instant::now);
-        let mut max_candidate_distance = Meters::new(0.0);
-        for u in 0..n_ues {
-            let row_from = inst.links.len();
-            let key = if cache_active {
-                Some(RowKey::of(&inst.ues[u]))
-            } else {
-                None
-            };
-            let mut row_max = Meters::new(0.0);
-            let mut hit = false;
-            if let Some(key) = &key {
-                if let Some(row) = self
-                    .row_cache
-                    .as_ref()
-                    .expect("cache_active")
-                    .lookup(u, key)
-                {
-                    inst.links.extend_from_slice(&row.links);
-                    row_max = row.row_max;
-                    hit = true;
-                }
-            }
-            if hit {
-                cache_hits += 1;
-            } else {
-                row_max = match &self.prune {
-                    Some((index, radius)) => {
-                        index.query_within_dist_into(
-                            inst.ues[u].position,
-                            *radius,
-                            &mut self.query_buf,
-                        );
-                        if obs_on {
-                            precull_kept += self.query_buf.len() as u64;
-                            precull_rejected += (n_bss - self.query_buf.len()) as u64;
-                        }
-                        scan_candidate_row_batch(
-                            &inst.ues[u],
-                            &inst.bss,
-                            &self.query_buf,
-                            &self.evaluator,
-                            self.interference_factor,
-                            &self.total_rx_mw,
-                            inst.coverage,
-                            &inst.pricing,
-                            &mut self.batch,
-                            &mut inst.links,
-                        )
-                    }
-                    None => scan_candidate_row(
-                        &inst.ues[u],
-                        &inst.bss,
-                        (0..n_bss).map(|b| (b, None)),
-                        &self.evaluator,
-                        self.interference_factor,
-                        &self.total_rx_mw,
-                        inst.coverage,
-                        &inst.pricing,
-                        &mut inst.links,
-                    ),
-                };
-                if let Some(key) = key {
-                    cache_misses += 1;
-                    self.row_cache.as_mut().expect("cache_active").store(
-                        u,
-                        key,
-                        &inst.links[row_from..],
-                        row_max,
-                    );
-                }
-            }
-            if row_max > max_candidate_distance {
-                max_candidate_distance = row_max;
-            }
-            inst.f_u.push((inst.links.len() - row_from) as u32);
-            inst.row_start.push(inst.links.len());
-        }
-        let kernel_ns = kernel_started.map_or(0, |t| {
-            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        });
-        if cache_active {
-            let cache = self.row_cache.as_mut().expect("cache_active");
-            cache.hits += cache_hits;
-            cache.misses += cache_misses;
-        }
+        let rows = self.rows.build(
+            inst,
+            self.row_cache.as_mut().filter(|_| cache_active),
+            obs_on,
+        );
 
         // Constraint (16): the worst-case price is monotone in distance,
         // so only a new high-water distance needs re-validation — and it
         // fails with exactly the error a from-scratch build would raise.
-        let margin_recheck = max_candidate_distance > self.validated_distance;
+        let margin_recheck = rows.max_distance > self.validated_distance;
         if margin_recheck {
-            inst.pricing
-                .validate_margin(&inst.sps, max_candidate_distance)?;
-            self.validated_distance = max_candidate_distance;
+            inst.pricing.validate_margin(&inst.sps, rows.max_distance)?;
+            self.validated_distance = rows.max_distance;
         }
 
         if obs_on {
@@ -458,8 +497,8 @@ impl DeploymentContext {
             let builds = EPOCH_BUILDS.get();
             builds.inc();
             ROWS_REBUILT.get().add(inst.ues.len() as u64);
-            PRECULL_KEPT.get().add(precull_kept);
-            PRECULL_REJECTED.get().add(precull_rejected);
+            PRECULL_KEPT.get().add(rows.precull_kept);
+            PRECULL_REJECTED.get().add(rows.precull_rejected);
             LINKS_KEPT.get().add(inst.links.len() as u64);
             if margin_recheck {
                 MARGIN_RECHECKS.get().inc();
@@ -474,25 +513,25 @@ impl DeploymentContext {
             EPOCH_BUILD_NS.get().record(build_ns);
             // The row scan/batch-kernel phase of the build, cache hits
             // included (a hit is the phase doing its job in O(row)).
-            BATCH_KERNEL_NS.get().record(kernel_ns);
+            BATCH_KERNEL_NS.get().record(rows.kernel_ns);
             if self.row_cache.is_some() {
-                ROW_CACHE_HITS.get().add(cache_hits);
-                ROW_CACHE_MISSES.get().add(cache_misses);
+                ROW_CACHE_HITS.get().add(rows.cache_hits);
+                ROW_CACHE_MISSES.get().add(rows.cache_misses);
                 // One unit per BS whose budgets changed this epoch.
                 ROW_CACHE_INVALIDATIONS.get().add(invalidated_bss);
             }
             let mut fields = vec![
                 ("ues", inst.ues.len() as f64),
-                ("precull_kept", precull_kept as f64),
-                ("precull_rejected", precull_rejected as f64),
+                ("precull_kept", rows.precull_kept as f64),
+                ("precull_rejected", rows.precull_rejected as f64),
                 ("links", inst.links.len() as f64),
                 ("margin_recheck", f64::from(u8::from(margin_recheck))),
                 ("wall_ns", build_ns as f64),
-                ("kernel_ns", kernel_ns as f64),
+                ("kernel_ns", rows.kernel_ns as f64),
             ];
             if self.row_cache.is_some() {
-                fields.push(("cache_hits", cache_hits as f64));
-                fields.push(("cache_misses", cache_misses as f64));
+                fields.push(("cache_hits", rows.cache_hits as f64));
+                fields.push(("cache_misses", rows.cache_misses as f64));
                 fields.push(("cache_invalidated_bss", invalidated_bss as f64));
             }
             dmra_obs::global_trace().record(dmra_obs::TraceEvent {

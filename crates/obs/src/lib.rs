@@ -10,7 +10,6 @@
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free atomic scalars,
 //! * [`Histogram`] — fixed power-of-two-bucket latency histogram,
-//! * [`SpanTimer`] — RAII wall-clock span recorder,
 //! * [`Registry`] — a named, thread-safe collection of the above, with
 //!   [`Snapshot`]s for export and per-run deltas,
 //! * [`TraceLog`] — a bounded, append-only event log for convergence
@@ -45,8 +44,6 @@ mod metrics;
 mod observer;
 mod recorder;
 mod registry;
-mod span;
-mod timeseries;
 mod trace;
 
 pub use crate::expose::{render_prometheus, sanitize_metric_name, MetricsServer};
@@ -56,13 +53,10 @@ pub use crate::log::{
 };
 pub use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary, HISTOGRAM_BUCKETS};
 pub use crate::observer::{
-    det_projection, epoch_observer, set_epoch_observer, EpochObserver, EpochRecord, FanoutObserver,
-    FieldValue,
+    det_projection, epoch_observer, set_epoch_observer, EpochObserver, EpochRecord, FieldValue,
 };
 pub use crate::recorder::{Recorder, SharedBuf};
 pub use crate::registry::{global, Registry, Snapshot};
-pub use crate::span::SpanTimer;
-pub use crate::timeseries::{Sample, TimeSeries, TimeSeriesCollector};
 pub use crate::trace::{global_trace, TraceEvent, TraceLog};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,34 +81,4 @@ pub fn enabled() -> bool {
 /// `telemetry` feature.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Starts a [`SpanTimer`] recording into `hist` — or an inert timer
-/// when telemetry is disabled (no clock read, no record on drop).
-#[must_use]
-pub fn time(hist: &std::sync::Arc<Histogram>) -> SpanTimer {
-    if enabled() {
-        SpanTimer::start(std::sync::Arc::clone(hist))
-    } else {
-        SpanTimer::disabled()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_time_records_nothing() {
-        let hist = std::sync::Arc::new(Histogram::new());
-        drop(SpanTimer::disabled());
-        {
-            let _t = if false {
-                SpanTimer::start(std::sync::Arc::clone(&hist))
-            } else {
-                SpanTimer::disabled()
-            };
-        }
-        assert_eq!(hist.count(), 0);
-    }
 }

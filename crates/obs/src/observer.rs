@@ -1,8 +1,7 @@
 //! The per-epoch observation hook: a structured [`EpochRecord`] built
 //! by an engine at the end of each epoch (or protocol round, or sweep
-//! cell) and handed to whatever [`EpochObserver`]s are attached — the
-//! JSONL flight recorder, the in-memory time series collector, or
-//! both via [`FanoutObserver`].
+//! cell) and handed to the attached [`EpochObserver`] — the JSONL
+//! flight recorder, or a test's or benchmark's own sink.
 //!
 //! Records split their fields into two sections:
 //!
@@ -249,28 +248,6 @@ pub trait EpochObserver: Send + Sync {
     fn on_record(&self, record: &EpochRecord);
 }
 
-/// Broadcasts each record to several observers in order — e.g. a
-/// [`crate::Recorder`] and a [`crate::TimeSeriesCollector`] at once.
-pub struct FanoutObserver {
-    sinks: Vec<Arc<dyn EpochObserver>>,
-}
-
-impl FanoutObserver {
-    /// Builds a fanout over `sinks`.
-    #[must_use]
-    pub fn new(sinks: Vec<Arc<dyn EpochObserver>>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl EpochObserver for FanoutObserver {
-    fn on_record(&self, record: &EpochRecord) {
-        for s in &self.sinks {
-            s.on_record(record);
-        }
-    }
-}
-
 /// Process-wide observer slot (`None` by default).
 static OBSERVER: RwLock<Option<Arc<dyn EpochObserver>>> = RwLock::new(None);
 
@@ -300,7 +277,6 @@ pub fn epoch_observer() -> Option<Arc<dyn EpochObserver>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn record_renders_det_before_aux() {
@@ -340,25 +316,5 @@ mod tests {
         assert_eq!(det_projection(&doc_a), det_projection(&doc_b));
         assert!(det_projection(&doc_a).contains("\"arrivals\": 1"));
         assert!(!det_projection(&doc_a).contains("wall_ns"));
-    }
-
-    #[test]
-    fn fanout_delivers_in_order() {
-        struct Tally(Mutex<Vec<u64>>);
-        impl EpochObserver for Tally {
-            fn on_record(&self, r: &EpochRecord) {
-                self.0.lock().unwrap().push(r.index);
-            }
-        }
-        let a = Arc::new(Tally(Mutex::new(Vec::new())));
-        let b = Arc::new(Tally(Mutex::new(Vec::new())));
-        let fan = FanoutObserver::new(vec![
-            Arc::clone(&a) as Arc<dyn EpochObserver>,
-            Arc::clone(&b) as Arc<dyn EpochObserver>,
-        ]);
-        fan.on_record(&EpochRecord::new("s", 5));
-        fan.on_record(&EpochRecord::new("s", 6));
-        assert_eq!(*a.0.lock().unwrap(), vec![5, 6]);
-        assert_eq!(*b.0.lock().unwrap(), vec![5, 6]);
     }
 }

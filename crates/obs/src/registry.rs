@@ -214,9 +214,9 @@ impl Snapshot {
     /// name (a counter absent from `prev` keeps its current value),
     /// gauges keep their current reading (they are levels, not flows),
     /// and histograms subtract bucket-wise with window percentiles
-    /// recomputed from the bucket difference. This is the primitive the
-    /// flight recorder's time series is built from — each per-epoch
-    /// [`crate::Sample`] is `snapshot.delta(&previous_snapshot)`.
+    /// recomputed from the bucket difference. This is how a run's own
+    /// counts are taken from the process-wide registry:
+    /// `after.delta(&before)`.
     #[must_use]
     pub fn delta(&self, prev: &Snapshot) -> Snapshot {
         Snapshot {

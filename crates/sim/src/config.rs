@@ -398,21 +398,23 @@ impl ScenarioConfig {
     /// Propagates [`Self::validate`] and
     /// [`dmra_core::ProblemInstance::build`] errors.
     pub fn build(&self) -> Result<ProblemInstance> {
-        self.build_with_threads(dmra_par::Threads::Auto)
+        self.validate()?;
+        let (sps, bss) = self.draw_deployment()?;
+        ProblemInstance::build(
+            sps,
+            bss,
+            self.draw_ues(),
+            ServiceCatalog::new(self.n_services),
+            self.pricing,
+            self.radio,
+            self.coverage,
+        )
     }
 
-    /// [`ScenarioConfig::build`] with an explicit thread-count knob for
-    /// the candidate-link precomputation (scenario drawing itself is a
-    /// single sequential RNG pass). The result is bit-identical for every
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioConfig::build`].
-    pub fn build_with_threads(&self, threads: dmra_par::Threads) -> Result<ProblemInstance> {
-        self.validate()?;
-        let catalog = ServiceCatalog::new(self.n_services);
-
+    /// Draws the SPs (with their overrides) and the BSs: sites from the
+    /// `bs-placement` stream, owners from `sp-assignment`, hosted services
+    /// and budgets from `bs-budgets`.
+    fn draw_deployment(&self) -> Result<(Vec<SpSpec>, Vec<BsSpec>)> {
         let mut sps: Vec<SpSpec> = (0..self.n_sps)
             .map(|k| SpSpec::new(SpId::new(k), self.sp_cru_price, self.sp_other_cost))
             .collect();
@@ -486,8 +488,15 @@ impl ScenarioConfig {
                 )
             })
             .collect();
+        Ok((sps, bss))
+    }
 
-        // UE positions and workloads.
+    /// Draws the `n_ues` UEs: positions from the `ue-placement` stream,
+    /// SP, service and demands from `ue-workload`. Both streams are
+    /// independent of the deployment's, so a simulator can build its
+    /// deployment with zero UEs and take the population from here.
+    /// Assumes a configuration that passed [`Self::validate`].
+    pub(crate) fn draw_ues(&self) -> Vec<UeSpec> {
         let mut ue_pos_rng = component_rng(self.seed, "ue-placement");
         let positions: Vec<Point> = match self.ue_placement {
             UePlacement::Uniform => {
@@ -514,7 +523,7 @@ impl ScenarioConfig {
         let (dlo, dhi) = self.cru_demand_range;
         let (rlo, rhi) = self.rate_demand_mbps;
         let service_sampler = self.service_popularity.sampler(self.n_services);
-        let ues: Vec<UeSpec> = positions
+        positions
             .into_iter()
             .enumerate()
             .map(|(u, pos)| {
@@ -528,18 +537,7 @@ impl ScenarioConfig {
                     self.ue_tx_power,
                 )
             })
-            .collect();
-
-        ProblemInstance::build_with_threads(
-            sps,
-            bss,
-            ues,
-            catalog,
-            self.pricing,
-            self.radio,
-            self.coverage,
-            threads,
-        )
+            .collect()
     }
 }
 
@@ -574,6 +572,38 @@ mod tests {
         let b = cfg.build().unwrap();
         assert_eq!(a.ues(), b.ues());
         assert_eq!(a.bss(), b.bss());
+    }
+
+    #[test]
+    fn zero_ue_build_plus_drawn_ues_is_the_full_build() {
+        // The simulators build their deployment without UEs and take the
+        // population from `draw_ues`; together they must be exactly the
+        // scenario `build` draws, whatever the placements.
+        let hotspots = UePlacement::Hotspots {
+            n_hotspots: 3,
+            spread: Meters::new(80.0),
+            fraction: 0.7,
+        };
+        let cases = [
+            ScenarioConfig::paper_defaults().with_ues(120).with_seed(4),
+            ScenarioConfig::paper_defaults()
+                .with_ues(90)
+                .with_seed(5)
+                .with_ue_placement(hotspots),
+            ScenarioConfig::paper_defaults()
+                .with_ues(80)
+                .with_seed(6)
+                .with_random_placement()
+                .with_services_per_bs(3),
+        ];
+        for cfg in cases {
+            let full = cfg.build().unwrap();
+            let deployment = cfg.clone().with_ues(0).build().unwrap();
+            assert_eq!(deployment.n_ues(), 0);
+            assert_eq!(deployment.sps(), full.sps(), "{cfg:?}");
+            assert_eq!(deployment.bss(), full.bss(), "{cfg:?}");
+            assert_eq!(cfg.draw_ues(), full.ues(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! loop (a full [`ProblemInstance::residual`] build with an exhaustive
 //! candidate scan each epoch), kept as the executable specification: the
 //! `incremental` integration tests pin `run` bit-identical to it for
-//! every allocator, holding distribution, seed and thread count.
+//! every allocator, holding distribution, arrival rate and seed.
 //!
 //! Every loop consumes the **same RNG stream** (per epoch: one Poisson
 //! draw, then — only if the batch is non-empty — the arrival workloads
@@ -66,7 +66,6 @@ use crate::config::ScenarioConfig;
 use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::{
     Allocation, Allocator, CandidateScan, DeploymentContext, Dmra, DmraConfig, ProblemInstance,
-    Threads,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{obs_warn, EpochObserver, EpochRecord};
@@ -699,17 +698,6 @@ impl DynamicSimulator {
     ///
     /// Same as [`DynamicSimulator::run`].
     pub fn run_scratch(&self) -> Result<DynamicOutcome> {
-        self.run_scratch_with_threads(Threads::Auto)
-    }
-
-    /// [`DynamicSimulator::run_scratch`] with an explicit thread knob for
-    /// the per-epoch instance builds — the equality tests sweep this to
-    /// show the incremental engine matches every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DynamicSimulator::run`].
-    pub fn run_scratch_with_threads(&self, threads: Threads) -> Result<DynamicOutcome> {
         let cfg = &self.config;
         cfg.validate()?;
         let deployment = cfg
@@ -744,7 +732,6 @@ impl DynamicSimulator {
                     &state.rem_cru,
                     &state.rem_rrb,
                     ues,
-                    threads,
                     CandidateScan::Exhaustive,
                 )?;
                 let solve_started = obs_on.then(std::time::Instant::now);

@@ -12,7 +12,7 @@
 //!
 //! Two engines produce bit-identical outcomes
 //! (`tests/mobility_incremental.rs` pins the equality across policies,
-//! seeds, allocators and thread counts):
+//! seeds, allocators and stationary fractions):
 //!
 //! * [`MobilitySimulator::run`] — the fast path: one epoch-persistent
 //!   [`DeploymentContext`] with the cross-epoch row cache enabled, so a
@@ -46,9 +46,7 @@
 
 use crate::config::ScenarioConfig;
 use crate::dynamic::{push_common_aux, AuxCounters};
-use dmra_core::{
-    Allocation, Allocator, CandidateScan, DeploymentContext, Dmra, ProblemInstance, Threads,
-};
+use dmra_core::{Allocation, Allocator, CandidateScan, DeploymentContext, Dmra, ProblemInstance};
 use dmra_geo::rng::component_rng;
 use dmra_obs::{EpochObserver, EpochRecord};
 use dmra_types::{Cru, Error, Money, Point, Rect, Result, RrbCount, UeId, UeSpec};
@@ -179,19 +177,21 @@ impl MobilitySimulator {
     /// Runs the simulation on the incremental engine: one epoch-persistent
     /// [`DeploymentContext`] with the cross-epoch row cache and batched
     /// link evaluation over pruned candidate slices, rebuilding each
-    /// epoch's rows serially on the calling thread.
+    /// epoch's rows serially on the calling thread. The set-up builds the
+    /// deployment without UEs; epoch 0 builds the first candidate rows.
     ///
     /// Bit-identical to [`MobilitySimulator::run_scratch`] — same
     /// allocations, same timelines, same counters.
     ///
     /// # Errors
     ///
-    /// Propagates scenario/instance build errors, and rejects a
-    /// `stationary_fraction` outside `[0, 1]`.
+    /// Propagates scenario/instance build errors — a pricing margin that
+    /// fails at the initial UE distances surfaces from epoch 0's build,
+    /// before any record — and rejects a `stationary_fraction` outside
+    /// `[0, 1]`.
     pub fn run(&self) -> Result<MobilityOutcome> {
         let cfg = &self.config;
-        let initial = cfg.scenario.clone().build()?;
-        let mut ues: Vec<UeSpec> = initial.ues().to_vec();
+        let (deployment, mut ues) = self.deployment_and_population()?;
         let region = cfg.scenario.region;
         let mut rng = component_rng(cfg.seed, "mobility");
         let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
@@ -199,13 +199,17 @@ impl MobilitySimulator {
         // The population never departs, so every epoch re-matches against
         // the full budgets; the row cache sees identical budgets each
         // epoch and invalidates only on the first one.
-        let full_cru: Vec<Vec<Cru>> = initial.bss().iter().map(|b| b.cru_budget.clone()).collect();
-        let full_rrb: Vec<RrbCount> = initial.bss().iter().map(|b| b.rrb_budget).collect();
-        let mut ctx = DeploymentContext::new(&initial).with_row_cache();
+        let full_cru: Vec<Vec<Cru>> = deployment
+            .bss()
+            .iter()
+            .map(|b| b.cru_budget.clone())
+            .collect();
+        let full_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
+        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
         // Sticky re-matching solves against churning residual budgets, so
         // its context gets no cache — it still reuses buffers and the
         // batched kernel.
-        let mut res_ctx = DeploymentContext::new(&initial);
+        let mut res_ctx = DeploymentContext::new(&deployment);
         let mut session = self.allocator.session();
 
         let mut previous: Option<Allocation> = None;
@@ -266,20 +270,8 @@ impl MobilitySimulator {
     ///
     /// Same as [`MobilitySimulator::run`].
     pub fn run_scratch(&self) -> Result<MobilityOutcome> {
-        self.run_scratch_with_threads(Threads::Auto)
-    }
-
-    /// [`MobilitySimulator::run_scratch`] with an explicit thread-count
-    /// knob for the per-epoch instance builds — the equality tests sweep
-    /// it to prove thread-count independence.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MobilitySimulator::run`].
-    pub fn run_scratch_with_threads(&self, threads: Threads) -> Result<MobilityOutcome> {
         let cfg = &self.config;
-        let initial = cfg.scenario.clone().build()?;
-        let mut ues: Vec<UeSpec> = initial.ues().to_vec();
+        let (deployment, mut ues) = self.deployment_and_population()?;
         let region = cfg.scenario.region;
         let mut rng = component_rng(cfg.seed, "mobility");
         let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
@@ -295,14 +287,13 @@ impl MobilitySimulator {
             let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
             let instance = ProblemInstance::build_with_scan(
-                initial.sps().to_vec(),
-                initial.bss().to_vec(),
+                deployment.sps().to_vec(),
+                deployment.bss().to_vec(),
                 ues.clone(),
-                initial.catalog(),
-                *initial.pricing(),
-                *initial.radio(),
-                initial.coverage(),
-                threads,
+                deployment.catalog(),
+                *deployment.pricing(),
+                *deployment.radio(),
+                deployment.coverage(),
                 CandidateScan::Exhaustive,
             )?;
             let solve_started = obs_on.then(std::time::Instant::now);
@@ -316,7 +307,6 @@ impl MobilitySimulator {
                                 &split.rem_cru,
                                 &split.rem_rrb,
                                 res_ues,
-                                threads,
                                 CandidateScan::Exhaustive,
                             )?;
                             split.merge(session.allocate(&residual))
@@ -342,6 +332,15 @@ impl MobilitySimulator {
             advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
         }
         Ok(outcome)
+    }
+
+    /// Both engines' set-up: the scenario's deployment built without UEs
+    /// (so no candidate row is built before epoch 0) and the population
+    /// drawn from the same streams a full build would use.
+    fn deployment_and_population(&self) -> Result<(ProblemInstance, Vec<UeSpec>)> {
+        let scenario = &self.config.scenario;
+        let deployment = scenario.clone().with_ues(0).build()?;
+        Ok((deployment, scenario.draw_ues()))
     }
 }
 
@@ -704,6 +703,36 @@ mod tests {
             min,
             max
         );
+    }
+
+    #[test]
+    fn margin_failing_at_the_initial_distances_fails_epoch_zero() {
+        // Paper pricing: the worst cross-SP price is 6.0 within 1 m and
+        // about 6.12 at 300 m, so an SP gross margin of 6.05 passes the
+        // zero-UE set-up build and fails at the first epoch's candidate
+        // distances — with the error a full build of the scenario raises,
+        // and before any epoch is recorded.
+        struct Count(std::sync::atomic::AtomicUsize);
+        impl EpochObserver for Count {
+            fn on_record(&self, _: &EpochRecord) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        let mut cfg = config((5.0, 10.0), 4, 2);
+        cfg.scenario.sp_cru_price = Money::new(7.05);
+        cfg.scenario.sp_other_cost = Money::new(1.0);
+        cfg.scenario.clone().with_ues(0).build().unwrap();
+        let full_build = cfg.scenario.build().unwrap_err();
+        assert!(
+            matches!(full_build, Error::UnprofitablePricing { .. }),
+            "{full_build}"
+        );
+        let records = Arc::new(Count(std::sync::atomic::AtomicUsize::new(0)));
+        let sim = MobilitySimulator::new(cfg)
+            .with_observer(Arc::clone(&records) as Arc<dyn EpochObserver>);
+        assert_eq!(sim.run().unwrap_err(), full_build);
+        assert_eq!(sim.run_scratch().unwrap_err(), full_build);
+        assert_eq!(records.0.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     #[test]

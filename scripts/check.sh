@@ -16,6 +16,10 @@ cargo test --workspace -q
 # `debug_assert!`. The dense-vs-reference equalities and the over-commit
 # error must hold there too.
 cargo test --release -q -p dmra-core -p dmra-sim
+# The engine-equality integration tests in the same profile: both
+# simulators' set-up and epoch paths must stay bit-identical to their
+# scratch specifications in the build perfbench times.
+cargo test --release -q -p dmra --test incremental --test mobility_incremental
 # The telemetry compile-out configuration must keep building: every
 # dmra-obs dependent forwards a `telemetry` feature, and this catches a
 # crate growing an unconditional dependency on instrumented APIs.
@@ -81,8 +85,9 @@ grep -q '"proto_dropped":' "$proto_record" || { echo "proto epochs carry no degr
 grep -q '"oracle_profit_gap":' "$proto_record" || { echo "proto epochs carry no oracle gap" >&2; exit 1; }
 echo "proto-engine smoke OK ($(wc -l <"$proto_record") records)"
 
-# Figures smoke: an experiment job writes its CSV, and an unknown job
-# fails instead of being skipped.
+# Figures smoke: an experiment job writes its CSV, an unknown job fails
+# instead of being skipped, and an unknown flag (a mistyped `--quick`)
+# fails instead of falling back to the paper-scale settings.
 cargo build -q --release -p dmra-bench
 figures="$PWD/target/release/figures"
 (cd "$figures_dir" && "$figures" --quick --quiet proto_degradation)
@@ -90,7 +95,13 @@ figures="$PWD/target/release/figures"
 if (cd "$figures_dir" && "$figures" --quiet no_such_job 2>/dev/null); then
     echo "figures accepted an unknown job" >&2; exit 1
 fi
-echo "figures smoke OK (proto_degradation CSV written, unknown job rejected)"
+typo_dir="$figures_dir/typo"
+mkdir "$typo_dir"
+if (cd "$typo_dir" && "$figures" --quik proto_degradation 2>/dev/null); then
+    echo "figures accepted the unknown flag --quik" >&2; exit 1
+fi
+[[ ! -e "$typo_dir/results/proto_degradation.csv" ]] || { echo "figures --quik wrote a CSV" >&2; exit 1; }
+echo "figures smoke OK (proto_degradation CSV written, unknown job and flag rejected)"
 
 # Repository benchmark: `perfbench/` is a workspace of its own, so the
 # workspace build and tests above never compile it. Build and unit-test

@@ -8,7 +8,7 @@
 //!
 //! * [`types`] — typed IDs, physical units, entity specifications.
 //! * [`obs`] — zero-dependency telemetry: metrics registry, flight
-//!   recorder, time series, Prometheus exposition and the logging facade.
+//!   recorder, Prometheus exposition and the logging facade.
 //! * [`geo`] — deployment geometry, placement generators, spatial index.
 //! * [`radio`] — OFDMA uplink model: path loss, SINR, per-RRB rates.
 //! * [`econ`] — pricing (Eqs. 9–10) and SP utility ledger (Eqs. 5–8).

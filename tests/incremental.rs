@@ -4,11 +4,11 @@
 //! incremental engine (`run`), and keeps the original full-residual-rebuild
 //! loop (`run_scratch`) as the executable specification. These tests pin
 //! their equality — identical `DynamicOutcome`s, byte for byte — across
-//! allocators, seeds, arrival rates, holding distributions and
-//! scratch-side thread counts, and separately pin the spatial candidate
-//! pruning bit-identical to the exhaustive O(U×B) scan at paper scale.
+//! allocators, seeds, arrival rates and holding distributions, and
+//! separately pin the spatial candidate pruning bit-identical to the
+//! exhaustive O(U×B) scan at paper scale.
 
-use dmra_core::{Allocator, CandidateScan, CoverageModel, Dmra, ProblemInstance, Threads};
+use dmra_core::{Allocator, CandidateScan, CoverageModel, Dmra, ProblemInstance};
 use dmra_radio::InterferenceModel;
 use dmra_sim::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution};
 use dmra_sim::ScenarioConfig;
@@ -36,8 +36,8 @@ fn incremental_engine_matches_scratch_for_every_allocator() {
         }),
     ];
     for (name, factory) in factories {
-        for &(rate, seed) in &[(25.0, 3u64), (140.0, 8)] {
-            let sim = DynamicSimulator::with_allocator(config(rate, seed, 30), factory());
+        for &(rate, seed, epochs) in &[(25.0, 3u64, 30), (140.0, 8, 30), (120.0, 5, 25)] {
+            let sim = DynamicSimulator::with_allocator(config(rate, seed, epochs), factory());
             let incremental = sim.run().unwrap();
             let scratch = sim.run_scratch().unwrap();
             assert_eq!(
@@ -45,18 +45,6 @@ fn incremental_engine_matches_scratch_for_every_allocator() {
                 "{name} diverged at rate {rate}, seed {seed}"
             );
         }
-    }
-}
-
-#[test]
-fn incremental_engine_matches_scratch_for_every_thread_count() {
-    let sim = DynamicSimulator::new(config(120.0, 5, 25));
-    let incremental = sim.run().unwrap();
-    for threads in [1usize, 2, 4] {
-        let scratch = sim
-            .run_scratch_with_threads(Threads::Fixed(threads))
-            .unwrap();
-        assert_eq!(incremental, scratch, "diverged at {threads} threads");
     }
 }
 
@@ -113,7 +101,6 @@ fn rebuild(inst: &ProblemInstance, scan: CandidateScan) -> ProblemInstance {
         *inst.pricing(),
         *inst.radio(),
         inst.coverage(),
-        Threads::Auto,
         scan,
     )
     .unwrap()
@@ -187,7 +174,6 @@ fn min_rate_coverage_falls_back_to_exhaustive_scan() {
         *base.pricing(),
         *base.radio(),
         min_rate,
-        Threads::Auto,
         CandidateScan::Exhaustive,
     )
     .unwrap();

@@ -1,15 +1,13 @@
 //! Bit-identical parallel execution.
 //!
 //! The fan-out layer (`dmra-par`) only ever reorders *work*, never
-//! results: sweep grid cells derive independent seeds and per-UE candidate
-//! rows are pure functions of the instance inputs, so every thread count
-//! must produce exactly the same bytes. These tests pin that guarantee at
-//! paper scale, for the thread counts a laptop and a CI runner would use.
+//! results: sweep grid cells derive independent seeds and build and solve
+//! serially, so every thread count must produce exactly the same bytes.
+//! These tests pin that guarantee at paper scale, for the thread counts a
+//! laptop and a CI runner would use.
 
 use dmra_core::{Allocator, Dmra, Threads};
-use dmra_radio::InterferenceModel;
 use dmra_sim::{ScenarioConfig, SweepRunner};
-use dmra_types::UeId;
 
 fn points(ue_counts: &[usize]) -> Vec<(f64, ScenarioConfig)> {
     ue_counts
@@ -55,33 +53,6 @@ fn parallel_sweep_matches_serial_for_custom_metrics_too() {
         .run_forwarded_load("t", "#UEs", &points, &algos)
         .unwrap();
     assert_eq!(par, serial);
-}
-
-#[test]
-fn parallel_instance_build_is_bit_identical() {
-    // Interference on, so the parallel per-BS aggregate-power pass is
-    // exercised alongside the per-UE candidate rows. The build fans its
-    // rows out only from 4096 UEs up, so the population sits above that.
-    let mut cfg = ScenarioConfig::paper_defaults().with_ues(4500).with_seed(9);
-    cfg.radio.interference = InterferenceModel::LoadProportional { factor: 0.01 };
-    let serial = cfg.build_with_threads(Threads::serial()).unwrap();
-    for threads in [2usize, 5] {
-        let par = cfg.build_with_threads(Threads::Fixed(threads)).unwrap();
-        for u in 0..serial.n_ues() {
-            let ue = UeId::new(u as u32);
-            assert_eq!(
-                serial.candidates(ue),
-                par.candidates(ue),
-                "candidates of {ue} diverged at {threads} threads"
-            );
-            assert_eq!(serial.f_u(ue), par.f_u(ue));
-        }
-        assert_eq!(
-            serial.coverage_lists(),
-            par.coverage_lists(),
-            "coverage lists diverged at {threads} threads"
-        );
-    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Flight-recorder determinism: the deterministic-field projection of a
-//! `--record` JSONL stream is byte-identical across engines, thread
-//! counts and decimation settings.
+//! `--record` JSONL stream is byte-identical across engines and
+//! decimation settings.
 //!
 //! Every engine builds its `det` section through one shared helper per
 //! stream (DESIGN.md §15), so each simulator's epoch loop, its
