@@ -27,7 +27,7 @@ pub fn help_text() -> String {
      \t--ues N        number of UEs               (default 600)\n\
      \t--seed S       scenario seed               (default 42)\n\
      \t--iota X       cross-SP markup             (default 2.0)\n\
-     \t--rho X        Eq. (17) weight             (default 100)\n\
+     \t--rho X        Eq. (17) weight in [0, inf] (default 100)\n\
      \t--placement P  regular | random            (default regular)\n\
      \t--algo A       dmra|dcsp|nonco|greedy|random|cloud|all (default all)\n\
      sweep     profit vs #UEs table (DMRA, DCSP, NonCo)\n\
@@ -371,8 +371,22 @@ fn threads_from(parsed: &ParsedArgs) -> Result<Threads, ArgError> {
     }
 }
 
-fn algorithms(selector: &str, seed: u64, rho: f64) -> Result<Vec<Box<dyn Allocator>>, ArgError> {
-    let dmra = || Box::new(Dmra::new(DmraConfig::paper_defaults().with_rho(rho)));
+/// Parses `--rho X` into the paper's [`DmraConfig`] and rejects a NaN
+/// or negative `ρ` before the command runs.
+fn dmra_config(parsed: &ParsedArgs) -> Result<DmraConfig, ArgError> {
+    let config = DmraConfig::paper_defaults().with_rho(parsed.get_or("rho", 100.0f64)?);
+    config
+        .validate()
+        .map_err(|e| ArgError(format!("--rho: {e}")))?;
+    Ok(config)
+}
+
+fn algorithms(
+    selector: &str,
+    seed: u64,
+    config: DmraConfig,
+) -> Result<Vec<Box<dyn Allocator>>, ArgError> {
+    let dmra = || Box::new(Dmra::new(config));
     Ok(match selector {
         "dmra" => vec![dmra()],
         "dcsp" => vec![Box::new(Dcsp::default())],
@@ -398,9 +412,9 @@ fn algorithms(selector: &str, seed: u64, rho: f64) -> Result<Vec<Box<dyn Allocat
 
 fn cmd_run(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let seed = parsed.get_or("seed", 42u64)?;
-    let rho = parsed.get_or("rho", 100.0f64)?;
+    let config = dmra_config(parsed)?;
     let scenario = scenario_from(parsed)?;
-    let algos = algorithms(parsed.get("algo").unwrap_or("all"), seed, rho)?;
+    let algos = algorithms(parsed.get("algo").unwrap_or("all"), seed, config)?;
     Ok(Box::new(move || {
         let instance = scenario.build().map_err(|e| ArgError(e.to_string()))?;
         let mut out = format!(
@@ -522,7 +536,7 @@ fn crash_spec(parsed: &ParsedArgs, n_bss: usize) -> Result<Vec<(BsId, usize)>, A
 fn cmd_protocol(parsed: &ParsedArgs) -> Result<Run, ArgError> {
     let drop_prob = drop_probability(parsed)?;
     let seed = parsed.get_or("seed", 42u64)?;
-    let rho = parsed.get_or("rho", 100.0f64)?;
+    let matcher = dmra_config(parsed)?;
     let mut cfg = scenario_from(parsed)?;
     cfg.n_ues = parsed.get_or("ues", 400usize)?;
     let policy = if drop_prob > 0.0 {
@@ -537,7 +551,7 @@ fn cmd_protocol(parsed: &ParsedArgs) -> Result<Run, ArgError> {
         let defaults = ProtocolOptions::default();
         let out = run_protocol(
             &instance,
-            &DmraConfig::paper_defaults().with_rho(rho),
+            &matcher,
             ProtocolOptions {
                 drop_policy: policy,
                 delay: delay.to_model(seed),
@@ -1070,6 +1084,8 @@ mod tests {
                 &["dynamic", "--iota", "0.5", "--record", keep_arg][..],
                 "markup",
             ),
+            (&["protocol", "--rho", "nan", "--record", keep_arg][..], "ρ"),
+            (&["protocol", "--rho", "-1", "--record", keep_arg][..], "ρ"),
         ] {
             let err = run(args).unwrap_err();
             assert!(err.to_string().contains(needle), "{args:?}: {err}");
@@ -1097,6 +1113,13 @@ mod tests {
                 &["run", "--iota", "0.5", "--trace-out", trace_arg][..],
                 "markup",
             ),
+            (
+                &["run", "--iota", "nan", "--trace-out", trace_arg][..],
+                "markup",
+            ),
+            // `run` has no `--record`; its `--rho` rows use `--trace-out`.
+            (&["run", "--rho", "nan", "--trace-out", trace_arg][..], "ρ"),
+            (&["run", "--rho", "-1", "--trace-out", trace_arg][..], "ρ"),
         ] {
             let err = run(args).unwrap_err();
             assert!(err.to_string().contains(needle), "{args:?}: {err}");

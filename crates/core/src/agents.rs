@@ -516,8 +516,7 @@ impl Default for ProtocolOptions {
 ///
 /// # Errors
 ///
-/// Returns [`dmra_types::Error::NonTermination`] if the protocol does not
-/// quiesce within `max_rounds`.
+/// As [`run_protocol`].
 pub fn run_decentralized(
     instance: &ProblemInstance,
     config: &DmraConfig,
@@ -543,8 +542,7 @@ pub fn run_decentralized(
 ///
 /// # Errors
 ///
-/// Returns [`dmra_types::Error::NonTermination`] if the protocol does not
-/// quiesce within `max_rounds`.
+/// As [`run_protocol`].
 pub fn run_decentralized_with(
     instance: &ProblemInstance,
     config: &DmraConfig,
@@ -573,13 +571,15 @@ pub fn run_decentralized_with(
 ///
 /// # Errors
 ///
-/// Returns [`dmra_types::Error::NonTermination`] if the protocol does not
-/// quiesce within `options.max_rounds`.
+/// Returns [`dmra_types::Error::InvalidConfig`] if `ρ` fails
+/// [`DmraConfig::validate`], and [`dmra_types::Error::NonTermination`] if
+/// the protocol does not quiesce within `options.max_rounds`.
 pub fn run_protocol(
     instance: &ProblemInstance,
     config: &DmraConfig,
     options: ProtocolOptions,
 ) -> Result<DecentralizedOutcome> {
+    config.validate()?;
     let board: Board = Rc::new(RefCell::new(BoardState {
         assigned: vec![None; instance.n_ues()],
         conflicts: 0,

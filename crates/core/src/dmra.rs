@@ -29,10 +29,29 @@
 //! * the UE side visits a worklist of unmatched UEs, in ascending order;
 //! * Eq. (17)'s resource term `ρ / d` is read from a per-workspace table
 //!   indexed by the integer denominator `d`: the same division, done when
-//!   `ρ` changes instead of on every candidate visit;
-//! * each `(bs, service)` slot of the winner table holds only the
-//!   16-byte BS preference key, from which the BS side recovers the UE
-//!   and its RRB demand.
+//!   `ρ` changes instead of on every candidate visit. Entry 0 is `+∞`,
+//!   the value the reference gives a drained BS;
+//! * Eq. (17)'s arg-min is a branch-free `min` over one `u128` key per
+//!   candidate, `v.to_bits() << 64 | bs << 32 | i` (`i` = the
+//!   candidate's place in the UE's window). For `v ≥ +0.0` and not NaN,
+//!   the IEEE bit pattern orders like the value, so the key orders
+//!   exactly like the reference's rule — smallest `v`, ties to the
+//!   smallest BS id — and the low word names the winning entry. Every
+//!   `v = p + ρ / d` lies in `(0, +∞]`: prices are at least `2b > 0`
+//!   ([`PricingConfig::validate`](dmra_econ::PricingConfig::validate))
+//!   and [`DmraConfig::validate`] rejects a NaN or negative `ρ`, so a
+//!   `ρ = -0.0` term adds `-0.0` and a `ρ = +∞` term ties every live
+//!   candidate at `+∞`;
+//! * the BS preference is one `u128` per proposal, larger is better:
+//!   bit 96 the same-SP flag, then `!f_u`, `!footprint` and `!ue` as
+//!   32-bit words (each complemented, so smaller wins). A proposal is
+//!   `best[slot] = best[slot].max(key)` on a winner table that holds 0
+//!   — the identity of `max` on keys — in each empty `(bs, service)`
+//!   slot; the BS side recovers the UE and its RRB demand from the key;
+//! * each proposal also sets its slot's bit in a bitset, and the BS side
+//!   walks the set bits in ascending slot order, clearing them as it
+//!   goes: `(bs, service)` order, the order in which the reference's
+//!   nested `BTreeMap`s visit them, with no per-round sort.
 //!
 //! Splitting the instance into candidate-graph components, or replaying
 //! unchanged components across epochs, gives the same outcome but
@@ -50,7 +69,6 @@ use crate::allocator::{Allocator, AllocatorSession};
 use crate::instance::{CandidateLink, ProblemInstance};
 use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Tunables of the DMRA matcher.
@@ -85,6 +103,23 @@ impl DmraConfig {
     pub fn with_rho(mut self, rho: f64) -> Self {
         self.rho = rho;
         self
+    }
+
+    /// Checks that `ρ` is a valid Eq. (17) weight: non-negative and not
+    /// NaN. `ρ = +∞` is legal: every live candidate then scores `+∞`, and
+    /// the tie goes to the smallest BS id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming `ρ`.
+    pub fn validate(&self) -> Result<()> {
+        if self.rho.is_nan() || self.rho < 0.0 {
+            return Err(Error::InvalidConfig(format!(
+                "Eq. (17) weight ρ must be non-negative and not NaN, got {}",
+                self.rho
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -146,8 +181,8 @@ impl Dmra {
     /// `Vec`s indexed by raw BS/UE/service indices (flattened remaining
     /// resources, flattened candidate windows pruned by swap-with-tail, a
     /// reusable table of each round's best preference key keyed
-    /// `bs * n_services + service`, a worklist of unmatched UEs and a
-    /// `ρ / d` table for Eq. (17)). It is
+    /// `bs * n_services + service` with a bitset of the slots filled, a
+    /// worklist of unmatched UEs and a `ρ / d` table for Eq. (17)). It is
     /// bit-identical to [`Dmra::solve_reference`] — every selection rule
     /// has a unique key, so none of the reorderings the dense layout
     /// introduces can change a decision — and the test suite asserts the
@@ -155,8 +190,11 @@ impl Dmra {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
-    /// indicates a bug, as the algorithm provably terminates.
+    /// Returns [`Error::InvalidConfig`] if `ρ` fails
+    /// [`DmraConfig::validate`] or the instance has more `(bs, service)`
+    /// slots than a `u32` indexes, and [`Error::NonTermination`] if
+    /// `max_iterations` elapses — this indicates a bug, as the algorithm
+    /// provably terminates.
     pub fn solve(&self, instance: &ProblemInstance) -> Result<DmraOutcome> {
         self.solve_with_workspace(instance, &mut DmraWorkspace::default())
     }
@@ -170,13 +208,13 @@ impl Dmra {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
-    /// indicates a bug, as the algorithm provably terminates.
+    /// As [`Dmra::solve`].
     pub fn solve_with_workspace(
         &self,
         instance: &ProblemInstance,
         ws: &mut DmraWorkspace,
     ) -> Result<DmraOutcome> {
+        self.config.validate()?;
         // Telemetry is observe-only: the flag is read once, the clock only
         // when enabled, and all recording happens after the match loop —
         // nothing here can influence a decision below.
@@ -186,9 +224,19 @@ impl Dmra {
         let n_ues = instance.n_ues();
         let n_bss = instance.n_bss();
         let n_svcs = instance.catalog().len() as usize;
+        // Candidates carry their `(bs, service)` slot as a `u32`.
+        if n_bss
+            .checked_mul(n_svcs)
+            .and_then(|n| u32::try_from(n).ok())
+            .is_none()
+        {
+            return Err(Error::InvalidConfig(format!(
+                "{n_bss} BSs × {n_svcs} services exceed the solver's u32 slot index"
+            )));
+        }
 
-        load_monolithic(instance, ws);
-        load_rho_table(self.config.rho, ws);
+        let max_denominator = load_monolithic(instance, n_svcs, ws);
+        load_rho_table(self.config.rho, max_denominator, ws);
 
         let run = match_loop(&self.config, n_ues, n_bss, n_svcs, ws)?;
 
@@ -207,9 +255,12 @@ impl Dmra {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
-    /// indicates a bug, as the algorithm provably terminates.
+    /// Returns [`Error::InvalidConfig`] if `ρ` fails
+    /// [`DmraConfig::validate`], and [`Error::NonTermination`] if
+    /// `max_iterations` elapses — this indicates a bug, as the algorithm
+    /// provably terminates.
     pub fn solve_reference(&self, instance: &ProblemInstance) -> Result<DmraOutcome> {
+        self.config.validate()?;
         let n_ues = instance.n_ues();
         let mut state = MatchState::new(instance);
         // Each UE's live candidate set, pruned monotonically.
@@ -332,11 +383,12 @@ impl Allocator for Dmra {
 
     /// # Panics
     ///
-    /// Panics if the iteration bound is exhausted, which would indicate a
-    /// bug in the matcher (the algorithm provably terminates).
+    /// Panics if `ρ` fails [`DmraConfig::validate`], or if the iteration
+    /// bound is exhausted, which would indicate a bug in the matcher (the
+    /// algorithm provably terminates).
     fn allocate(&self, instance: &ProblemInstance) -> Allocation {
         self.solve(instance)
-            .expect("DMRA terminates within its iteration bound")
+            .expect("DMRA's ρ is valid and it terminates within its iteration bound")
             .allocation
     }
 
@@ -356,9 +408,9 @@ impl Allocator for Dmra {
 /// Every field is sized/overwritten at the start of a solve (the `ρ / d`
 /// table whenever `ρ` changes or it is too short), so a workspace can be
 /// reused freely across instances of different shapes and configs; it
-/// never influences the outcome. The winner table relies on the
-/// solver's drain discipline (every slot empty between solves), which a
-/// `debug_assert` re-checks on entry.
+/// never influences the outcome. The winner table and its bitset rely on
+/// the solver's drain discipline (every slot 0 and every bit clear
+/// between solves), which a `debug_assert` re-checks on entry.
 #[derive(Debug, Clone, Default)]
 pub struct DmraWorkspace {
     /// Remaining CRUs, flattened `[bs * n_svcs + svc]`.
@@ -379,21 +431,27 @@ pub struct DmraWorkspace {
     f_u: Vec<u32>,
     /// Eq. (17)'s resource term by integer denominator:
     /// `rho_term[d] = ρ / d` for `d = rem_cru + rem_rrb` (see
-    /// [`load_rho_table`]). Entry 0 is never read: a drained slot scores
-    /// `+∞` before any lookup.
+    /// [`load_rho_table`]), and `rho_term[0] = +∞`, so a drained slot
+    /// scores `p + ∞ = +∞` like the reference's.
     rho_term: Vec<f64>,
     /// The bits of the `ρ` that `rho_term` holds.
     rho_bits: u64,
     /// UEs still unmatched (neither accepted nor cloud-forwarded), in
     /// ascending order: the UEs the next round's UE side visits.
     pending: Vec<u32>,
-    /// The best preference key received this iteration, one entry per
-    /// `(bs, service)` slot; `None` = no proposal yet.
-    best: Vec<Option<DensePref>>,
-    /// Slots that received a proposal in the current iteration.
-    touched: Vec<usize>,
-    /// Per-BS winner scratch for the admission step.
-    winners: Vec<DensePref>,
+    /// The largest BS preference key received this iteration, one entry
+    /// per `(bs, service)` slot, 0 when no proposal arrived. Key layout,
+    /// larger is better: bit 96 = same-SP proposer (when the config
+    /// honours the preference), bits 64..96 = `!f_u`, bits 32..64 =
+    /// `!(n_{u,i} + c_j^u)`, bits 0..32 = `!ue` — the order of
+    /// [`bs_preference_key`], and unique through the UE id.
+    best: Vec<u128>,
+    /// One bit per `(bs, service)` slot: set when the slot received a
+    /// proposal this iteration. The BS side walks the set bits in
+    /// ascending order and clears every word it passes.
+    proposed: Vec<u64>,
+    /// Per-BS winner keys for the admission step.
+    winners: Vec<u128>,
 }
 
 /// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace.
@@ -453,8 +511,9 @@ impl MatchRun {
 }
 
 /// Loads the dense caches of `instance` into `ws`, indexed by raw UE/BS
-/// indices.
-fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
+/// indices, and returns the largest Eq. (17) denominator
+/// `max rem_cru + max rem_rrb` the loaded budgets can form.
+fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorkspace) -> u64 {
     let n_ues = instance.n_ues();
     let ues = instance.ues();
 
@@ -463,8 +522,13 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
     // arithmetic reproduces `MatchState` exactly).
     ws.rem_cru.clear();
     ws.rem_rrb.clear();
+    let (mut max_cru, mut max_rrb) = (0u32, 0u32);
     for bs in instance.bss() {
-        ws.rem_cru.extend(bs.cru_budget.iter().map(|c| c.get()));
+        ws.rem_cru.extend(bs.cru_budget.iter().map(|c| {
+            max_cru = max_cru.max(c.get());
+            c.get()
+        }));
+        max_rrb = max_rrb.max(bs.rrb_budget.get());
         ws.rem_rrb.push(bs.rrb_budget.get());
     }
 
@@ -476,14 +540,17 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
     ws.cands.clear();
     ws.start.clear();
     ws.len.clear();
-    for u in 0..n_ues {
+    for (u, ue) in ues.iter().enumerate() {
         let row = instance.candidates(UeId::new(u as u32));
+        let svc = ue.service.as_usize();
         ws.start.push(ws.cands.len());
         ws.len.push(row.len());
         ws.cands.extend(row.iter().map(|l| DenseCand {
-            bs: l.bs.index(),
-            n_rrbs: l.n_rrbs.get(),
             price: l.price.get(),
+            bs: l.bs.index(),
+            // The caller checked that every slot index fits a `u32`.
+            slot: (l.bs.as_usize() * n_svcs + svc) as u32,
+            n_rrbs: l.n_rrbs.get(),
             same_sp: l.same_sp,
         }));
     }
@@ -495,6 +562,7 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
     ws.f_u.clear();
     ws.f_u
         .extend((0..n_ues).map(|u| instance.f_u(UeId::new(u as u32))));
+    u64::from(max_cru) + u64::from(max_rrb)
 }
 
 /// Longest `ρ / d` table a workspace keeps (32 KiB of `f64`). The paper
@@ -502,19 +570,19 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
 /// past the bound is divided directly.
 const RHO_TABLE_MAX: usize = 4096;
 
-/// Makes `ws.rho_term` cover every Eq. (17) denominator of the instance
-/// just loaded, up to [`RHO_TABLE_MAX`]. Budgets only shrink during a
-/// solve, so the loaded maxima bound every `d = rem_cru + rem_rrb` the
-/// match loop can form. Both operands of `ρ / d` are exact integers in
-/// `f64`, so each entry is bit-for-bit the division it replaces.
-fn load_rho_table(rho: f64, ws: &mut DmraWorkspace) {
-    let max_cru = u64::from(ws.rem_cru.iter().copied().max().unwrap_or(0));
-    let max_rrb = u64::from(ws.rem_rrb.iter().copied().max().unwrap_or(0));
-    let len = (max_cru + max_rrb + 1).min(RHO_TABLE_MAX as u64) as usize;
+/// Makes `ws.rho_term` cover every Eq. (17) denominator up to
+/// `max_denominator` (see [`load_monolithic`]), within
+/// [`RHO_TABLE_MAX`]. Budgets only shrink during a solve, so the loaded
+/// maxima bound every `d = rem_cru + rem_rrb` the match loop can form.
+/// Both operands of `ρ / d` are exact integers in `f64`, so each entry
+/// `d > 0` is bit-for-bit the division it replaces.
+fn load_rho_table(rho: f64, max_denominator: u64, ws: &mut DmraWorkspace) {
+    let len = (max_denominator + 1).min(RHO_TABLE_MAX as u64) as usize;
     if ws.rho_bits != rho.to_bits() || ws.rho_term.len() < len {
         ws.rho_bits = rho.to_bits();
         ws.rho_term.clear();
-        ws.rho_term.extend((0..len).map(|d| rho / d as f64));
+        ws.rho_term.push(f64::INFINITY);
+        ws.rho_term.extend((1..len).map(|d| rho / d as f64));
     }
 }
 
@@ -540,13 +608,13 @@ fn match_loop(
         rho_term,
         pending,
         best,
-        touched,
+        proposed,
         winners,
         ..
     } = ws;
     let rho = config.rho;
     let rho_term: &[f64] = rho_term;
-    let table_len = rho_term.len() as u64;
+    let same_sp_preference = u128::from(config.same_sp_preference);
 
     // `assigned` moves into the outcome's `Allocation`, so it is the
     // one per-solve allocation that cannot live in the workspace.
@@ -565,17 +633,19 @@ fn match_loop(
     // max-preference proposal, so the UE side keeps a running max per
     // slot instead of a bucket of every proposal: the preference key
     // embeds the UE id, so the max is unique and independent of arrival
-    // order. `touched` lists the slots filled this iteration (sorted
-    // before the BS side so it walks (bs, service) in exactly the order
-    // the reference's nested BTreeMaps would). Every slot is empty
-    // between solves (each iteration takes the slots it touched), so
-    // reuse only needs to grow the table.
-    let workspace_reused = best.len() >= n_bss * n_svcs;
+    // order. `proposed` marks the slots filled this iteration, and the
+    // BS side walks its set bits in ascending slot order — (bs, service)
+    // order, exactly the order the reference's nested BTreeMaps visit.
+    // Every slot is 0 and every bit clear between solves (each iteration
+    // takes the slots it marked), so reuse only needs to grow the tables.
+    let n_slots = n_bss * n_svcs;
+    let workspace_reused = best.len() >= n_slots;
     if !workspace_reused {
-        best.resize(n_bss * n_svcs, None);
+        best.resize(n_slots, 0);
+        proposed.resize(n_slots.div_ceil(64), 0);
     }
-    debug_assert!(best.iter().all(Option::is_none));
-    touched.clear();
+    debug_assert!(best.iter().all(|&key| key == 0));
+    debug_assert!(proposed.iter().all(|&bits| bits == 0));
     winners.clear();
     let mut final_iterations = None;
 
@@ -584,7 +654,6 @@ fn match_loop(
         let mut any = false;
         for &u in pending.iter() {
             let u = u as usize;
-            let s = svc[u];
             loop {
                 if len[u] == 0 {
                     // Line 1 / fallthrough of lines 4–10: no BS can
@@ -592,48 +661,30 @@ fn match_loop(
                     cloud_total += 1;
                     break;
                 }
-                // Eq. (17) arg-min over the live window.
+                // Eq. (17) arg-min over the live window: the smallest
+                // `(v, bs)` key, whose low word is the entry's index.
                 let window = &cands[start[u]..start[u] + len[u]];
-                let mut best_i = 0usize;
-                let mut best_v = f64::INFINITY;
-                let mut best_bs = u32::MAX;
+                let mut best_key = u128::MAX;
                 for (i, c) in window.iter().enumerate() {
-                    let b = c.bs as usize;
-                    let d = u64::from(rem_cru[b * n_svcs + s]) + u64::from(rem_rrb[b]);
-                    let v = if d == 0 {
-                        f64::INFINITY
-                    } else if d < table_len {
-                        c.price + rho_term[d as usize]
-                    } else {
-                        c.price + rho / d as f64
+                    let d = u64::from(rem_cru[c.slot as usize]) + u64::from(rem_rrb[c.bs as usize]);
+                    let term = match rho_term.get(d as usize) {
+                        Some(&term) => term,
+                        None => rho / d as f64,
                     };
-                    if v < best_v || (v == best_v && c.bs < best_bs) {
-                        best_i = i;
-                        best_v = v;
-                        best_bs = c.bs;
-                    }
+                    let v = c.price + term;
+                    let key = u128::from(v.to_bits()) << 64 | u128::from(c.bs) << 32 | i as u128;
+                    best_key = best_key.min(key);
                 }
-                let c = cands[start[u] + best_i];
-                let b = c.bs as usize;
-                if rem_cru[b * n_svcs + s] >= cru_demand[u] && rem_rrb[b] >= c.n_rrbs {
-                    let slot = b * n_svcs + s;
-                    let pref = DensePref {
-                        same_sp: config.same_sp_preference && c.same_sp,
-                        f_u: Reverse(f_u[u]),
-                        footprint: Reverse(c.n_rrbs + cru_demand[u]),
-                        ue: Reverse(u as u32),
-                    };
-                    match &mut best[slot] {
-                        Some(held) => {
-                            if pref > *held {
-                                *held = pref;
-                            }
-                        }
-                        empty @ None => {
-                            *empty = Some(pref);
-                            touched.push(slot);
-                        }
-                    }
+                let best_i = best_key as u32 as usize;
+                let c = window[best_i];
+                let slot = c.slot as usize;
+                if rem_cru[slot] >= cru_demand[u] && rem_rrb[c.bs as usize] >= c.n_rrbs {
+                    let key = (same_sp_preference & u128::from(c.same_sp)) << 96
+                        | u128::from(!f_u[u]) << 64
+                        | u128::from(!(c.n_rrbs + cru_demand[u])) << 32
+                        | u128::from(!(u as u32));
+                    best[slot] = best[slot].max(key);
+                    proposed[slot / 64] |= 1 << (slot % 64);
                     proposals_total += 1;
                     any = true;
                     break;
@@ -652,41 +703,39 @@ fn match_loop(
         // ---- BS side: lines 11–25 ----
         // A winner's key carries its UE id and footprint `n_rrbs +
         // cru_demand`, so its RRB demand at this BS is recovered exactly.
-        let n_rrbs = |p: &DensePref| p.footprint.0 - cru_demand[p.ue.0 as usize];
-        touched.sort_unstable();
+        let ue_of = |key: u128| !(key as u32) as usize;
+        let n_rrbs = |key: u128| !((key >> 32) as u32) - cru_demand[ue_of(key)];
         let mut accepted_this_iteration = 0usize;
-        let mut t = 0usize;
-        while t < touched.len() {
-            let bs = touched[t] / n_svcs;
+        let mut slots = drain_set_bits(&mut proposed[..n_slots.div_ceil(64)]).peekable();
+        while let Some(&first) = slots.peek() {
+            let bs = first / n_svcs;
+            let bs_end = bs * n_svcs + n_svcs;
             winners.clear();
-            while t < touched.len() && touched[t] / n_svcs == bs {
-                // One winner per service: the slot's max-preference
-                // proposer. Taking it also empties the slot.
-                let slot = touched[t];
-                winners.push(best[slot].take().expect("touched slot holds a proposal"));
-                t += 1;
+            // One winner per service: the slot's max-preference proposer.
+            // Taking it also empties the slot.
+            while let Some(slot) = slots.next_if(|&slot| slot < bs_end) {
+                winners.push(std::mem::take(&mut best[slot]));
             }
             // Radio admission: lines 22–25. Remove least-preferred
             // winners until the batch fits the remaining RRBs.
-            let mut total: u32 = winners.iter().map(n_rrbs).sum();
+            let mut total: u32 = winners.iter().map(|&w| n_rrbs(w)).sum();
             if total > rem_rrb[bs] {
                 // Ascending preference = worst first.
-                winners.sort_by_key(|&w| Reverse(w));
+                winners.sort_unstable_by(|a, b| b.cmp(a));
                 while total > rem_rrb[bs] {
                     let dropped = winners.pop().expect("winners cannot empty before fitting");
-                    total -= n_rrbs(&dropped);
+                    total -= n_rrbs(dropped);
                     evictions += 1;
                 }
             }
-            for w in winners.drain(..) {
-                let u = w.ue.0 as usize;
+            for &w in winners.iter() {
+                let u = ue_of(w);
                 rem_cru[bs * n_svcs + svc[u]] -= cru_demand[u];
-                rem_rrb[bs] -= n_rrbs(&w);
+                rem_rrb[bs] -= n_rrbs(w);
                 assigned[u] = Some(BsId::new(bs as u32));
                 accepted_this_iteration += 1;
             }
         }
-        touched.clear();
         // A UE leaves the worklist once accepted, or once its window is
         // empty (it was forwarded to the cloud above).
         pending.retain(|&u| assigned[u as usize].is_none() && len[u as usize] != 0);
@@ -764,29 +813,33 @@ fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::I
 /// One live candidate in the dense solver's flattened per-UE window.
 #[derive(Debug, Clone, Copy)]
 struct DenseCand {
-    /// Raw BS index.
-    bs: u32,
-    /// `n_{u,i}`: RRB demand of this UE at this BS.
-    n_rrbs: u32,
     /// `p_{i,u}` as a raw float.
     price: f64,
+    /// Raw BS index.
+    bs: u32,
+    /// The `(bs, service)` slot this UE's request occupies at this BS,
+    /// `bs * n_svcs + svc(u)`: its index into `rem_cru` and the winner
+    /// table.
+    slot: u32,
+    /// `n_{u,i}`: RRB demand of this UE at this BS.
+    n_rrbs: u32,
     /// Whether UE and BS belong to the same SP.
     same_sp: bool,
 }
 
-/// The BS-side preference key of [`bs_preference_key`], precomputed:
-/// larger is better (fields compare in declaration order), and the
-/// embedded UE id makes it unique. Sixteen bytes, also as an `Option`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct DensePref {
-    /// Same-SP proposer (when the config honours the preference).
-    same_sp: bool,
-    /// Smaller `f_u` first.
-    f_u: Reverse<u32>,
-    /// Smaller footprint `n_{u,i} + c_j^u` first.
-    footprint: Reverse<u32>,
-    /// Smaller raw UE index first.
-    ue: Reverse<u32>,
+/// The indices of the set bits of `words` in ascending order; each word
+/// is cleared when the walk reaches it.
+fn drain_set_bits(words: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter_mut().enumerate().flat_map(|(w, word)| {
+        let mut bits = std::mem::take(word);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Mutable per-BS resource state shared by the matcher phases.
@@ -941,46 +994,101 @@ mod tests {
         assert_eq!(Dmra::default().name(), "DMRA");
     }
 
-    /// A scenario engineered so the same-SP preference matters: two UEs of
-    /// different SPs compete for the last slot of a BS.
-    fn contested_instance(rrb_budget: u32) -> ProblemInstance {
+    /// Two SPs and one service. BSs are `(sp, position, CRU budget, RRB
+    /// budget)` with ids in order; UEs are `(sp, position)` with ids in
+    /// order, each asking 4 CRUs at 3 Mb/s (one RRB at 100 m).
+    fn one_service_instance(
+        bss: &[(u32, Point, u32, u32)],
+        ues: &[(u32, Point)],
+    ) -> ProblemInstance {
         let sps = vec![
             SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
             SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
         ];
-        let catalog = ServiceCatalog::new(1);
-        let bss = vec![BsSpec::new(
-            dmra_types::BsId::new(0),
-            SpId::new(0),
-            Point::new(0.0, 0.0),
-            vec![Cru::new(100)],
-            Hertz::from_mhz(10.0),
-            dmra_types::RrbCount::new(rrb_budget),
-        )];
-        // Both UEs equidistant, same demand; ue0 subscribes to sp1 (cross),
-        // ue1 subscribes to sp0 (same as the BS).
-        let mk_ue = |id: u32, sp: u32| {
-            UeSpec::new(
-                dmra_types::UeId::new(id),
-                SpId::new(sp),
-                Point::new(100.0, 0.0),
-                ServiceId::new(0),
-                Cru::new(4),
-                BitsPerSec::from_mbps(3.0),
-                Dbm::new(10.0),
-            )
-        };
-        let ues = vec![mk_ue(0, 1), mk_ue(1, 0)];
+        let bss = bss
+            .iter()
+            .zip(0..)
+            .map(|(&(sp, at, cru, rrb), id)| {
+                BsSpec::new(
+                    BsId::new(id),
+                    SpId::new(sp),
+                    at,
+                    vec![Cru::new(cru)],
+                    Hertz::from_mhz(10.0),
+                    dmra_types::RrbCount::new(rrb),
+                )
+            })
+            .collect();
+        let ues = ues
+            .iter()
+            .zip(0..)
+            .map(|(&(sp, at), id)| {
+                UeSpec::new(
+                    dmra_types::UeId::new(id),
+                    SpId::new(sp),
+                    at,
+                    ServiceId::new(0),
+                    Cru::new(4),
+                    BitsPerSec::from_mbps(3.0),
+                    Dbm::new(10.0),
+                )
+            })
+            .collect();
         ProblemInstance::build(
             sps,
             bss,
             ues,
-            catalog,
+            ServiceCatalog::new(1),
             PricingConfig::paper_defaults(),
             RadioConfig::paper_defaults(),
             CoverageModel::default(),
         )
         .unwrap()
+    }
+
+    /// A scenario engineered so the same-SP preference matters: two UEs of
+    /// different SPs compete for the last slot of a BS. Both UEs are
+    /// equidistant with the same demand; UE 0 subscribes to SP 1 (cross),
+    /// UE 1 to SP 0 (the BS's).
+    fn contested_instance(rrb_budget: u32) -> ProblemInstance {
+        let at = Point::new(100.0, 0.0);
+        one_service_instance(
+            &[(0, Point::new(0.0, 0.0), 100, rrb_budget)],
+            &[(1, at), (0, at)],
+        )
+    }
+
+    /// Two co-located SP-0 UEs whose cheapest BS (BS 0, same SP, the
+    /// nearest) fits only one of them, and two SP-1 BSs at bit-equal
+    /// distances with equal budgets, so their Eq. (17) values are
+    /// bit-equal. UE 0 takes BS 0 in round 1; in round 2 UE 1 still ranks
+    /// BS 0 first, fails to fit and prunes it, and the swap-with-tail
+    /// puts BS 2 ahead of BS 1 in its window: the tie must still go to
+    /// BS 1, the smaller id.
+    fn tied_instance() -> ProblemInstance {
+        let at = Point::new(0.0, 0.0);
+        one_service_instance(
+            &[
+                (0, Point::new(0.0, 50.0), 6, 55),
+                (1, Point::new(100.0, 0.0), 100, 55),
+                (1, Point::new(-100.0, 0.0), 100, 55),
+            ],
+            &[(0, at), (0, at)],
+        )
+    }
+
+    /// Two co-located UEs whose cheaper BS (BS 0) holds exactly one UE's
+    /// CRUs and RRBs: once round 1 admits UE 0 there, BS 0's Eq. (17)
+    /// denominator is 0 (`v = +∞`) beside the live BS 1.
+    fn drained_instance() -> ProblemInstance {
+        let at = Point::new(100.0, 0.0);
+        one_service_instance(
+            &[
+                (0, Point::new(0.0, 0.0), 4, 1),
+                (0, Point::new(300.0, 0.0), 100, 55),
+            ],
+            &[(0, at), (0, at)],
+        )
     }
 
     #[test]
@@ -1129,12 +1237,70 @@ mod tests {
             ),
             (rich_instance(), DmraConfig::paper_defaults()),
             (rich_instance(), DmraConfig::paper_defaults().with_rho(1e7)),
+            (tied_instance(), DmraConfig::paper_defaults()),
+            (
+                drained_instance(),
+                DmraConfig::paper_defaults().with_rho(0.0),
+            ),
+            (
+                drained_instance(),
+                DmraConfig::paper_defaults().with_rho(f64::INFINITY),
+            ),
+            (
+                two_sp_instance(),
+                DmraConfig::paper_defaults().with_rho(f64::INFINITY),
+            ),
+            (
+                drained_instance(),
+                DmraConfig::paper_defaults().with_rho(-0.0),
+            ),
+            (
+                two_sp_instance(),
+                DmraConfig::paper_defaults().with_rho(-0.0),
+            ),
         ];
         for (i, (inst, cfg)) in scenarios.iter().enumerate() {
             let dmra = Dmra::new(*cfg);
             let fast = dmra.solve(inst).unwrap();
             let reference = dmra.solve_reference(inst).unwrap();
             assert_eq!(fast, reference, "scenario #{i} diverged");
+        }
+        // The bit-equal tie went through the reordering prune to BS 1.
+        let tied = Dmra::default().solve(&tied_instance()).unwrap();
+        assert_eq!(tied.prunes, 1);
+        let ue = dmra_types::UeId::new;
+        assert_eq!(tied.allocation.bs_of(ue(1)), Some(BsId::new(1)));
+        // The drained BS 0 lost UE 1 to BS 1 at ρ = 0 and at ρ = +∞.
+        for rho in [0.0, f64::INFINITY] {
+            let drained = Dmra::new(DmraConfig::paper_defaults().with_rho(rho))
+                .solve(&drained_instance())
+                .unwrap();
+            assert_eq!(drained.allocation.bs_of(ue(0)), Some(BsId::new(0)));
+            assert_eq!(
+                drained.allocation.bs_of(ue(1)),
+                Some(BsId::new(1)),
+                "ρ = {rho}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_and_negative_rho_are_rejected_by_every_solver() {
+        let inst = two_sp_instance();
+        for rho in [f64::NAN, -1.0, -1e-300, f64::NEG_INFINITY] {
+            let config = DmraConfig::paper_defaults().with_rho(rho);
+            let dmra = Dmra::new(config);
+            let errors = [
+                dmra.solve(&inst).err(),
+                dmra.solve_reference(&inst).err(),
+                crate::agents::run_protocol(&inst, &config, Default::default()).err(),
+            ];
+            for err in errors {
+                assert!(
+                    matches!(&err, Some(Error::InvalidConfig(msg)) if msg.contains('ρ')),
+                    "ρ = {rho}: {err:?}"
+                );
+            }
         }
     }
 

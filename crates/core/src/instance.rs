@@ -205,6 +205,14 @@ impl ProblemInstance {
             row_start: Vec::new(),
             f_u: Vec::new(),
         };
+        // A build without UEs scans no row, so it skips the prune index
+        // (every simulator builds its deployment so, then indexes it in
+        // its own `DeploymentContext`).
+        let scan = if instance.ues.is_empty() {
+            CandidateScan::Exhaustive
+        } else {
+            scan
+        };
         let max_candidate_distance = RowBuilder::new(&instance, scan).build_once(&mut instance);
         // Constraint (16) must hold for every reachable price.
         instance

@@ -43,25 +43,27 @@ impl PricingConfig {
         self
     }
 
-    /// Checks the structural requirements: `b > 0`, `ι > 1`, `σ ≥ 0`.
+    /// Checks the structural requirements: `b > 0`, `ι > 1`, `σ ≥ 0`; a
+    /// NaN fails each of them. Every price is then at least `2b > 0`,
+    /// which the DMRA solver's Eq. (17) keys rely on.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
-        if self.base_price.get() <= 0.0 {
+        if self.base_price.get().is_nan() || self.base_price.get() <= 0.0 {
             return Err(Error::InvalidConfig(format!(
                 "base price b must be positive, got {}",
                 self.base_price
             )));
         }
-        if self.cross_sp_markup <= 1.0 {
+        if self.cross_sp_markup.is_nan() || self.cross_sp_markup <= 1.0 {
             return Err(Error::InvalidConfig(format!(
                 "cross-SP markup ι must exceed 1, got {}",
                 self.cross_sp_markup
             )));
         }
-        if self.distance_exponent < 0.0 {
+        if self.distance_exponent.is_nan() || self.distance_exponent < 0.0 {
             return Err(Error::InvalidConfig(format!(
                 "distance exponent σ must be non-negative, got {}",
                 self.distance_exponent
@@ -103,7 +105,8 @@ impl PricingConfig {
     }
 
     /// Validates constraint (16) — `m_k > p_{i,u} + m_k^o` for every SP
-    /// `k` and every price reachable within `max_distance`.
+    /// `k` and every price reachable within `max_distance`. A NaN margin
+    /// or price fails it.
     ///
     /// # Errors
     ///
@@ -112,7 +115,7 @@ impl PricingConfig {
     pub fn validate_margin(&self, sps: &[SpSpec], max_distance: Meters) -> Result<()> {
         let worst = self.worst_case_price(max_distance);
         for sp in sps {
-            if sp.gross_margin() <= worst {
+            if sp.gross_margin().partial_cmp(&worst) != Some(std::cmp::Ordering::Greater) {
                 return Err(Error::UnprofitablePricing {
                     sp: sp.id,
                     detail: format!(
@@ -194,6 +197,16 @@ mod tests {
         let mut p = PricingConfig::paper_defaults();
         p.distance_exponent = -0.5;
         assert!(p.validate().is_err());
+        // NaN fails every check instead of slipping past a `<=` test.
+        for field in 0..3 {
+            let mut p = PricingConfig::paper_defaults();
+            match field {
+                0 => p.base_price = Money::new(f64::NAN),
+                1 => p.cross_sp_markup = f64::NAN,
+                _ => p.distance_exponent = f64::NAN,
+            }
+            assert!(p.validate().is_err(), "NaN field #{field} passed");
+        }
         assert!(PricingConfig::paper_defaults().validate().is_ok());
     }
 
@@ -210,6 +223,23 @@ mod tests {
         let p = PricingConfig::paper_defaults();
         let err = p.validate_margin(&sps, Meters::new(1700.0)).unwrap_err();
         assert!(err.to_string().contains("sp3"), "{err}");
+    }
+
+    #[test]
+    fn margin_validation_rejects_nan() {
+        let nan_margin = vec![SpSpec::new(
+            SpId::new(0),
+            Money::new(f64::NAN),
+            Money::new(1.0),
+        )];
+        let p = PricingConfig::paper_defaults();
+        assert!(p.validate_margin(&nan_margin, Meters::new(300.0)).is_err());
+        let sps = vec![SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0))];
+        let nan_price = PricingConfig {
+            distance_exponent: f64::NAN,
+            ..p
+        };
+        assert!(nan_price.validate_margin(&sps, Meters::new(300.0)).is_err());
     }
 
     proptest! {

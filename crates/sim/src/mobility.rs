@@ -208,8 +208,9 @@ impl MobilitySimulator {
         let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
         // Sticky re-matching solves against churning residual budgets, so
         // its context gets no cache — it still reuses buffers and the
-        // batched kernel.
-        let mut res_ctx = DeploymentContext::new(&deployment);
+        // batched kernel. It is built on the first sticky re-match, so
+        // the other policies never build it.
+        let mut res_ctx: Option<DeploymentContext> = None;
         let mut session = self.allocator.session();
 
         let mut previous: Option<Allocation> = None;
@@ -233,8 +234,9 @@ impl MobilitySimulator {
                     match split.residual_ues(instance) {
                         None => split.kept,
                         Some(res_ues) => {
-                            let residual =
-                                res_ctx.epoch_instance(&split.rem_cru, &split.rem_rrb, res_ues)?;
+                            let residual = res_ctx
+                                .get_or_insert_with(|| DeploymentContext::new(&deployment))
+                                .epoch_instance(&split.rem_cru, &split.rem_rrb, res_ues)?;
                             split.merge(session.allocate(residual))
                         }
                     }

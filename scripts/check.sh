@@ -20,6 +20,11 @@ cargo test --release -q -p dmra-core -p dmra-sim
 # simulators' set-up and epoch paths must stay bit-identical to their
 # scratch specifications in the build perfbench times.
 cargo test --release -q -p dmra --test incremental --test mobility_incremental
+# The solver equalities in the same profile: dense against reference at
+# paper scale, the random-scenario proptest and protocol equivalence.
+# The match loop perfbench times is the branch-free keyed one, so its
+# equality with the reference must hold in the build that runs it.
+cargo test --release -q -p dmra --test parallelism --test decomposition --test equivalence
 # The telemetry compile-out configuration must keep building: every
 # dmra-obs dependent forwards a `telemetry` feature, and this catches a
 # crate growing an unconditional dependency on instrumented APIs.
