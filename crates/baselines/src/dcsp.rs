@@ -1,9 +1,9 @@
 //! DCSP — Decentralized Collaboration Service Placement (Yu et al.,
 //! GLOBECOM 2018), as characterised in Section VI-B of the DMRA paper.
 
-use crate::matching::{self, Preferences, ResourcePool};
+use dmra_core::matching::{self, Preferences, ResourcePool};
 use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
-use dmra_types::{BsId, UeId};
+use dmra_types::{BsId, UeId, UeSpec};
 
 /// The DCSP baseline.
 ///
@@ -18,46 +18,39 @@ use dmra_types::{BsId, UeId};
 /// is exactly where DMRA gains its profit edge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dcsp {
-    whole_bs_occupancy: bool,
+    _private: (),
 }
 
 impl Dcsp {
-    /// Creates the DCSP baseline (per-service occupancy reading).
+    /// Creates the DCSP baseline.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The DMRA paper's one-line description of DCSP ("lowest resource
-    /// occupation") is ambiguous between the occupancy of the requested
-    /// service and of the whole BS. This constructor selects the
-    /// whole-BS reading; the default is per-service.
-    #[must_use]
-    pub fn with_whole_bs_occupancy() -> Self {
-        Self {
-            whole_bs_occupancy: true,
-        }
-    }
 }
 
 impl Preferences for Dcsp {
+    /// The fraction of the BS's combined (requested-service CRU + RRB)
+    /// capacity in use: the "resource occupation" DCSP minimises.
     fn ue_score(
         &self,
         instance: &ProblemInstance,
         pool: &ResourcePool,
-        ue: UeId,
+        ue: &UeSpec,
         link: &CandidateLink,
     ) -> f64 {
-        if self.whole_bs_occupancy {
-            return pool.total_occupancy(link.bs);
+        let bs = &instance.bss()[link.bs.as_usize()];
+        let cap = bs.cru_budget[ue.service.as_usize()].as_f64() + bs.rrb_budget.as_f64();
+        if cap <= 0.0 {
+            return 1.0;
         }
-        let service_idx = instance.ues()[ue.as_usize()].service.as_usize();
-        pool.occupancy(link.bs, service_idx)
+        let rem = pool.cru(link.bs, ue.service).as_f64() + pool.rrb(link.bs).as_f64();
+        1.0 - rem / cap
     }
 
-    fn bs_key(&self, instance: &ProblemInstance, bs: BsId, ue: UeId) -> (u64, u64, u64) {
+    fn bs_key(&self, instance: &ProblemInstance, bs: BsId, ue: UeId) -> u128 {
         let link = instance.link(ue, bs).expect("proposer is candidate");
-        matching::smaller_is_better(instance.f_u(ue), link.n_rrbs.get(), ue.index())
+        matching::bs_key(false, instance.f_u(ue), link.n_rrbs.get(), ue)
     }
 }
 
@@ -66,8 +59,14 @@ impl Allocator for Dcsp {
         "DCSP"
     }
 
+    /// # Panics
+    ///
+    /// Panics if the loop outlives its `2·|U| + 2` round bound, which
+    /// would be a bug (it quiesces within `|U| + 1` rounds).
     fn allocate(&self, instance: &ProblemInstance) -> Allocation {
-        matching::run(instance, self)
+        matching::run(instance, self, 2 * instance.n_ues() + 2)
+            .expect("DCSP terminates within its round bound")
+            .allocation
     }
 }
 
@@ -88,13 +87,6 @@ mod tests {
     fn dcsp_is_deterministic() {
         let inst = small_grid_instance(30, 3);
         assert_eq!(Dcsp::new().allocate(&inst), Dcsp::new().allocate(&inst));
-    }
-
-    #[test]
-    fn whole_bs_occupancy_reading_also_validates() {
-        let inst = small_grid_instance(40, 7);
-        let alloc = Dcsp::with_whole_bs_occupancy().allocate(&inst);
-        alloc.validate(&inst).unwrap();
     }
 
     #[test]

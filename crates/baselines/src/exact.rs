@@ -7,12 +7,9 @@
 //! heuristics' *optimality gap* can be measured (see the `optimality`
 //! integration tests and EXPERIMENTS.md).
 
-use dmra_core::{Allocation, Allocator, ProblemInstance};
-use dmra_types::{BsId, Cru, Money, RrbCount};
-
-/// One serving option of a UE: `(profit, bs, n_rrbs, cru_demand,
-/// service_index)`, kept flat for the hot search loop.
-type ServeOption = (f64, BsId, RrbCount, Cru, usize);
+use dmra_core::matching::ResourcePool;
+use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
+use dmra_types::{BsId, Money, UeSpec};
 
 /// Exact branch-and-bound solver for the TPM objective.
 ///
@@ -41,44 +38,33 @@ impl ExactOptimal {
     #[must_use]
     pub fn solve(&self, instance: &ProblemInstance) -> Option<(Allocation, Money)> {
         let n = instance.n_ues();
-        // Per-UE options: (profit, bs, n_rrbs, cru, service), best first.
-        let mut options: Vec<Vec<ServeOption>> = Vec::with_capacity(n);
-        let mut best_profit_of: Vec<f64> = Vec::with_capacity(n);
-        for ue in instance.ues() {
-            let sp = &instance.sps()[ue.sp.as_usize()];
-            let margin = sp.gross_margin();
-            let mut opts: Vec<_> = instance
-                .candidates(ue.id)
-                .iter()
-                .map(|link| {
-                    (
-                        ue.cru_demand.as_f64() * (margin - link.price).get(),
-                        link.bs,
-                        link.n_rrbs,
-                        ue.cru_demand,
-                        ue.service.as_usize(),
-                    )
-                })
-                .collect();
-            opts.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            best_profit_of.push(opts.first().map_or(0.0, |o| o.0.max(0.0)));
-            options.push(opts);
-        }
+        // Per-UE serving options: (profit, link), best first.
+        let options: Vec<Vec<(f64, &CandidateLink)>> = instance
+            .ues()
+            .iter()
+            .map(|ue| {
+                let margin = instance.sps()[ue.sp.as_usize()].gross_margin();
+                let mut opts: Vec<_> = instance
+                    .candidates(ue.id)
+                    .iter()
+                    .map(|link| (ue.cru_demand.as_f64() * (margin - link.price).get(), link))
+                    .collect();
+                opts.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+                opts
+            })
+            .collect();
         // Suffix sums of the optimistic bound.
         let mut optimistic_tail = vec![0.0; n + 1];
         for u in (0..n).rev() {
-            optimistic_tail[u] = optimistic_tail[u + 1] + best_profit_of[u];
+            let best = options[u].first().map_or(0.0, |o| o.0.max(0.0));
+            optimistic_tail[u] = optimistic_tail[u + 1] + best;
         }
 
         let mut search = Search {
+            ues: instance.ues(),
             options: &options,
             optimistic_tail: &optimistic_tail,
-            rem_cru: instance
-                .bss()
-                .iter()
-                .map(|b| b.cru_budget.clone())
-                .collect(),
-            rem_rrb: instance.bss().iter().map(|b| b.rrb_budget).collect(),
+            pool: ResourcePool::new(instance),
             current: vec![None; n],
             best: vec![None; n],
             best_profit: -1.0,
@@ -105,10 +91,10 @@ impl Default for ExactOptimal {
 }
 
 struct Search<'a> {
-    options: &'a [Vec<ServeOption>],
+    ues: &'a [UeSpec],
+    options: &'a [Vec<(f64, &'a CandidateLink)>],
     optimistic_tail: &'a [f64],
-    rem_cru: Vec<Vec<Cru>>,
-    rem_rrb: Vec<RrbCount>,
+    pool: ResourcePool,
     current: Vec<Option<BsId>>,
     best: Vec<Option<BsId>>,
     best_profit: f64,
@@ -139,24 +125,21 @@ impl Search<'_> {
         if profit + self.optimistic_tail[u] <= self.best_profit {
             return;
         }
-        for idx in 0..self.options[u].len() {
-            let (gain, bs, n_rrbs, cru, svc) = self.options[u][idx];
+        let (ue, options) = (&self.ues[u], self.options);
+        for &(gain, link) in &options[u] {
             if gain <= 0.0 {
                 // Options are sorted; the rest cannot help either (the
                 // cloud at 0 dominates them).
                 break;
             }
-            let i = bs.as_usize();
-            if self.rem_cru[i][svc] < cru || self.rem_rrb[i] < n_rrbs {
+            if !self.pool.fits(ue, link) {
                 continue;
             }
-            self.rem_cru[i][svc] -= cru;
-            self.rem_rrb[i] -= n_rrbs;
-            self.current[u] = Some(bs);
+            self.pool.take(ue, link);
+            self.current[u] = Some(link.bs);
             self.dfs(u + 1, profit + gain);
             self.current[u] = None;
-            self.rem_cru[i][svc] += cru;
-            self.rem_rrb[i] += n_rrbs;
+            self.pool.put_back(ue, link);
         }
         // The cloud option.
         self.dfs(u + 1, profit);
@@ -186,7 +169,7 @@ mod tests {
     use crate::test_support::small_grid_instance;
     use crate::{Dcsp, GreedyProfit, NonCo};
     use dmra_core::Dmra;
-    use dmra_types::UeId;
+    use dmra_types::{Cru, RrbCount, UeId};
 
     /// Exhaustive reference for very small instances.
     fn brute_force(instance: &ProblemInstance) -> f64 {

@@ -1,7 +1,8 @@
 //! Centralized sanity baselines: profit-greedy and cloud-only.
 
-use dmra_core::{Allocation, Allocator, ProblemInstance};
-use dmra_types::{Cru, RrbCount, UeId};
+use dmra_core::matching::ResourcePool;
+use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
+use dmra_types::UeSpec;
 
 /// A centralized, profit-greedy assigner.
 ///
@@ -31,45 +32,31 @@ impl Allocator for GreedyProfit {
     }
 
     fn allocate(&self, instance: &ProblemInstance) -> Allocation {
-        // Collect (density, ue, bs, n_rrbs) for every candidate link.
-        let mut edges: Vec<(f64, UeId, u32, RrbCount)> = Vec::new();
+        // Collect (density, ue, link) for every candidate link.
+        let mut edges: Vec<(f64, &UeSpec, &CandidateLink)> = Vec::new();
         for ue in instance.ues() {
             let sp = &instance.sps()[ue.sp.as_usize()];
             let margin = sp.gross_margin();
             for link in instance.candidates(ue.id) {
                 let profit = ue.cru_demand.as_f64() * (margin - link.price).get();
                 let density = profit / f64::from(link.n_rrbs.get().max(1));
-                edges.push((density, ue.id, link.bs.index(), link.n_rrbs));
+                edges.push((density, ue, link));
             }
         }
         // Highest density first; deterministic tie-break on (ue, bs).
         edges.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
+                .then(a.1.id.cmp(&b.1.id))
+                .then(a.2.bs.cmp(&b.2.bs))
         });
 
-        let mut rem_cru: Vec<Vec<Cru>> = instance
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let mut rem_rrb: Vec<RrbCount> = instance.bss().iter().map(|b| b.rrb_budget).collect();
+        let mut pool = ResourcePool::new(instance);
         let mut alloc = Allocation::all_cloud(instance.n_ues());
-        let mut done = vec![false; instance.n_ues()];
-        for (_, ue_id, bs_idx, n_rrbs) in edges {
-            if done[ue_id.as_usize()] {
-                continue;
-            }
-            let spec = &instance.ues()[ue_id.as_usize()];
-            let svc = spec.service.as_usize();
-            let i = bs_idx as usize;
-            if rem_cru[i][svc] >= spec.cru_demand && rem_rrb[i] >= n_rrbs {
-                rem_cru[i][svc] -= spec.cru_demand;
-                rem_rrb[i] -= n_rrbs;
-                alloc.assign(ue_id, dmra_types::BsId::new(bs_idx));
-                done[ue_id.as_usize()] = true;
+        for (_, ue, link) in edges {
+            if alloc.bs_of(ue.id).is_none() && pool.fits(ue, link) {
+                pool.take(ue, link);
+                alloc.assign(ue.id, link.bs);
             }
         }
         alloc

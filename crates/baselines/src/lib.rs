@@ -1,6 +1,13 @@
 //! The comparison algorithms of the paper's evaluation, plus sanity
 //! baselines.
 //!
+//! Section VI-B defines DCSP and NonCo as matchings that run DMRA's
+//! Algorithm-1 loop under their own preferences, and here they are just
+//! that: [`dmra_core::matching::Preferences`] implementations for the
+//! loop in [`dmra_core::matching`]. The centralized baselines check,
+//! take and return budgets through the same
+//! [`dmra_core::matching::ResourcePool`].
+//!
 //! * [`Dcsp`] — *Decentralized Collaboration Service Placement* (Yu et al.,
 //!   GLOBECOM 2018, as summarised in the DMRA paper): UEs propose to the
 //!   candidate BS with the **lowest resource occupation**; BSs prefer the
@@ -37,7 +44,6 @@
 mod dcsp;
 mod exact;
 mod greedy;
-mod matching;
 mod nonco;
 mod random;
 

@@ -1,8 +1,8 @@
 //! NonCo — the non-collaborative baseline of Section VI-B.
 
-use crate::matching::{self, Preferences, ResourcePool};
+use dmra_core::matching::{self, Preferences, ResourcePool};
 use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
-use dmra_types::{BsId, UeId};
+use dmra_types::{BsId, UeId, UeSpec};
 
 /// The NonCo baseline.
 ///
@@ -33,16 +33,16 @@ impl Preferences for NonCo {
         &self,
         _instance: &ProblemInstance,
         _pool: &ResourcePool,
-        _ue: UeId,
+        _ue: &UeSpec,
         link: &CandidateLink,
     ) -> f64 {
         // Lower is better, so negate the SINR.
         -link.sinr_linear
     }
 
-    fn bs_key(&self, instance: &ProblemInstance, bs: BsId, ue: UeId) -> (u64, u64, u64) {
+    fn bs_key(&self, instance: &ProblemInstance, bs: BsId, ue: UeId) -> u128 {
         let link = instance.link(ue, bs).expect("proposer is candidate");
-        matching::smaller_is_better(link.n_rrbs.get(), ue.index(), 0)
+        matching::bs_key(false, 0, link.n_rrbs.get(), ue)
     }
 }
 
@@ -51,8 +51,14 @@ impl Allocator for NonCo {
         "NonCo"
     }
 
+    /// # Panics
+    ///
+    /// Panics if the loop outlives its `2·|U| + 2` round bound, which
+    /// would be a bug (it quiesces within `|U| + 1` rounds).
     fn allocate(&self, instance: &ProblemInstance) -> Allocation {
-        matching::run(instance, self)
+        matching::run(instance, self, 2 * instance.n_ues() + 2)
+            .expect("NonCo terminates within its round bound")
+            .allocation
     }
 }
 
@@ -60,7 +66,6 @@ impl Allocator for NonCo {
 mod tests {
     use super::*;
     use crate::test_support::small_grid_instance;
-    use dmra_types::UeId;
 
     #[test]
     fn nonco_allocations_validate() {

@@ -1,8 +1,8 @@
 //! The seeded random-assignment noise floor.
 
+use dmra_core::matching::ResourcePool;
 use dmra_core::{Allocation, Allocator, ProblemInstance};
 use dmra_geo::rng::component_rng;
-use dmra_types::{Cru, RrbCount, UeId};
 use rand::Rng;
 
 /// Assigns each UE (in random order) to a uniformly random *feasible*
@@ -50,32 +50,21 @@ impl Allocator for RandomAllocator {
             let j = rng.random_range(0..=i);
             order.swap(i, j);
         }
-        let mut rem_cru: Vec<Vec<Cru>> = instance
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let mut rem_rrb: Vec<RrbCount> = instance.bss().iter().map(|b| b.rrb_budget).collect();
+        let mut pool = ResourcePool::new(instance);
         let mut alloc = Allocation::all_cloud(instance.n_ues());
         for u in order {
-            let ue = UeId::new(u as u32);
             let spec = &instance.ues()[u];
-            let svc = spec.service.as_usize();
             let feasible: Vec<_> = instance
-                .candidates(ue)
+                .candidates(spec.id)
                 .iter()
-                .filter(|l| {
-                    rem_cru[l.bs.as_usize()][svc] >= spec.cru_demand
-                        && rem_rrb[l.bs.as_usize()] >= l.n_rrbs
-                })
+                .filter(|l| pool.fits(spec, l))
                 .collect();
             if feasible.is_empty() {
                 continue;
             }
             let pick = feasible[rng.random_range(0..feasible.len())];
-            rem_cru[pick.bs.as_usize()][svc] -= spec.cru_demand;
-            rem_rrb[pick.bs.as_usize()] -= pick.n_rrbs;
-            alloc.assign(ue, pick.bs);
+            pool.take(spec, pick);
+            alloc.assign(spec.id, pick.bs);
         }
         alloc
     }

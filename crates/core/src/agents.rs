@@ -16,6 +16,10 @@
 //!   RRB admission step, sends `Accept` to winners and broadcasts its
 //!   remaining resources to every UE it covers (line 26 of Algorithm 1).
 //!
+//! Both sides score with the centralized matcher's functions: a UE ranks
+//! its view by the same Eq. (17) value through [`crate::matching::arg_min`],
+//! and a BS ranks proposers by the same [`crate::matching::bs_key`].
+//!
 //! **Equivalence.** Under reliable delivery each protocol round pair
 //! (propose round + respond round) computes exactly one iteration of the
 //! centralized matcher on identical information: a UE's candidates are a
@@ -35,8 +39,9 @@
 //! [`DecentralizedOutcome::conflicting_accepts`].
 
 use crate::allocation::Allocation;
-use crate::dmra::DmraConfig;
+use crate::dmra::{ue_preference, DmraConfig};
 use crate::instance::{CandidateLink, ProblemInstance};
+use crate::matching;
 use dmra_proto::{
     Address, Agent, DelayModel, DropPolicy, Envelope, MessageKind, Outbox, RoundEngine, RunStats,
 };
@@ -177,33 +182,17 @@ impl UeAgent {
     /// candidates whose viewed resources can never fit this UE.
     fn propose(&mut self, out: &mut Outbox<DmraMsg>) {
         loop {
-            if self.candidates.is_empty() {
+            let scored = self.candidates.iter().map(|c| {
+                let v = ue_preference(self.rho, &c.link, c.rem_cru, c.rem_rrb);
+                (v, c.link.bs)
+            });
+            let Some(best) = matching::arg_min(scored) else {
                 if !self.cloud_announced {
                     self.cloud_announced = true;
                     out.send(Address::Cloud, DmraMsg::CloudForward);
                 }
                 return;
-            }
-            let best = self
-                .candidates
-                .iter()
-                .enumerate()
-                .map(|(idx, c)| {
-                    let denom = c.rem_cru.as_f64() + c.rem_rrb.as_f64();
-                    let v = if denom <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        c.link.price.get() + self.rho / denom
-                    };
-                    (idx, v, c.link.bs)
-                })
-                .min_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.2.cmp(&b.2))
-                })
-                .map(|(idx, _, _)| idx)
-                .expect("candidates non-empty");
+            };
             let cand = self.candidates[best];
             if cand.rem_cru >= self.cru_demand && cand.rem_rrb >= cand.link.n_rrbs {
                 self.awaiting = Some(cand.link.bs);
@@ -311,7 +300,7 @@ impl BsAgent {
     /// Builds the agent for `bs` from the instance, broadcasting to
     /// `covered` (its entry of [`ProblemInstance::coverage_lists`]).
     /// Crate-private because the shared assignment board is an
-    /// implementation detail; use [`run_decentralized`] to execute the
+    /// implementation detail; use [`run_protocol`] to execute the
     /// protocol.
     #[must_use]
     pub(crate) fn new(
@@ -340,29 +329,11 @@ impl BsAgent {
 struct Proposer {
     ue: UeId,
     service: ServiceId,
-    sp: SpId,
-    f_u: u32,
     cru_demand: Cru,
     n_rrbs: RrbCount,
-}
-
-type PreferenceKey = (
-    bool,
-    std::cmp::Reverse<u32>,
-    std::cmp::Reverse<u32>,
-    std::cmp::Reverse<u32>,
-);
-
-impl Proposer {
-    /// Larger is better; mirrors the centralized matcher's BS preference.
-    fn preference_key(&self, bs_sp: SpId, same_sp_preference: bool) -> PreferenceKey {
-        (
-            same_sp_preference && self.sp == bs_sp,
-            std::cmp::Reverse(self.f_u),
-            std::cmp::Reverse(self.n_rrbs.get() + self.cru_demand.get()),
-            std::cmp::Reverse(self.ue.index()),
-        )
-    }
+    /// The BS's preference for this proposer, the centralized matcher's
+    /// [`matching::bs_key`]; larger is better.
+    key: u128,
 }
 
 impl Agent<DmraMsg> for BsAgent {
@@ -388,13 +359,18 @@ impl Agent<DmraMsg> for BsAgent {
                     out.send(Address::Ue(ue), DmraMsg::Accept);
                     continue;
                 }
+                let footprint = n_rrbs.get() + cru_demand.get();
                 proposers.push(Proposer {
                     ue,
                     service,
-                    sp,
-                    f_u,
                     cru_demand,
                     n_rrbs,
+                    key: matching::bs_key(
+                        self.same_sp_preference && sp == self.sp,
+                        f_u,
+                        footprint,
+                        ue,
+                    ),
                 });
             }
         }
@@ -416,7 +392,7 @@ impl Agent<DmraMsg> for BsAgent {
                 .filter(|p| {
                     self.rem_cru[svc.as_usize()] >= p.cru_demand && self.rem_rrb >= p.n_rrbs
                 })
-                .max_by_key(|p| p.preference_key(self.sp, self.same_sp_preference))
+                .max_by_key(|p| p.key)
                 .copied();
             if let Some(w) = winner {
                 winners.push(w);
@@ -427,9 +403,7 @@ impl Agent<DmraMsg> for BsAgent {
         // the batch fits.
         let mut total: RrbCount = winners.iter().map(|w| w.n_rrbs).sum();
         if total > self.rem_rrb {
-            winners.sort_by_key(|w| {
-                std::cmp::Reverse(w.preference_key(self.sp, self.same_sp_preference))
-            });
+            winners.sort_by_key(|w| std::cmp::Reverse(w.key));
             while total > self.rem_rrb {
                 let dropped = winners.pop().expect("winners cannot empty before fitting");
                 total -= dropped.n_rrbs;
@@ -508,61 +482,16 @@ impl Default for ProtocolOptions {
     }
 }
 
-/// Runs the DMRA protocol as message-passing agents.
+/// Runs the DMRA protocol as message-passing agents, under the loss,
+/// delays and BS crashes of `options`.
 ///
-/// With [`DropPolicy::reliable`] this produces exactly the allocation of
-/// the centralized [`crate::Dmra`] matcher. With a lossy policy the result
-/// is still safe (validates against the instance) but may serve fewer UEs.
-///
-/// # Errors
-///
-/// As [`run_protocol`].
-pub fn run_decentralized(
-    instance: &ProblemInstance,
-    config: &DmraConfig,
-    drop_policy: DropPolicy,
-    max_rounds: usize,
-) -> Result<DecentralizedOutcome> {
-    run_decentralized_with(
-        instance,
-        config,
-        drop_policy,
-        DelayModel::Immediate,
-        max_rounds,
-    )
-}
-
-/// Like [`run_decentralized`], with an explicit message-delay model.
-///
-/// Delays exercise the UE-side retry timeout: a proposal answered after
-/// more than two silent rounds is re-sent, and BSs answer duplicates with
-/// an idempotent re-`Accept`. Safety (no over-commitment) holds for any
-/// delay; under `DelayModel::Immediate` the result is bit-identical to
-/// the centralized matcher.
-///
-/// # Errors
-///
-/// As [`run_protocol`].
-pub fn run_decentralized_with(
-    instance: &ProblemInstance,
-    config: &DmraConfig,
-    drop_policy: DropPolicy,
-    delay: DelayModel,
-    max_rounds: usize,
-) -> Result<DecentralizedOutcome> {
-    run_protocol(
-        instance,
-        config,
-        ProtocolOptions {
-            drop_policy,
-            delay,
-            max_rounds,
-            ..ProtocolOptions::default()
-        },
-    )
-}
-
-/// The fully-general protocol runner: loss, delays and BS crashes.
+/// With [`ProtocolOptions::default`] — reliable, immediate delivery and
+/// no crash — this produces exactly the allocation of the centralized
+/// [`crate::Dmra`] matcher. With a lossy policy the result is still safe
+/// (validates against the instance) but may serve fewer UEs. Delays
+/// exercise the UE-side retry timeout: a proposal answered after more
+/// than two silent rounds is re-sent, and BSs answer duplicates with an
+/// idempotent re-`Accept`.
 ///
 /// A crashed BS stops responding; UEs that proposed to it time out, retry
 /// twice, then presume it dead and fail over to their next candidate (or
@@ -631,7 +560,15 @@ mod tests {
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
         let central = Dmra::new(config).allocate(&inst);
-        let out = run_decentralized(&inst, &config, DropPolicy::reliable(), 1000).unwrap();
+        let out = run_protocol(
+            &inst,
+            &config,
+            ProtocolOptions {
+                max_rounds: 1000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert_eq!(out.allocation, central);
         assert_eq!(out.conflicting_accepts, 0);
         out.allocation.validate(&inst).unwrap();
@@ -641,7 +578,15 @@ mod tests {
     fn message_kinds_are_counted() {
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
-        let out = run_decentralized(&inst, &config, DropPolicy::reliable(), 1000).unwrap();
+        let out = run_protocol(
+            &inst,
+            &config,
+            ProtocolOptions {
+                max_rounds: 1000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(out.stats.by_kind.contains_key("service-request"));
         assert!(out.stats.by_kind.contains_key("accept"));
         assert!(out.stats.by_kind.contains_key("resource-update"));
@@ -653,8 +598,16 @@ mod tests {
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
         for seed in 0..20 {
-            let out =
-                run_decentralized(&inst, &config, DropPolicy::new(0.3, seed), 10_000).unwrap();
+            let out = run_protocol(
+                &inst,
+                &config,
+                ProtocolOptions {
+                    drop_policy: DropPolicy::new(0.3, seed),
+                    max_rounds: 10_000,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
             out.allocation.validate(&inst).unwrap();
         }
     }
@@ -664,12 +617,15 @@ mod tests {
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
         for extra in [1u32, 2, 4] {
-            let out = run_decentralized_with(
+            let out = run_protocol(
                 &inst,
                 &config,
-                DropPolicy::reliable(),
-                DelayModel::Fixed { extra },
-                10_000,
+                ProtocolOptions {
+                    drop_policy: DropPolicy::reliable(),
+                    delay: DelayModel::Fixed { extra },
+                    max_rounds: 10_000,
+                    ..Default::default()
+                },
             )
             .unwrap();
             out.allocation.validate(&inst).unwrap();
@@ -683,12 +639,15 @@ mod tests {
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
         for seed in 0..10u64 {
-            let out = run_decentralized_with(
+            let out = run_protocol(
                 &inst,
                 &config,
-                DropPolicy::reliable(),
-                DelayModel::Random { max_extra: 3, seed },
-                10_000,
+                ProtocolOptions {
+                    drop_policy: DropPolicy::reliable(),
+                    delay: DelayModel::Random { max_extra: 3, seed },
+                    max_rounds: 10_000,
+                    ..Default::default()
+                },
             )
             .unwrap();
             out.allocation.validate(&inst).unwrap();
@@ -700,12 +659,15 @@ mod tests {
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
         for seed in 0..10u64 {
-            let out = run_decentralized_with(
+            let out = run_protocol(
                 &inst,
                 &config,
-                DropPolicy::new(0.2, seed),
-                DelayModel::Random { max_extra: 2, seed },
-                10_000,
+                ProtocolOptions {
+                    drop_policy: DropPolicy::new(0.2, seed),
+                    delay: DelayModel::Random { max_extra: 2, seed },
+                    max_rounds: 10_000,
+                    ..Default::default()
+                },
             )
             .unwrap();
             out.allocation.validate(&inst).unwrap();
@@ -746,7 +708,15 @@ mod tests {
         // crash-free run.
         let inst = two_sp_instance();
         let config = DmraConfig::paper_defaults();
-        let healthy = run_decentralized(&inst, &config, DropPolicy::reliable(), 1000).unwrap();
+        let healthy = run_protocol(
+            &inst,
+            &config,
+            ProtocolOptions {
+                max_rounds: 1000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let out = run_protocol(
             &inst,
             &config,
@@ -840,8 +810,16 @@ mod tests {
         let config = DmraConfig::paper_defaults();
         let mut served = 0usize;
         for seed in 0..20 {
-            let out =
-                run_decentralized(&inst, &config, DropPolicy::new(0.2, seed), 10_000).unwrap();
+            let out = run_protocol(
+                &inst,
+                &config,
+                ProtocolOptions {
+                    drop_policy: DropPolicy::new(0.2, seed),
+                    max_rounds: 10_000,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
             served += out.allocation.edge_served();
         }
         // 2 UEs × 20 seeds = 40 opportunities; the retry logic should

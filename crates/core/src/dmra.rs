@@ -57,8 +57,9 @@
 //! unchanged components across epochs, gives the same outcome but
 //! measured slower on the many-component workload built for it
 //! (DESIGN.md §14).
-//! [`Dmra::solve_reference`] is the line-by-line specification the dense
-//! loop is tested against.
+//! [`Dmra::solve_reference`] is the specification the dense loop is
+//! tested against: the deferred-acceptance loop of [`crate::matching`],
+//! which DCSP and NonCo share, under DMRA's preferences.
 //!
 //! The genuinely message-passing execution of the same protocol lives in
 //! [`crate::agents`]; under reliable delivery it produces bit-identical
@@ -67,9 +68,9 @@
 use crate::allocation::Allocation;
 use crate::allocator::{Allocator, AllocatorSession};
 use crate::instance::{CandidateLink, ProblemInstance};
-use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId};
+use crate::matching::{self, Preferences, ResourcePool};
+use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId, UeSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Tunables of the DMRA matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -247,11 +248,12 @@ impl Dmra {
         Ok(run.into_outcome())
     }
 
-    /// The straightforward line-by-line transcription of Algorithm 1 that
-    /// [`Dmra::solve`] was optimized from, kept as the executable
-    /// specification: `BTreeMap` proposal routing, typed resource state
-    /// and candidate lookups through [`ProblemInstance::link`]. Tests
-    /// assert `solve` and `solve_reference` return equal [`DmraOutcome`]s.
+    /// The executable specification [`Dmra::solve`] is tested against:
+    /// the shared deferred-acceptance loop of [`crate::matching`] under
+    /// DMRA's preferences (this type's [`Preferences`] impl), with
+    /// `BTreeMap` proposal routing, typed resource state and candidate
+    /// lookups through [`ProblemInstance::link`]. Tests assert `solve`
+    /// and `solve_reference` return equal [`DmraOutcome`]s.
     ///
     /// # Errors
     ///
@@ -261,118 +263,39 @@ impl Dmra {
     /// provably terminates.
     pub fn solve_reference(&self, instance: &ProblemInstance) -> Result<DmraOutcome> {
         self.config.validate()?;
-        let n_ues = instance.n_ues();
-        let mut state = MatchState::new(instance);
-        // Each UE's live candidate set, pruned monotonically.
-        let mut b_u: Vec<Vec<CandidateLink>> = (0..n_ues)
-            .map(|u| instance.candidates(UeId::new(u as u32)).to_vec())
-            .collect();
-        let mut assigned: Vec<Option<BsId>> = vec![None; n_ues];
-        let mut cloud: Vec<bool> = vec![false; n_ues];
-        let mut proposals_total = 0u64;
-        let mut acceptances: Vec<usize> = Vec::new();
-        let mut unmatched: Vec<usize> = Vec::new();
-        let mut prunes = 0u64;
-        let mut evictions = 0u64;
-        let mut assigned_total = 0usize;
-        let mut cloud_total = 0usize;
+        matching::run(instance, self, self.config.max_iterations)
+    }
+}
 
-        for iteration in 1..=self.config.max_iterations {
-            // ---- UE side: lines 3–10 ----
-            // proposals[bs] maps service → proposing UEs.
-            let mut proposals: BTreeMap<u32, BTreeMap<u32, Vec<UeId>>> = BTreeMap::new();
-            let mut any = false;
-            for u in 0..n_ues {
-                if assigned[u].is_some() || cloud[u] {
-                    continue;
-                }
-                let ue = UeId::new(u as u32);
-                let svc = instance.ues()[u].service;
-                loop {
-                    if b_u[u].is_empty() {
-                        // Line 1 / fallthrough of lines 4–10: no BS can
-                        // serve this UE; forward to the remote cloud.
-                        cloud[u] = true;
-                        cloud_total += 1;
-                        break;
-                    }
-                    let best = select_ue_proposal(self.config.rho, svc.as_usize(), &b_u[u], &state)
-                        .expect("candidate set is non-empty");
-                    let link = b_u[u][best];
-                    if state.fits(instance, ue, &link) {
-                        proposals
-                            .entry(link.bs.index())
-                            .or_default()
-                            .entry(svc.index())
-                            .or_default()
-                            .push(ue);
-                        proposals_total += 1;
-                        any = true;
-                        break;
-                    }
-                    // Line 10: the BS can never serve this UE again.
-                    prunes += 1;
-                    b_u[u].remove(best);
-                }
-            }
-            if !any {
-                return Ok(DmraOutcome {
-                    allocation: Allocation::from_assignments(assigned),
-                    iterations: iteration,
-                    proposals: proposals_total,
-                    acceptances,
-                    unmatched,
-                    prunes,
-                    evictions,
-                });
-            }
+/// DMRA's preferences: Eq. (17) on the UE side; on the BS side a same-SP
+/// proposer first (lines 13–21, when the config honours it), then the
+/// smaller `f_u`, the smaller footprint `n_{u,i} + c_j^u` and the smaller
+/// UE id.
+impl Preferences for Dmra {
+    fn ue_score(
+        &self,
+        _instance: &ProblemInstance,
+        pool: &ResourcePool,
+        ue: &UeSpec,
+        link: &CandidateLink,
+    ) -> f64 {
+        ue_preference(
+            self.config.rho,
+            link,
+            pool.cru(link.bs, ue.service),
+            pool.rrb(link.bs),
+        )
+    }
 
-            // ---- BS side: lines 11–25 ----
-            let mut accepted_this_iteration = 0usize;
-            for (bs_idx, per_service) in proposals {
-                let bs = BsId::new(bs_idx);
-                let mut winners: Vec<UeId> = Vec::new();
-                for (_svc, candidates) in per_service {
-                    let winner =
-                        select_bs_winner(instance, bs, &candidates, self.config.same_sp_preference);
-                    winners.push(winner);
-                }
-                // Radio admission: lines 22–25. Remove least-preferred
-                // winners until the batch fits the remaining RRBs.
-                let demand = |u: UeId| instance.link(u, bs).expect("winner is candidate").n_rrbs;
-                let mut total: RrbCount = winners.iter().map(|&u| demand(u)).sum();
-                if total > state.rem_rrb[bs.as_usize()] {
-                    // Ascending preference = worst first.
-                    winners.sort_by_key(|&u| {
-                        std::cmp::Reverse(bs_preference_key(
-                            instance,
-                            bs,
-                            u,
-                            self.config.same_sp_preference,
-                        ))
-                    });
-                    while total > state.rem_rrb[bs.as_usize()] {
-                        let dropped = winners.pop().expect("winners cannot empty before fitting");
-                        total -= demand(dropped);
-                        evictions += 1;
-                    }
-                }
-                for u in winners {
-                    let link = *instance.link(u, bs).expect("winner is candidate");
-                    state.commit(instance, u, &link);
-                    assigned[u.as_usize()] = Some(bs);
-                    accepted_this_iteration += 1;
-                }
-            }
-            assigned_total += accepted_this_iteration;
-            acceptances.push(accepted_this_iteration);
-            unmatched.push(n_ues - assigned_total - cloud_total);
-        }
-        Err(Error::NonTermination {
-            bound: self.config.max_iterations,
-            n_ues,
-            n_bss: instance.n_bss(),
-        })
+    fn bs_key(&self, instance: &ProblemInstance, bs: BsId, ue: UeId) -> u128 {
+        let link = instance.link(ue, bs).expect("proposer is a candidate");
+        let footprint = link.n_rrbs.get() + instance.ues()[ue.as_usize()].cru_demand.get();
+        matching::bs_key(
+            self.config.same_sp_preference && link.same_sp,
+            instance.f_u(ue),
+            footprint,
+            ue,
+        )
     }
 }
 
@@ -443,8 +366,8 @@ pub struct DmraWorkspace {
     /// per `(bs, service)` slot, 0 when no proposal arrived. Key layout,
     /// larger is better: bit 96 = same-SP proposer (when the config
     /// honours the preference), bits 64..96 = `!f_u`, bits 32..64 =
-    /// `!(n_{u,i} + c_j^u)`, bits 0..32 = `!ue` — the order of
-    /// [`bs_preference_key`], and unique through the UE id.
+    /// `!(n_{u,i} + c_j^u)`, bits 0..32 = `!ue` — the reference's
+    /// [`matching::bs_key`], and unique through the UE id.
     best: Vec<u128>,
     /// One bit per `(bs, service)` slot: set when the slot received a
     /// proposal this iteration. The BS side walks the set bits in
@@ -519,7 +442,7 @@ fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorks
 
     // Dense remaining-resource caches, flattened `[bs * n_svcs + svc]`
     // (`Cru` and `RrbCount` are plain u32 wrappers, so raw u32
-    // arithmetic reproduces `MatchState` exactly).
+    // arithmetic reproduces the reference's `ResourcePool` exactly).
     ws.rem_cru.clear();
     ws.rem_rrb.clear();
     let (mut max_cru, mut max_rrb) = (0u32, 0u32);
@@ -842,44 +765,6 @@ fn drain_set_bits(words: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Mutable per-BS resource state shared by the matcher phases.
-#[derive(Debug, Clone)]
-pub(crate) struct MatchState {
-    /// Remaining CRUs, indexed `[bs][service]`.
-    pub(crate) rem_cru: Vec<Vec<Cru>>,
-    /// Remaining RRBs, indexed by BS.
-    pub(crate) rem_rrb: Vec<RrbCount>,
-}
-
-impl MatchState {
-    pub(crate) fn new(instance: &ProblemInstance) -> Self {
-        Self {
-            rem_cru: instance
-                .bss()
-                .iter()
-                .map(|b| b.cru_budget.clone())
-                .collect(),
-            rem_rrb: instance.bss().iter().map(|b| b.rrb_budget).collect(),
-        }
-    }
-
-    /// Line 6 of Algorithm 1: can this BS still fit this UE?
-    pub(crate) fn fits(&self, instance: &ProblemInstance, ue: UeId, link: &CandidateLink) -> bool {
-        let i = link.bs.as_usize();
-        let ue_spec = &instance.ues()[ue.as_usize()];
-        self.rem_cru[i][ue_spec.service.as_usize()] >= ue_spec.cru_demand
-            && self.rem_rrb[i] >= link.n_rrbs
-    }
-
-    /// Deducts the UE's demands from the BS.
-    pub(crate) fn commit(&mut self, instance: &ProblemInstance, ue: UeId, link: &CandidateLink) {
-        let i = link.bs.as_usize();
-        let ue_spec = &instance.ues()[ue.as_usize()];
-        self.rem_cru[i][ue_spec.service.as_usize()] -= ue_spec.cru_demand;
-        self.rem_rrb[i] -= link.n_rrbs;
-    }
-}
-
 /// Eq. (17): the UE's preference value for a candidate link given the
 /// current remaining resources. Lower is better. A fully-drained BS scores
 /// `+∞` (it will fail the feasibility check and be pruned).
@@ -894,76 +779,6 @@ pub(crate) fn ue_preference(
         return f64::INFINITY;
     }
     link.price.get() + rho / denom
-}
-
-/// Picks the index of the candidate with minimal `v_{u,i}` (line 5),
-/// tie-breaking by BS id for determinism. Returns `None` for an empty set.
-///
-/// `service_idx` is the index of the *UE's* requested service — Eq. (17)
-/// reads the remaining CRUs of that service at each candidate BS.
-pub(crate) fn select_ue_proposal(
-    rho: f64,
-    service_idx: usize,
-    candidates: &[CandidateLink],
-    state: &MatchState,
-) -> Option<usize> {
-    candidates
-        .iter()
-        .enumerate()
-        .map(|(idx, link)| {
-            let i = link.bs.as_usize();
-            let v = ue_preference(rho, link, state.rem_cru[i][service_idx], state.rem_rrb[i]);
-            (idx, v, link.bs)
-        })
-        .min_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.2.cmp(&b.2))
-        })
-        .map(|(idx, _, _)| idx)
-}
-
-/// Line 13–21: picks the winning proposer for one (BS, service) pair.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub(crate) fn select_bs_winner(
-    instance: &ProblemInstance,
-    bs: BsId,
-    candidates: &[UeId],
-    same_sp_preference: bool,
-) -> UeId {
-    *candidates
-        .iter()
-        .min_by_key(|&&u| std::cmp::Reverse(bs_preference_key(instance, bs, u, same_sp_preference)))
-        .expect("candidate set must be non-empty")
-}
-
-/// The BS's preference for a UE, as a key where **larger is better** (use
-/// with `Reverse` for min-by selection of the best).
-///
-/// Order: same-SP first (if enabled), then smaller `f_u`, then smaller
-/// footprint `n_{u,i} + c_j^u`, then smaller UE id.
-pub(crate) fn bs_preference_key(
-    instance: &ProblemInstance,
-    bs: BsId,
-    ue: UeId,
-    same_sp_preference: bool,
-) -> (
-    bool,
-    std::cmp::Reverse<u32>,
-    std::cmp::Reverse<u32>,
-    std::cmp::Reverse<u32>,
-) {
-    let link = instance.link(ue, bs).expect("proposer must be a candidate");
-    let footprint = link.n_rrbs.get() + instance.ues()[ue.as_usize()].cru_demand.get();
-    (
-        same_sp_preference && link.same_sp,
-        std::cmp::Reverse(instance.f_u(ue)),
-        std::cmp::Reverse(footprint),
-        std::cmp::Reverse(ue.index()),
-    )
 }
 
 #[cfg(test)]
@@ -1156,10 +971,6 @@ mod tests {
     #[test]
     fn higher_rho_prefers_resource_rich_bs() {
         let inst = two_sp_instance();
-        let state_rich = MatchState {
-            rem_cru: vec![vec![Cru::new(100); 2], vec![Cru::new(10); 2]],
-            rem_rrb: vec![dmra_types::RrbCount::new(55), dmra_types::RrbCount::new(5)],
-        };
         let cands = inst.candidates(dmra_types::UeId::new(0)).to_vec();
         // With rho = 0 the cheaper (same-SP, nearer) bs0 wins anyway here,
         // so flip the test: make bs1 cheaper by checking preference values
@@ -1180,7 +991,6 @@ mod tests {
         assert!(v0_high > v0_low, "rho adds a positive term");
         // The resource-poor BS is penalised much harder at high rho.
         assert!(v1_high - cands[1].price.get() > v0_high - cands[0].price.get());
-        let _ = state_rich;
     }
 
     #[test]
@@ -1465,14 +1275,16 @@ mod tests {
         );
         // At full budgets every UE's Eq. (17) choice is BS 0, so all four
         // propose there in round 1 — three of them to the service-0 slot.
-        let state = MatchState::new(&inst);
-        for u in 0..4 {
-            let cands = inst.candidates(ue(u));
-            let svc = inst.ues()[u as usize].service.as_usize();
-            let pick = select_ue_proposal(100.0, svc, cands, &state).unwrap();
-            assert_eq!(cands[pick].bs, BsId::new(0), "UE {u}");
-        }
         let dmra = Dmra::default();
+        let pool = ResourcePool::new(&inst);
+        for spec in inst.ues() {
+            let cands = inst.candidates(spec.id);
+            let scored = cands
+                .iter()
+                .map(|l| (dmra.ue_score(&inst, &pool, spec, l), l.bs));
+            let pick = matching::arg_min(scored).unwrap();
+            assert_eq!(cands[pick].bs, BsId::new(0), "UE {}", spec.id);
+        }
         let fast = dmra.solve(&inst).unwrap();
         assert_eq!(fast, dmra.solve_reference(&inst).unwrap());
         // Round 1 accepts only UE 2: it beats UEs 0 and 1 on `f_u`, and

@@ -15,10 +15,18 @@
 //!   checks every constraint of the TPM problem (Definition 1).
 //! * [`Allocator`] — the object-safe strategy interface implemented by
 //!   [`Dmra`] here and by the baselines in `dmra-baselines`.
+//! * [`matching`] — Algorithm 1's deferred-acceptance loop with the UE-
+//!   and BS-side [`matching::Preferences`] injected, and the
+//!   [`matching::ResourcePool`] budget table every allocator outside the
+//!   dense solver checks, takes and returns resources through. DCSP and
+//!   NonCo in `dmra-baselines` are preference sets for this loop.
 //! * [`Dmra`] — the paper's Algorithm 1 in a fast centralized-state
-//!   execution; [`agents`] runs the *same* protocol as genuinely
-//!   message-passing UE/BS agents on `dmra-proto` and is tested to produce
-//!   the identical allocation under reliable delivery.
+//!   execution, tested against [`Dmra::solve_reference`]: the
+//!   [`matching`] loop under DMRA's preferences. [`agents`] runs the
+//!   *same* protocol as genuinely message-passing UE/BS agents on
+//!   `dmra-proto`, scoring with the same Eq. (17) and BS-key functions,
+//!   and is tested to produce the identical allocation under reliable
+//!   delivery.
 //!
 //! # Examples
 //!
@@ -76,6 +84,7 @@ pub mod analysis;
 pub mod components;
 mod dmra;
 mod instance;
+pub mod matching;
 mod online;
 
 pub use allocation::{Allocation, AllocationStats};

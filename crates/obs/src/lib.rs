@@ -20,10 +20,7 @@
 //! # Cost model
 //!
 //! Telemetry is **off by default**. Every instrumentation site in the
-//! workspace is guarded by [`enabled()`], which reads one relaxed
-//! atomic when the `telemetry` cargo feature (default on) is present
-//! and is a compile-time `false` when it is not — so a
-//! `--no-default-features` build deletes the branches entirely.
+//! workspace is guarded by [`enabled()`], one relaxed atomic load.
 //! Instrumented code records once per *solve/epoch/cell*, never inside
 //! inner matcher loops; measured overhead when enabled is <2%
 //! (see `BENCH_obs_overhead.json` and DESIGN.md §10).
@@ -64,21 +61,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Runtime master switch. Default off; flipped by [`set_enabled`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Returns `true` when telemetry should be recorded.
-///
-/// Compiled to a constant `false` without the `telemetry` feature; with
-/// it, a single relaxed atomic load. Instrumentation sites branch on
-/// this before touching any registry or clock.
+/// Returns `true` when telemetry should be recorded: a single relaxed
+/// atomic load. Instrumentation sites branch on this before touching any
+/// registry or clock.
 #[inline(always)]
 #[must_use]
 pub fn enabled() -> bool {
-    cfg!(feature = "telemetry") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns telemetry recording on or off at runtime.
-///
-/// A no-op (telemetry stays off) when the crate was built without the
-/// `telemetry` feature.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

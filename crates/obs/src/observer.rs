@@ -18,7 +18,7 @@
 //!
 //! Engines hold an optional observer directly (`with_observer`); code
 //! that cannot be reached through a constructor — the proto round
-//! engine deep inside `run_decentralized` — falls back to the
+//! engine deep inside `run_protocol` — falls back to the
 //! process-wide slot installed by [`set_epoch_observer`].
 
 use crate::registry::json_escape;
@@ -255,23 +255,15 @@ static OBSERVER: RwLock<Option<Arc<dyn EpochObserver>>> = RwLock::new(None);
 /// Engines consult their own `with_observer` attachment first and fall
 /// back to this slot, which is how the CLI attaches the flight
 /// recorder to everything — including the proto round engine — with a
-/// single call. No-op without the `telemetry` feature.
+/// single call.
 pub fn set_epoch_observer(observer: Option<Arc<dyn EpochObserver>>) {
-    if cfg!(feature = "telemetry") {
-        *OBSERVER.write().expect("observer slot poisoned") = observer;
-    }
+    *OBSERVER.write().expect("observer slot poisoned") = observer;
 }
 
-/// The currently installed process-wide observer, if any. Always
-/// `None` without the `telemetry` feature, so instrumentation guarded
-/// by `if let Some(..)` compiles out.
+/// The currently installed process-wide observer, if any.
 #[must_use]
 pub fn epoch_observer() -> Option<Arc<dyn EpochObserver>> {
-    if cfg!(feature = "telemetry") {
-        OBSERVER.read().expect("observer slot poisoned").clone()
-    } else {
-        None
-    }
+    OBSERVER.read().expect("observer slot poisoned").clone()
 }
 
 #[cfg(test)]

@@ -186,7 +186,7 @@ impl<M: MessageKind + 'static> RoundEngine<M> {
         // counters and the flight-record stream are touched once per
         // *round*, never per message, and neither feeds back into drop
         // or delay sampling. The flight observer is only reachable via
-        // the process-wide slot — `run_decentralized` constructs its
+        // the process-wide slot — `run_protocol` constructs its
         // engine internally, so there is no `with_observer` path here.
         let obs_on = dmra_obs::enabled();
         let flight = dmra_obs::epoch_observer();

@@ -23,9 +23,8 @@ use crate::dynamic::{
 use crate::metrics::Metrics;
 use crate::sweep::{Stat, SweepRunner, Table, TableRow};
 use dmra_baselines::{Dcsp, NonCo};
-use dmra_core::agents::run_decentralized;
+use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::{Allocation, Allocator, Dmra, DmraConfig, ProblemInstance};
-use dmra_proto::DropPolicy;
 use dmra_radio::InterferenceModel;
 use dmra_types::{BsId, Result};
 
@@ -418,7 +417,7 @@ pub fn decentralized_cost(opts: &ExperimentOptions) -> Result<Table> {
                 .with_ues(n)
                 .with_seed(seed)
                 .build()?;
-            let out = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000)?;
+            let out = run_protocol(&instance, &config, ProtocolOptions::default())?;
             rounds.push(out.stats.rounds as f64);
             messages.push(out.stats.messages_sent as f64);
         }

@@ -10,7 +10,7 @@
 
 use dmra::prelude::*;
 use dmra::proto::DropPolicy;
-use dmra_core::agents::{run_decentralized, run_protocol, ProtocolOptions};
+use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::DmraConfig;
 
 fn main() -> Result<(), dmra::types::Error> {
@@ -25,7 +25,7 @@ fn main() -> Result<(), dmra::types::Error> {
     let central_profit = instance.total_profit(&central);
 
     // The same algorithm as message-passing agents, reliable channel.
-    let out = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000)?;
+    let out = run_protocol(&instance, &config, ProtocolOptions::default())?;
     assert_eq!(
         out.allocation, central,
         "reliable decentralized execution is bit-identical to the matcher"
@@ -49,8 +49,14 @@ fn main() -> Result<(), dmra::types::Error> {
         "drop rate", "rounds", "messages", "dropped", "served", "profit"
     );
     for drop_pct in [5u32, 10, 20, 30] {
-        let policy = DropPolicy::new(f64::from(drop_pct) / 100.0, 1234);
-        let out = run_decentralized(&instance, &config, policy, 100_000)?;
+        let out = run_protocol(
+            &instance,
+            &config,
+            ProtocolOptions {
+                drop_policy: DropPolicy::new(f64::from(drop_pct) / 100.0, 1234),
+                ..Default::default()
+            },
+        )?;
         out.allocation
             .validate(&instance)
             .expect("lossy runs never violate resource constraints");

@@ -54,8 +54,23 @@ fn scenario_grid() -> Vec<ScenarioConfig> {
     configs
 }
 
+/// Every grid allocation's [`Allocation::digest`], folded per entry of
+/// [`allocators`] in grid order: pins the exact decisions of every
+/// allocator, not just their feasibility.
+const DECISION_DIGESTS: [u64; 8] = [
+    0xdf1d_b82b_94d9_e8a4, // DMRA
+    0xc3a7_598b_37c2_c81c, // DMRA, ρ = 0
+    0x9063_bbfa_e077_7cff, // DMRA without the same-SP preference
+    0xcfdb_dd71_7650_cc05, // DCSP
+    0x3598_a919_8ef0_62f6, // NonCo
+    0xa613_bfb1_027c_5560, // GreedyProfit
+    0xdfb2_c106_4048_93d3, // Random
+    0xfe7e_5707_9344_c0b0, // CloudOnly
+];
+
 #[test]
 fn every_allocator_satisfies_tpm_constraints_on_every_scenario() {
+    let mut folds = [0u64; 8];
     for (c_idx, config) in scenario_grid().into_iter().enumerate() {
         for seed in [1u64, 99] {
             let instance = config
@@ -63,14 +78,23 @@ fn every_allocator_satisfies_tpm_constraints_on_every_scenario() {
                 .with_seed(seed)
                 .build()
                 .unwrap_or_else(|e| panic!("scenario {c_idx} seed {seed}: {e}"));
-            for algo in allocators() {
+            for (fold, algo) in folds.iter_mut().zip(allocators()) {
                 let allocation = algo.allocate(&instance);
                 allocation.validate(&instance).unwrap_or_else(|e| {
                     panic!("{} on scenario {c_idx} seed {seed}: {e}", algo.name())
                 });
                 assert_eq!(allocation.len(), instance.n_ues());
+                *fold = (*fold ^ allocation.digest()).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             }
         }
+    }
+    for ((fold, pinned), algo) in folds.iter().zip(DECISION_DIGESTS).zip(allocators()) {
+        assert_eq!(
+            *fold,
+            pinned,
+            "{} changed a decision: folded digest {fold:#018x}",
+            algo.name()
+        );
     }
 }
 

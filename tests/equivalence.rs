@@ -3,7 +3,7 @@
 
 use dmra::prelude::*;
 use dmra::proto::DropPolicy;
-use dmra_core::agents::run_decentralized;
+use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::DmraConfig;
 
 #[test]
@@ -16,7 +16,7 @@ fn decentralized_equals_centralized_at_paper_scale() {
             .unwrap();
         let config = DmraConfig::paper_defaults();
         let central = Dmra::new(config).allocate(&instance);
-        let out = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000).unwrap();
+        let out = run_protocol(&instance, &config, ProtocolOptions::default()).unwrap();
         assert_eq!(
             out.allocation, central,
             "divergence at n_ues={n_ues} seed={seed}"
@@ -42,8 +42,7 @@ fn decentralized_equivalence_holds_across_configs() {
                 ..DmraConfig::paper_defaults()
             };
             let central = Dmra::new(config).allocate(&instance);
-            let out =
-                run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000).unwrap();
+            let out = run_protocol(&instance, &config, ProtocolOptions::default()).unwrap();
             assert_eq!(
                 out.allocation, central,
                 "divergence at rho={rho} same_sp={same_sp}"
@@ -60,7 +59,7 @@ fn protocol_message_counts_scale_sanely() {
         .build()
         .unwrap();
     let config = DmraConfig::paper_defaults();
-    let out = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000).unwrap();
+    let out = run_protocol(&instance, &config, ProtocolOptions::default()).unwrap();
     // One accept per edge-served UE.
     let served = out.allocation.edge_served() as u64;
     assert_eq!(out.stats.by_kind.get("accept"), Some(&served));
@@ -86,11 +85,13 @@ fn lossy_channels_never_violate_constraints() {
     let config = DmraConfig::paper_defaults();
     for drop_rate in [0.05, 0.15, 0.35] {
         for seed in 0..5u64 {
-            let out = run_decentralized(
+            let out = run_protocol(
                 &instance,
                 &config,
-                DropPolicy::new(drop_rate, seed),
-                100_000,
+                ProtocolOptions {
+                    drop_policy: DropPolicy::new(drop_rate, seed),
+                    ..Default::default()
+                },
             )
             .unwrap();
             out.allocation
@@ -108,9 +109,17 @@ fn lossy_channels_recover_most_assignments() {
         .build()
         .unwrap();
     let config = DmraConfig::paper_defaults();
-    let reliable = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000).unwrap();
+    let reliable = run_protocol(&instance, &config, ProtocolOptions::default()).unwrap();
     let baseline = reliable.allocation.edge_served();
-    let out = run_decentralized(&instance, &config, DropPolicy::new(0.10, 7), 100_000).unwrap();
+    let out = run_protocol(
+        &instance,
+        &config,
+        ProtocolOptions {
+            drop_policy: DropPolicy::new(0.10, 7),
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let lossy = out.allocation.edge_served();
     assert!(
         lossy as f64 >= 0.9 * baseline as f64,
@@ -121,7 +130,6 @@ fn lossy_channels_recover_most_assignments() {
 #[test]
 fn delayed_channels_at_paper_scale_stay_safe_and_serve() {
     use dmra::proto::DelayModel;
-    use dmra_core::agents::run_decentralized_with;
 
     let instance = ScenarioConfig::paper_defaults()
         .with_ues(300)
@@ -129,7 +137,7 @@ fn delayed_channels_at_paper_scale_stay_safe_and_serve() {
         .build()
         .unwrap();
     let config = DmraConfig::paper_defaults();
-    let reliable = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000).unwrap();
+    let reliable = run_protocol(&instance, &config, ProtocolOptions::default()).unwrap();
     for delay in [
         DelayModel::Fixed { extra: 2 },
         DelayModel::Random {
@@ -137,9 +145,16 @@ fn delayed_channels_at_paper_scale_stay_safe_and_serve() {
             seed: 5,
         },
     ] {
-        let out =
-            run_decentralized_with(&instance, &config, DropPolicy::reliable(), delay, 200_000)
-                .unwrap();
+        let out = run_protocol(
+            &instance,
+            &config,
+            ProtocolOptions {
+                delay,
+                max_rounds: 200_000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         out.allocation.validate(&instance).unwrap();
         // Latency slows convergence but must not destroy coverage.
         assert!(
@@ -154,15 +169,13 @@ fn delayed_channels_at_paper_scale_stay_safe_and_serve() {
 
 #[test]
 fn crashed_bss_at_paper_scale_route_around() {
-    use dmra_core::agents::{run_protocol, ProtocolOptions};
-
     let instance = ScenarioConfig::paper_defaults()
         .with_ues(300)
         .with_seed(31)
         .build()
         .unwrap();
     let config = DmraConfig::paper_defaults();
-    let healthy = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000)
+    let healthy = run_protocol(&instance, &config, ProtocolOptions::default())
         .unwrap()
         .allocation
         .edge_served();

@@ -9,8 +9,7 @@
 
 use dmra::core::analysis::{envy_pairs_by, eq17_envy_pairs, price_envy_pairs};
 use dmra::prelude::*;
-use dmra::proto::DropPolicy;
-use dmra_core::agents::run_decentralized;
+use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::DmraConfig;
 
 #[test]
@@ -60,7 +59,7 @@ fn decentralized_rho_zero_inherits_envy_freeness() {
         .build()
         .unwrap();
     let config = DmraConfig::paper_defaults().with_rho(0.0);
-    let out = run_decentralized(&instance, &config, DropPolicy::reliable(), 100_000).unwrap();
+    let out = run_protocol(&instance, &config, ProtocolOptions::default()).unwrap();
     assert!(price_envy_pairs(&instance, &out.allocation).is_empty());
 }
 
