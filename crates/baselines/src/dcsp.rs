@@ -1,8 +1,8 @@
 //! DCSP — Decentralized Collaboration Service Placement (Yu et al.,
 //! GLOBECOM 2018), as characterised in Section VI-B of the DMRA paper.
 
-use dmra_core::matching::{self, Preferences, ResourcePool};
-use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
+use dmra_core::matching::{self, Preferences};
+use dmra_core::{Allocation, Allocator, Budgets, CandidateLink, ProblemInstance};
 use dmra_types::{BsId, UeId, UeSpec};
 
 /// The DCSP baseline.
@@ -35,12 +35,12 @@ impl Preferences for Dcsp {
     fn ue_score(
         &self,
         instance: &ProblemInstance,
-        pool: &ResourcePool,
+        pool: &Budgets,
         ue: &UeSpec,
         link: &CandidateLink,
     ) -> f64 {
-        let bs = &instance.bss()[link.bs.as_usize()];
-        let cap = bs.cru_budget[ue.service.as_usize()].as_f64() + bs.rrb_budget.as_f64();
+        let full = instance.budgets();
+        let cap = full.cru(link.bs, ue.service).as_f64() + full.rrb(link.bs).as_f64();
         if cap <= 0.0 {
             return 1.0;
         }

@@ -7,8 +7,7 @@
 //! heuristics' *optimality gap* can be measured (see the `optimality`
 //! integration tests and EXPERIMENTS.md).
 
-use dmra_core::matching::ResourcePool;
-use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
+use dmra_core::{Allocation, Allocator, Budgets, CandidateLink, ProblemInstance};
 use dmra_types::{BsId, Money, UeSpec};
 
 /// Exact branch-and-bound solver for the TPM objective.
@@ -64,7 +63,7 @@ impl ExactOptimal {
             ues: instance.ues(),
             options: &options,
             optimistic_tail: &optimistic_tail,
-            pool: ResourcePool::new(instance),
+            pool: instance.budgets().clone(),
             current: vec![None; n],
             best: vec![None; n],
             best_profit: -1.0,
@@ -94,7 +93,7 @@ struct Search<'a> {
     ues: &'a [UeSpec],
     options: &'a [Vec<(f64, &'a CandidateLink)>],
     optimistic_tail: &'a [f64],
-    pool: ResourcePool,
+    pool: Budgets,
     current: Vec<Option<BsId>>,
     best: Vec<Option<BsId>>,
     best_profit: f64,
@@ -132,14 +131,19 @@ impl Search<'_> {
                 // cloud at 0 dominates them).
                 break;
             }
-            if !self.pool.fits(ue, link) {
+            let (svc, cru, rrbs) = (ue.service, ue.cru_demand, link.n_rrbs);
+            if !self.pool.fits(link.bs, svc, cru, rrbs) {
                 continue;
             }
-            self.pool.take(ue, link);
+            self.pool
+                .take(link.bs, svc, cru, rrbs)
+                .expect("the link fits: checked above");
             self.current[u] = Some(link.bs);
             self.dfs(u + 1, profit + gain);
             self.current[u] = None;
-            self.pool.put_back(ue, link);
+            self.pool
+                .put_back(link.bs, svc, cru, rrbs)
+                .expect("a release returns exactly what the take above deducted");
         }
         // The cloud option.
         self.dfs(u + 1, profit);
@@ -169,44 +173,28 @@ mod tests {
     use crate::test_support::small_grid_instance;
     use crate::{Dcsp, GreedyProfit, NonCo};
     use dmra_core::Dmra;
-    use dmra_types::{Cru, RrbCount, UeId};
+    use dmra_types::UeId;
 
     /// Exhaustive reference for very small instances.
     fn brute_force(instance: &ProblemInstance) -> f64 {
-        fn rec(
-            instance: &ProblemInstance,
-            u: usize,
-            rem_cru: &mut Vec<Vec<Cru>>,
-            rem_rrb: &mut Vec<RrbCount>,
-            profit: f64,
-        ) -> f64 {
+        fn rec(instance: &ProblemInstance, u: usize, rem: &mut Budgets, profit: f64) -> f64 {
             if u == instance.n_ues() {
                 return profit;
             }
             let ue = &instance.ues()[u];
             let sp = &instance.sps()[ue.sp.as_usize()];
-            let mut best = rec(instance, u + 1, rem_cru, rem_rrb, profit); // cloud
+            let mut best = rec(instance, u + 1, rem, profit); // cloud
             for link in instance.candidates(UeId::new(u as u32)) {
-                let i = link.bs.as_usize();
-                let svc = ue.service.as_usize();
-                if rem_cru[i][svc] >= ue.cru_demand && rem_rrb[i] >= link.n_rrbs {
-                    rem_cru[i][svc] -= ue.cru_demand;
-                    rem_rrb[i] -= link.n_rrbs;
-                    let gain = ue.cru_demand.as_f64() * (sp.gross_margin() - link.price).get();
-                    best = best.max(rec(instance, u + 1, rem_cru, rem_rrb, profit + gain));
-                    rem_cru[i][svc] += ue.cru_demand;
-                    rem_rrb[i] += link.n_rrbs;
+                let (svc, cru, rrbs) = (ue.service, ue.cru_demand, link.n_rrbs);
+                if rem.take(link.bs, svc, cru, rrbs).is_ok() {
+                    let gain = cru.as_f64() * (sp.gross_margin() - link.price).get();
+                    best = best.max(rec(instance, u + 1, rem, profit + gain));
+                    rem.put_back(link.bs, svc, cru, rrbs).unwrap();
                 }
             }
             best
         }
-        let mut rem_cru: Vec<Vec<Cru>> = instance
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let mut rem_rrb: Vec<RrbCount> = instance.bss().iter().map(|b| b.rrb_budget).collect();
-        rec(instance, 0, &mut rem_cru, &mut rem_rrb, 0.0)
+        rec(instance, 0, &mut instance.budgets().clone(), 0.0)
     }
 
     #[test]

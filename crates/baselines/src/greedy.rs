@@ -1,6 +1,5 @@
 //! Centralized sanity baselines: profit-greedy and cloud-only.
 
-use dmra_core::matching::ResourcePool;
 use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
 use dmra_types::UeSpec;
 
@@ -51,11 +50,13 @@ impl Allocator for GreedyProfit {
                 .then(a.2.bs.cmp(&b.2.bs))
         });
 
-        let mut pool = ResourcePool::new(instance);
+        let mut pool = instance.budgets().clone();
         let mut alloc = Allocation::all_cloud(instance.n_ues());
         for (_, ue, link) in edges {
-            if alloc.bs_of(ue.id).is_none() && pool.fits(ue, link) {
-                pool.take(ue, link);
+            let (svc, cru, rrbs) = (ue.service, ue.cru_demand, link.n_rrbs);
+            if alloc.bs_of(ue.id).is_none() && pool.fits(link.bs, svc, cru, rrbs) {
+                pool.take(link.bs, svc, cru, rrbs)
+                    .expect("the link fits: checked above");
                 alloc.assign(ue.id, link.bs);
             }
         }

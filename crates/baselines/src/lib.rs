@@ -5,8 +5,8 @@
 //! Algorithm-1 loop under their own preferences, and here they are just
 //! that: [`dmra_core::matching::Preferences`] implementations for the
 //! loop in [`dmra_core::matching`]. The centralized baselines check,
-//! take and return budgets through the same
-//! [`dmra_core::matching::ResourcePool`].
+//! take and return budgets through a copy of the instance's
+//! [`dmra_core::Budgets`], as the loop does.
 //!
 //! * [`Dcsp`] — *Decentralized Collaboration Service Placement* (Yu et al.,
 //!   GLOBECOM 2018, as summarised in the DMRA paper): UEs propose to the

@@ -1,7 +1,7 @@
 //! NonCo — the non-collaborative baseline of Section VI-B.
 
-use dmra_core::matching::{self, Preferences, ResourcePool};
-use dmra_core::{Allocation, Allocator, CandidateLink, ProblemInstance};
+use dmra_core::matching::{self, Preferences};
+use dmra_core::{Allocation, Allocator, Budgets, CandidateLink, ProblemInstance};
 use dmra_types::{BsId, UeId, UeSpec};
 
 /// The NonCo baseline.
@@ -32,7 +32,7 @@ impl Preferences for NonCo {
     fn ue_score(
         &self,
         _instance: &ProblemInstance,
-        _pool: &ResourcePool,
+        _pool: &Budgets,
         _ue: &UeSpec,
         link: &CandidateLink,
     ) -> f64 {

@@ -1,6 +1,5 @@
 //! The seeded random-assignment noise floor.
 
-use dmra_core::matching::ResourcePool;
 use dmra_core::{Allocation, Allocator, ProblemInstance};
 use dmra_geo::rng::component_rng;
 use rand::Rng;
@@ -50,20 +49,21 @@ impl Allocator for RandomAllocator {
             let j = rng.random_range(0..=i);
             order.swap(i, j);
         }
-        let mut pool = ResourcePool::new(instance);
+        let mut pool = instance.budgets().clone();
         let mut alloc = Allocation::all_cloud(instance.n_ues());
         for u in order {
             let spec = &instance.ues()[u];
             let feasible: Vec<_> = instance
                 .candidates(spec.id)
                 .iter()
-                .filter(|l| pool.fits(spec, l))
+                .filter(|l| pool.fits(l.bs, spec.service, spec.cru_demand, l.n_rrbs))
                 .collect();
             if feasible.is_empty() {
                 continue;
             }
             let pick = feasible[rng.random_range(0..feasible.len())];
-            pool.take(spec, pick);
+            pool.take(pick.bs, spec.service, spec.cru_demand, pick.n_rrbs)
+                .expect("the pick fits: checked above");
             alloc.assign(spec.id, pick.bs);
         }
         alloc

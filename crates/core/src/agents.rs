@@ -39,6 +39,7 @@
 //! [`DecentralizedOutcome::conflicting_accepts`].
 
 use crate::allocation::Allocation;
+use crate::budgets::Budgets;
 use crate::dmra::{ue_preference, DmraConfig};
 use crate::instance::{CandidateLink, ProblemInstance};
 use crate::matching;
@@ -105,12 +106,15 @@ impl MessageKind for DmraMsg {
 
 /// A shared, single-threaded assignment board the BS agents write accepted
 /// pairs onto. First write wins; later conflicting writes are counted.
+/// It also keeps the BSs' budgets in one table, of which each agent reads
+/// and writes only its own BS's entries: its local state.
 type Board = Rc<RefCell<BoardState>>;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct BoardState {
     assigned: Vec<Option<BsId>>,
     conflicts: u64,
+    budgets: Budgets,
 }
 
 /// The local view a UE keeps of one candidate BS.
@@ -153,13 +157,10 @@ impl UeAgent {
         let candidates = instance
             .candidates(ue)
             .iter()
-            .map(|&link| {
-                let bs = &instance.bss()[link.bs.as_usize()];
-                CandidateView {
-                    link,
-                    rem_cru: bs.cru_budget_for(spec.service),
-                    rem_rrb: bs.rrb_budget,
-                }
+            .map(|&link| CandidateView {
+                link,
+                rem_cru: instance.budgets().cru(link.bs, spec.service),
+                rem_rrb: instance.budgets().rrb(link.bs),
             })
             .collect();
         Self {
@@ -285,8 +286,6 @@ impl Agent<DmraMsg> for UeAgent {
 pub struct BsAgent {
     id: BsId,
     sp: SpId,
-    rem_cru: Vec<Cru>,
-    rem_rrb: RrbCount,
     covered: Vec<UeId>,
     same_sp_preference: bool,
     /// UEs this BS already committed resources to. Duplicate requests
@@ -310,12 +309,9 @@ impl BsAgent {
         config: &DmraConfig,
         board: Board,
     ) -> Self {
-        let spec = &instance.bss()[bs.as_usize()];
         Self {
             id: bs,
-            sp: spec.sp,
-            rem_cru: spec.cru_budget.clone(),
-            rem_rrb: spec.rrb_budget,
+            sp: instance.bss()[bs.as_usize()].sp,
             covered,
             same_sp_preference: config.same_sp_preference,
             served: HashSet::new(),
@@ -378,6 +374,8 @@ impl Agent<DmraMsg> for BsAgent {
             return;
         }
 
+        let mut board = self.board.borrow_mut();
+        let board = &mut *board;
         // Lines 13–21: one provisional winner per requested service.
         let mut services: Vec<ServiceId> = proposers.iter().map(|p| p.service).collect();
         services.sort_unstable();
@@ -389,9 +387,7 @@ impl Agent<DmraMsg> for BsAgent {
                 .filter(|p| p.service == svc)
                 // Ignore proposals the BS can no longer satisfy (stale
                 // views under message loss).
-                .filter(|p| {
-                    self.rem_cru[svc.as_usize()] >= p.cru_demand && self.rem_rrb >= p.n_rrbs
-                })
+                .filter(|p| board.budgets.fits(self.id, svc, p.cru_demand, p.n_rrbs))
                 .max_by_key(|p| p.key)
                 .copied();
             if let Some(w) = winner {
@@ -401,21 +397,23 @@ impl Agent<DmraMsg> for BsAgent {
 
         // Lines 22–25: RRB admission — drop least-preferred winners until
         // the batch fits.
+        let rem_rrb = board.budgets.rrb(self.id);
         let mut total: RrbCount = winners.iter().map(|w| w.n_rrbs).sum();
-        if total > self.rem_rrb {
+        if total > rem_rrb {
             winners.sort_by_key(|w| std::cmp::Reverse(w.key));
-            while total > self.rem_rrb {
+            while total > rem_rrb {
                 let dropped = winners.pop().expect("winners cannot empty before fitting");
                 total -= dropped.n_rrbs;
             }
         }
 
         for w in &winners {
-            self.rem_cru[w.service.as_usize()] -= w.cru_demand;
-            self.rem_rrb -= w.n_rrbs;
+            board
+                .budgets
+                .take(self.id, w.service, w.cru_demand, w.n_rrbs)
+                .expect("winners fit: one per service, each fits, the batch fits the RRBs");
             self.served.insert(w.ue);
             out.send(Address::Ue(w.ue), DmraMsg::Accept);
-            let mut board = self.board.borrow_mut();
             let slot = &mut board.assigned[w.ue.as_usize()];
             if slot.is_none() {
                 *slot = Some(self.id);
@@ -427,12 +425,16 @@ impl Agent<DmraMsg> for BsAgent {
         // Line 26: broadcast the remaining resources to covered UEs. Also
         // reaches every rejected proposer (proposers are candidates, and
         // candidates are covered), acting as the rejection signal.
+        let rem_cru: Vec<Cru> = (0..board.budgets.n_svcs())
+            .map(|j| board.budgets.cru(self.id, ServiceId::new(j as u32)))
+            .collect();
+        let rem_rrb = board.budgets.rrb(self.id);
         for &ue in &self.covered {
             out.send(
                 Address::Ue(ue),
                 DmraMsg::ResourceUpdate {
-                    rem_cru: self.rem_cru.clone(),
-                    rem_rrb: self.rem_rrb,
+                    rem_cru: rem_cru.clone(),
+                    rem_rrb,
                 },
             );
         }
@@ -512,6 +514,7 @@ pub fn run_protocol(
     let board: Board = Rc::new(RefCell::new(BoardState {
         assigned: vec![None; instance.n_ues()],
         conflicts: 0,
+        budgets: instance.budgets().clone(),
     }));
     let max_rounds = options.max_rounds;
     let mut engine: RoundEngine<DmraMsg> = RoundEngine::with_drop_policy(options.drop_policy);

@@ -1,7 +1,7 @@
 //! The allocation output `a_{u,i}` and its constraint checker.
 
 use crate::instance::ProblemInstance;
-use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId};
+use dmra_types::{BsId, Result, RrbCount, UeId};
 use serde::{Deserialize, Serialize};
 
 /// A complete assignment of UEs to BSs (or to the remote cloud).
@@ -109,7 +109,8 @@ impl Allocation {
     }
 
     /// Checks every constraint of the TPM problem (Definition 1) against an
-    /// instance:
+    /// instance, by taking every assignment from one copy of the
+    /// instance's budgets ([`ProblemInstance::remaining`]):
     ///
     /// * (12) per-service CRU budgets are respected at every BS,
     /// * (13) every assignment uses a candidate link (service hosted and in
@@ -120,49 +121,12 @@ impl Allocation {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] describing the first violated
-    /// constraint, or [`Error::UnknownUe`] on a length mismatch.
+    /// The first violation in UE order, as [`ProblemInstance::remaining`]
+    /// reports it: an invalid-configuration error naming constraint (13),
+    /// an over-commit naming constraint (12) or (14), an unknown BS, or an
+    /// unknown UE on a length mismatch.
     pub fn validate(&self, instance: &ProblemInstance) -> Result<()> {
-        if self.assigned.len() != instance.n_ues() {
-            return Err(Error::UnknownUe(UeId::new(self.assigned.len() as u32)));
-        }
-        let n_bss = instance.n_bss();
-        let n_svcs = instance.catalog().len() as usize;
-        let mut cru_used = vec![vec![Cru::ZERO; n_svcs]; n_bss];
-        let mut rrb_used = vec![RrbCount::ZERO; n_bss];
-        for (ue_id, bs_id) in self.edge_pairs() {
-            if bs_id.as_usize() >= n_bss {
-                return Err(Error::UnknownBs(bs_id));
-            }
-            let ue = &instance.ues()[ue_id.as_usize()];
-            let Some(link) = instance.link(ue_id, bs_id) else {
-                return Err(Error::InvalidConfig(format!(
-                    "constraint (13): {ue_id} assigned to {bs_id}, which is not a candidate"
-                )));
-            };
-            cru_used[bs_id.as_usize()][ue.service.as_usize()] += ue.cru_demand;
-            rrb_used[bs_id.as_usize()] += link.n_rrbs;
-        }
-        for bs in instance.bss() {
-            let i = bs.id.as_usize();
-            for svc in instance.catalog().iter() {
-                let used = cru_used[i][svc.as_usize()];
-                let budget = bs.cru_budget_for(svc);
-                if used > budget {
-                    return Err(Error::InvalidConfig(format!(
-                        "constraint (12): {} uses {used} of {svc} but budget is {budget}",
-                        bs.id
-                    )));
-                }
-            }
-            if rrb_used[i] > bs.rrb_budget {
-                return Err(Error::InvalidConfig(format!(
-                    "constraint (14): {} uses {} but budget is {}",
-                    bs.id, rrb_used[i], bs.rrb_budget
-                )));
-            }
-        }
-        Ok(())
+        instance.remaining(self).map(drop)
     }
 
     /// Summary statistics of this allocation under an instance.
@@ -232,6 +196,7 @@ impl AllocationStats {
 mod tests {
     use super::*;
     use crate::instance::tests::two_sp_instance;
+    use dmra_types::{Cru, Error, ServiceId};
 
     #[test]
     fn all_cloud_is_valid_and_empty() {
@@ -329,11 +294,47 @@ mod tests {
         let inst = two_sp_instance();
         let mut alloc = Allocation::all_cloud(inst.n_ues());
         alloc.assign(UeId::new(0), BsId::new(0));
-        let rem_cru = inst.remaining_cru(&alloc);
-        assert_eq!(rem_cru[0][0], Cru::new(96)); // 100 − 4
-        assert_eq!(rem_cru[1][0], Cru::new(100));
-        let rem_rrb = inst.remaining_rrbs(&alloc);
+        let rem = inst.remaining(&alloc).unwrap();
+        let s0 = ServiceId::new(0);
+        assert_eq!(rem.cru(BsId::new(0), s0), Cru::new(96)); // 100 − 4
+        assert_eq!(rem.cru(BsId::new(1), s0), Cru::new(100));
         let n = inst.link(UeId::new(0), BsId::new(0)).unwrap().n_rrbs;
-        assert_eq!(rem_rrb[0], RrbCount::new(55) - n);
+        assert_eq!(rem.rrb(BsId::new(0)), RrbCount::new(55) - n);
+        assert_eq!(rem.rrb(BsId::new(1)), RrbCount::new(55));
+    }
+
+    #[test]
+    fn over_committing_allocation_is_an_error() {
+        // Shrink BS 0 to the RRBs of its larger candidate link: each UE
+        // fits alone, both together over-commit constraint (14). The
+        // check is a plain `Result`, so it holds in release builds too.
+        let inst = two_sp_instance();
+        let link = |u: u32| *inst.link(UeId::new(u), BsId::new(0)).unwrap();
+        let (n0, n1) = (link(0).n_rrbs, link(1).n_rrbs);
+        let mut tight = inst.budgets().clone();
+        let keep = n0.max(n1);
+        tight
+            .take(
+                BsId::new(0),
+                ServiceId::new(0),
+                Cru::ZERO,
+                RrbCount::new(55) - keep,
+            )
+            .unwrap();
+        let tight = inst.residual(&tight, inst.ues().to_vec()).unwrap();
+        let mut both = Allocation::all_cloud(tight.n_ues());
+        both.assign(UeId::new(0), BsId::new(0));
+        both.assign(UeId::new(1), BsId::new(0));
+        let err = tight.remaining(&both).unwrap_err();
+        assert!(
+            matches!(&err, Error::OverCommit { bs, detail }
+                if *bs == BsId::new(0) && detail.contains("constraint (14)")),
+            "{err:?}"
+        );
+        assert_eq!(both.validate(&tight), Err(err));
+        // Either UE alone is feasible.
+        let mut one = Allocation::all_cloud(tight.n_ues());
+        one.assign(UeId::new(1), BsId::new(0));
+        one.validate(&tight).unwrap();
     }
 }

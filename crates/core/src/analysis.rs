@@ -23,6 +23,7 @@
 //! ablation benches.
 
 use crate::allocation::Allocation;
+use crate::budgets::Budgets;
 use crate::instance::{CandidateLink, ProblemInstance};
 use dmra_types::UeId;
 
@@ -41,11 +42,12 @@ pub struct EnvyPair {
 
 /// Finds all envy pairs of `allocation` under a custom preference score
 /// (**lower is better**), considering only BSs with enough remaining
-/// capacity to actually serve the UE.
+/// capacity ([`ProblemInstance::remaining`]) to actually serve the UE.
 ///
 /// # Panics
 ///
-/// Panics if the allocation does not belong to this instance.
+/// Panics if the allocation is not a feasible allocation of this
+/// instance (run [`Allocation::validate`] first when in doubt).
 #[must_use]
 pub fn envy_pairs_by<F>(
     instance: &ProblemInstance,
@@ -55,8 +57,7 @@ pub fn envy_pairs_by<F>(
 where
     F: FnMut(UeId, &CandidateLink) -> f64,
 {
-    let rem_cru = instance.remaining_cru(allocation);
-    let rem_rrb = instance.remaining_rrbs(allocation);
+    let rem = remaining(instance, allocation);
     let mut pairs = Vec::new();
     for ue in instance.ues() {
         let current_score = match allocation.bs_of(ue.id) {
@@ -72,10 +73,7 @@ where
             if Some(link.bs) == allocation.bs_of(ue.id) {
                 continue;
             }
-            let i = link.bs.as_usize();
-            let fits =
-                rem_cru[i][ue.service.as_usize()] >= ue.cru_demand && rem_rrb[i] >= link.n_rrbs;
-            if !fits {
+            if !rem.fits(link.bs, ue.service, ue.cru_demand, link.n_rrbs) {
                 continue;
             }
             let s = score(ue.id, link);
@@ -104,24 +102,34 @@ pub fn price_envy_pairs(instance: &ProblemInstance, allocation: &Allocation) -> 
 
 /// Envy pairs under the full Eq. (17) preference at a given `ρ`, evaluated
 /// against the *end-state* remaining resources.
+///
+/// # Panics
+///
+/// As [`envy_pairs_by`].
 #[must_use]
 pub fn eq17_envy_pairs(
     instance: &ProblemInstance,
     allocation: &Allocation,
     rho: f64,
 ) -> Vec<EnvyPair> {
-    let rem_cru = instance.remaining_cru(allocation);
-    let rem_rrb = instance.remaining_rrbs(allocation);
+    let rem = remaining(instance, allocation);
     envy_pairs_by(instance, allocation, |ue, link| {
-        let i = link.bs.as_usize();
-        let svc = instance.ues()[ue.as_usize()].service.as_usize();
-        let denom = rem_cru[i][svc].as_f64() + rem_rrb[i].as_f64();
+        let svc = instance.ues()[ue.as_usize()].service;
+        let denom = rem.cru(link.bs, svc).as_f64() + rem.rrb(link.bs).as_f64();
         if denom <= 0.0 {
             f64::INFINITY
         } else {
             link.price.get() + rho / denom
         }
     })
+}
+
+/// The budgets `allocation` leaves, for an allocation the caller vouches
+/// for.
+fn remaining(instance: &ProblemInstance, allocation: &Allocation) -> Budgets {
+    instance
+        .remaining(allocation)
+        .unwrap_or_else(|e| panic!("envy analysis of an infeasible allocation: {e}"))
 }
 
 #[cfg(test)]
@@ -156,9 +164,9 @@ mod tests {
         // Custom score that makes every non-assigned link "better": the
         // only surviving pairs must point at BSs with real spare capacity.
         let pairs = envy_pairs_by(&inst, &alloc, |_, _| -1.0);
-        let rem_rrb = inst.remaining_rrbs(&alloc);
+        let rem = inst.remaining(&alloc).unwrap();
         for p in pairs {
-            assert!(rem_rrb[p.preferred.bs.as_usize()] >= p.preferred.n_rrbs);
+            assert!(rem.rrb(p.preferred.bs) >= p.preferred.n_rrbs);
         }
     }
 

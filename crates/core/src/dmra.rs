@@ -42,9 +42,10 @@
 //!   and [`DmraConfig::validate`] rejects a NaN or negative `ρ`, so a
 //!   `ρ = -0.0` term adds `-0.0` and a `ρ = +∞` term ties every live
 //!   candidate at `+∞`;
-//! * the BS preference is one `u128` per proposal, larger is better:
-//!   bit 96 the same-SP flag, then `!f_u`, `!footprint` and `!ue` as
-//!   32-bit words (each complemented, so smaller wins). A proposal is
+//! * the BS preference is one `u128` per proposal, larger is better —
+//!   [`matching::bs_key`], the reference's own key: bit 96 the same-SP
+//!   flag, then `!f_u`, `!footprint` and `!ue` as 32-bit words (each
+//!   complemented, so smaller wins). A proposal is
 //!   `best[slot] = best[slot].max(key)` on a winner table that holds 0
 //!   — the identity of `max` on keys — in each empty `(bs, service)`
 //!   slot; the BS side recovers the UE and its RRB demand from the key;
@@ -67,8 +68,9 @@
 
 use crate::allocation::Allocation;
 use crate::allocator::{Allocator, AllocatorSession};
+use crate::budgets::Budgets;
 use crate::instance::{CandidateLink, ProblemInstance};
-use crate::matching::{self, Preferences, ResourcePool};
+use crate::matching::{self, Preferences};
 use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId, UeSpec};
 use serde::{Deserialize, Serialize};
 
@@ -275,7 +277,7 @@ impl Preferences for Dmra {
     fn ue_score(
         &self,
         _instance: &ProblemInstance,
-        pool: &ResourcePool,
+        pool: &Budgets,
         ue: &UeSpec,
         link: &CandidateLink,
     ) -> f64 {
@@ -328,7 +330,10 @@ impl Allocator for Dmra {
 
 /// Reusable scratch state of the dense [`Dmra::solve`] execution.
 ///
-/// Every field is sized/overwritten at the start of a solve (the `ρ / d`
+/// The remaining budgets are the solver's private working copy of the
+/// instance's [`Budgets`], loaded with one slice copy per solve; its
+/// deductions follow the match loop's own fit checks. Every field is
+/// sized/overwritten at the start of a solve (the `ρ / d`
 /// table whenever `ρ` changes or it is too short), so a workspace can be
 /// reused freely across instances of different shapes and configs; it
 /// never influences the outcome. The winner table and its bitset rely on
@@ -434,26 +439,21 @@ impl MatchRun {
 }
 
 /// Loads the dense caches of `instance` into `ws`, indexed by raw UE/BS
-/// indices, and returns the largest Eq. (17) denominator
-/// `max rem_cru + max rem_rrb` the loaded budgets can form.
+/// indices, and returns a bound on every Eq. (17) denominator
+/// `rem_cru + rem_rrb` the loaded budgets can form.
 fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorkspace) -> u64 {
     let n_ues = instance.n_ues();
     let ues = instance.ues();
 
-    // Dense remaining-resource caches, flattened `[bs * n_svcs + svc]`
-    // (`Cru` and `RrbCount` are plain u32 wrappers, so raw u32
-    // arithmetic reproduces the reference's `ResourcePool` exactly).
+    // The working copy of the budgets, flattened `[bs * n_svcs + svc]`
+    // like the instance's table (`Cru` and `RrbCount` are plain u32
+    // wrappers, so raw u32 arithmetic reproduces the reference's
+    // `Budgets` exactly): one slice copy each.
+    let budgets = instance.budgets();
     ws.rem_cru.clear();
+    ws.rem_cru.extend_from_slice(budgets.cru_table());
     ws.rem_rrb.clear();
-    let (mut max_cru, mut max_rrb) = (0u32, 0u32);
-    for bs in instance.bss() {
-        ws.rem_cru.extend(bs.cru_budget.iter().map(|c| {
-            max_cru = max_cru.max(c.get());
-            c.get()
-        }));
-        max_rrb = max_rrb.max(bs.rrb_budget.get());
-        ws.rem_rrb.push(bs.rrb_budget.get());
-    }
+    ws.rem_rrb.extend_from_slice(budgets.rrb_table());
 
     // Flattened candidate windows: UE `u` owns
     // `cands[start[u] .. start[u] + len[u]]`; pruning swaps the pruned
@@ -485,7 +485,7 @@ fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorks
     ws.f_u.clear();
     ws.f_u
         .extend((0..n_ues).map(|u| instance.f_u(UeId::new(u as u32))));
-    u64::from(max_cru) + u64::from(max_rrb)
+    budgets.denominator_bound()
 }
 
 /// Longest `ρ / d` table a workspace keeps (32 KiB of `f64`). The paper
@@ -495,8 +495,9 @@ const RHO_TABLE_MAX: usize = 4096;
 
 /// Makes `ws.rho_term` cover every Eq. (17) denominator up to
 /// `max_denominator` (see [`load_monolithic`]), within
-/// [`RHO_TABLE_MAX`]. Budgets only shrink during a solve, so the loaded
-/// maxima bound every `d = rem_cru + rem_rrb` the match loop can form.
+/// [`RHO_TABLE_MAX`]. Budgets only shrink during a solve, so the bound
+/// the table reports for its loaded budgets covers every
+/// `d = rem_cru + rem_rrb` the match loop can form.
 /// Both operands of `ρ / d` are exact integers in `f64`, so each entry
 /// `d > 0` is bit-for-bit the division it replaces.
 fn load_rho_table(rho: f64, max_denominator: u64, ws: &mut DmraWorkspace) {
@@ -537,7 +538,6 @@ fn match_loop(
     } = ws;
     let rho = config.rho;
     let rho_term: &[f64] = rho_term;
-    let same_sp_preference = u128::from(config.same_sp_preference);
 
     // `assigned` moves into the outcome's `Allocation`, so it is the
     // one per-solve allocation that cannot live in the workspace.
@@ -602,10 +602,12 @@ fn match_loop(
                 let c = window[best_i];
                 let slot = c.slot as usize;
                 if rem_cru[slot] >= cru_demand[u] && rem_rrb[c.bs as usize] >= c.n_rrbs {
-                    let key = (same_sp_preference & u128::from(c.same_sp)) << 96
-                        | u128::from(!f_u[u]) << 64
-                        | u128::from(!(c.n_rrbs + cru_demand[u])) << 32
-                        | u128::from(!(u as u32));
+                    let key = matching::bs_key(
+                        config.same_sp_preference & c.same_sp,
+                        f_u[u],
+                        c.n_rrbs + cru_demand[u],
+                        UeId::new(u as u32),
+                    );
                     best[slot] = best[slot].max(key);
                     proposed[slot / 64] |= 1 << (slot % 64);
                     proposals_total += 1;
@@ -1120,15 +1122,18 @@ mod tests {
     /// resource term outweighs the price and decides UE 0's proposal.
     fn rich_instance() -> ProblemInstance {
         let inst = two_sp_instance();
-        inst.residual(
-            &[
-                vec![Cru::new(5_000), Cru::new(5_000)],
-                vec![Cru::new(100_000), Cru::ZERO],
-            ],
-            &[dmra_types::RrbCount::new(55), dmra_types::RrbCount::new(55)],
-            inst.ues().to_vec(),
-        )
-        .unwrap()
+        let mut rich = inst.budgets().clone();
+        let none = dmra_types::RrbCount::ZERO;
+        let (s0, s1) = (ServiceId::new(0), ServiceId::new(1));
+        // BS 0: 100 → 5 000 CRUs of each service; BS 1: 100 → 100 000 of
+        // service 0.
+        rich.put_back(BsId::new(0), s0, Cru::new(4_900), none)
+            .unwrap();
+        rich.put_back(BsId::new(0), s1, Cru::new(4_900), none)
+            .unwrap();
+        rich.put_back(BsId::new(1), s0, Cru::new(99_900), none)
+            .unwrap();
+        inst.residual(&rich, inst.ues().to_vec()).unwrap()
     }
 
     /// A paper-scale deployment built by hand (`ScenarioConfig` lives in
@@ -1276,12 +1281,12 @@ mod tests {
         // At full budgets every UE's Eq. (17) choice is BS 0, so all four
         // propose there in round 1 — three of them to the service-0 slot.
         let dmra = Dmra::default();
-        let pool = ResourcePool::new(&inst);
+        let pool = inst.budgets();
         for spec in inst.ues() {
             let cands = inst.candidates(spec.id);
             let scored = cands
                 .iter()
-                .map(|l| (dmra.ue_score(&inst, &pool, spec, l), l.bs));
+                .map(|l| (dmra.ue_score(&inst, pool, spec, l), l.bs));
             let pick = matching::arg_min(scored).unwrap();
             assert_eq!(cands[pick].bs, BsId::new(0), "UE {}", spec.id);
         }

@@ -10,12 +10,13 @@
 use dmra_econ::{PricingConfig, ProfitLedger, ProfitReport};
 use dmra_radio::{LinkBatch, LinkEvaluator, RadioConfig};
 use dmra_types::{
-    BitsPerSec, BsId, BsSpec, Cru, Error, Meters, Money, Result, RrbCount, ServiceCatalog, SpSpec,
-    UeId, UeSpec,
+    BitsPerSec, BsId, BsSpec, Error, Meters, Money, Result, RrbCount, ServiceCatalog, SpSpec, UeId,
+    UeSpec,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::allocation::Allocation;
+use crate::budgets::Budgets;
 use crate::online::RowBuilder;
 
 /// When is a UE "covered" by a BS?
@@ -92,7 +93,13 @@ pub struct CandidateLink {
 #[derive(Debug, Clone)]
 pub struct ProblemInstance {
     pub(crate) sps: Vec<SpSpec>,
+    /// The BS specs. In an epoch instance their budget fields mirror
+    /// `budgets`; nothing in the workspace reads them there — the mirror
+    /// serves the benchmark's layer replay, which reads the old per-BS
+    /// shape, and leaves with ROADMAP item 1's benchmark change.
     pub(crate) bss: Vec<BsSpec>,
+    /// The remaining budgets the candidate scan and every allocator read.
+    pub(crate) budgets: Budgets,
     pub(crate) ues: Vec<UeSpec>,
     pub(crate) catalog: ServiceCatalog,
     pub(crate) pricing: PricingConfig,
@@ -181,21 +188,15 @@ impl ProblemInstance {
             if bs.sp.as_usize() >= sps.len() {
                 return Err(Error::UnknownSp(bs.sp));
             }
-            if bs.cru_budget.len() != catalog.len() as usize {
-                return Err(Error::InvalidConfig(format!(
-                    "{} has {} service budgets but the catalog has {} services",
-                    bs.id,
-                    bs.cru_budget.len(),
-                    catalog.len()
-                )));
-            }
         }
+        let budgets = Budgets::from_bss(&bss, catalog.len() as usize)?;
         validate_ues(&ues, sps.len(), catalog)?;
         pricing.validate()?;
 
         let mut instance = Self {
             sps,
             bss,
+            budgets,
             ues,
             catalog,
             pricing,
@@ -205,15 +206,15 @@ impl ProblemInstance {
             row_start: Vec::new(),
             f_u: Vec::new(),
         };
-        // A build without UEs scans no row, so it skips the prune index
-        // (every simulator builds its deployment so, then indexes it in
-        // its own `DeploymentContext`).
-        let scan = if instance.ues.is_empty() {
-            CandidateScan::Exhaustive
+        // A build without UEs has no row to scan, so it skips the row
+        // builder and its prune index (every simulator builds its
+        // deployment so, then indexes it in its own `DeploymentContext`).
+        let max_candidate_distance = if instance.ues.is_empty() {
+            instance.row_start.push(0);
+            Meters::new(0.0)
         } else {
-            scan
+            RowBuilder::new(&instance, scan).build_once(&mut instance)
         };
-        let max_candidate_distance = RowBuilder::new(&instance, scan).build_once(&mut instance);
         // Constraint (16) must hold for every reachable price.
         instance
             .pricing
@@ -227,10 +228,21 @@ impl ProblemInstance {
         &self.sps
     }
 
-    /// The base stations, ordered by id.
+    /// The base stations, ordered by id. In an epoch instance their
+    /// budget fields mirror [`ProblemInstance::budgets`], kept in step for
+    /// the BSs each build patches: read the budgets there. The mirror
+    /// serves the benchmark's layer replay and leaves with ROADMAP item
+    /// 1's benchmark change.
     #[must_use]
     pub fn bss(&self) -> &[BsSpec] {
         &self.bss
+    }
+
+    /// The BSs' remaining budgets: the full ones in a deployment, what is
+    /// left in an epoch or residual instance.
+    #[must_use]
+    pub fn budgets(&self) -> &Budgets {
+        &self.budgets
     }
 
     /// The user equipments, ordered by id.
@@ -369,18 +381,36 @@ impl ProblemInstance {
         self.profit_report(allocation).total_profit()
     }
 
-    /// Remaining per-service CRU budgets after an allocation, indexed
-    /// `[bs][service]` — used by tests and by resource-utilization metrics.
-    #[must_use]
-    pub fn remaining_cru(&self, allocation: &Allocation) -> Vec<Vec<Cru>> {
-        let mut rem: Vec<Vec<Cru>> = self.bss.iter().map(|b| b.cru_budget.clone()).collect();
-        for ue in &self.ues {
-            if let Some(bs) = allocation.bs_of(ue.id) {
-                let slot = &mut rem[bs.as_usize()][ue.service.as_usize()];
-                *slot = slot.saturating_sub(ue.cru_demand);
-            }
+    /// The budgets an allocation leaves: this instance's budgets with
+    /// every assignment taken through [`Budgets::take`].
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::UnknownUe`] when the allocation covers a different
+    ///   number of UEs, [`Error::UnknownBs`] for a BS outside the
+    ///   instance;
+    /// * [`Error::InvalidConfig`] naming constraint (13) for an assignment
+    ///   that is not a candidate link;
+    /// * [`Error::OverCommit`] naming constraint (12) or (14) for the
+    ///   first assignment, in UE order, that exceeds what its BS has left.
+    pub fn remaining(&self, allocation: &Allocation) -> Result<Budgets> {
+        if allocation.len() != self.n_ues() {
+            return Err(Error::UnknownUe(UeId::new(allocation.len() as u32)));
         }
-        rem
+        let mut rem = self.budgets.clone();
+        for (ue_id, bs_id) in allocation.edge_pairs() {
+            if bs_id.as_usize() >= self.n_bss() {
+                return Err(Error::UnknownBs(bs_id));
+            }
+            let Some(link) = self.link(ue_id, bs_id) else {
+                return Err(Error::InvalidConfig(format!(
+                    "constraint (13): {ue_id} assigned to {bs_id}, which is not a candidate"
+                )));
+            };
+            let ue = &self.ues[ue_id.as_usize()];
+            rem.take(bs_id, ue.service, ue.cru_demand, link.n_rrbs)?;
+        }
+        Ok(rem)
     }
 
     /// Builds a *residual* instance: the same deployment (SPs, catalog,
@@ -394,15 +424,11 @@ impl ProblemInstance {
     ///
     /// # Errors
     ///
-    /// Propagates [`ProblemInstance::build`] validation errors (including
-    /// budget-vector arity mismatches).
-    pub fn residual(
-        &self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        ues: Vec<UeSpec>,
-    ) -> Result<ProblemInstance> {
-        self.residual_with(rem_cru, rem_rrb, ues, CandidateScan::Auto)
+    /// [`Error::InvalidConfig`] when `budgets` does not have this
+    /// instance's shape, and every [`ProblemInstance::build`] validation
+    /// error.
+    pub fn residual(&self, budgets: &Budgets, ues: Vec<UeSpec>) -> Result<ProblemInstance> {
+        self.residual_with(budgets, ues, CandidateScan::Auto)
     }
 
     /// [`ProblemInstance::residual`] with an explicit candidate-scan
@@ -414,30 +440,15 @@ impl ProblemInstance {
     /// Same as [`ProblemInstance::residual`].
     pub fn residual_with(
         &self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
+        budgets: &Budgets,
         ues: Vec<UeSpec>,
         scan: CandidateScan,
     ) -> Result<ProblemInstance> {
-        if rem_cru.len() != self.bss.len() || rem_rrb.len() != self.bss.len() {
-            return Err(Error::InvalidConfig(format!(
-                "residual budgets cover {} / {} BSs but the instance has {}",
-                rem_cru.len(),
-                rem_rrb.len(),
-                self.bss.len()
-            )));
+        self.check_shape(budgets)?;
+        let mut bss = self.bss.clone();
+        for (b, spec) in bss.iter_mut().enumerate() {
+            budgets.write_bs(b, spec);
         }
-        let bss: Vec<BsSpec> = self
-            .bss
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let mut spec = b.clone();
-                spec.cru_budget = rem_cru[i].clone();
-                spec.rrb_budget = rem_rrb[i];
-                spec
-            })
-            .collect();
         ProblemInstance::build_with_scan(
             self.sps.clone(),
             bss,
@@ -450,18 +461,19 @@ impl ProblemInstance {
         )
     }
 
-    /// Remaining RRB budgets after an allocation, indexed by BS.
-    #[must_use]
-    pub fn remaining_rrbs(&self, allocation: &Allocation) -> Vec<RrbCount> {
-        let mut rem: Vec<RrbCount> = self.bss.iter().map(|b| b.rrb_budget).collect();
-        for ue in &self.ues {
-            if let Some(bs) = allocation.bs_of(ue.id) {
-                if let Some(link) = self.link(ue.id, bs) {
-                    rem[bs.as_usize()] = rem[bs.as_usize()].saturating_sub(link.n_rrbs);
-                }
-            }
+    /// Checks that `budgets` covers exactly this instance's BSs and
+    /// services.
+    pub(crate) fn check_shape(&self, budgets: &Budgets) -> Result<()> {
+        let n_svcs = self.catalog.len() as usize;
+        if budgets.n_bss() != self.bss.len() || budgets.n_svcs() != n_svcs {
+            return Err(Error::InvalidConfig(format!(
+                "residual budgets cover {} BSs × {} services but the instance has {} × {n_svcs}",
+                budgets.n_bss(),
+                budgets.n_svcs(),
+                self.bss.len()
+            )));
         }
-        rem
+        Ok(())
     }
 }
 
@@ -497,6 +509,7 @@ pub(crate) fn validate_ues(ues: &[UeSpec], n_sps: usize, catalog: ServiceCatalog
 pub(crate) fn scan_candidate_row(
     ue: &UeSpec,
     bss: &[BsSpec],
+    budgets: &Budgets,
     evaluator: &LinkEvaluator,
     interference_factor: f64,
     total_rx_mw: &[f64],
@@ -504,9 +517,13 @@ pub(crate) fn scan_candidate_row(
     pricing: &PricingConfig,
     out: &mut Vec<CandidateLink>,
 ) -> Meters {
+    // The UE's service is in the catalog (validated), so it indexes the
+    // table's rows.
+    let svc = ue.service.as_usize();
     let mut row_max = Meters::new(0.0);
-    for bs in bss {
-        if !bs.hosts(ue.service) {
+    for (b, bs) in bss.iter().enumerate() {
+        let cru_left = budgets.cru_at(b, svc);
+        if cru_left == 0 {
             continue;
         }
         let interference_mw = if interference_factor > 0.0 {
@@ -533,9 +550,9 @@ pub(crate) fn scan_candidate_row(
         let Some(n_rrbs) = evaluator.rrbs_required(ue.rate_demand, metrics.per_rrb_rate) else {
             continue;
         };
-        // A link that can never fit the BS's total radio budget is not a
+        // A link that can never fit the BS's remaining budgets is not a
         // candidate (Algorithm 1 would prune it on first try).
-        if n_rrbs > bs.rrb_budget || ue.cru_demand > bs.cru_budget_for(ue.service) {
+        if n_rrbs.get() > budgets.rrb_at(b) || ue.cru_demand.get() > cru_left {
             continue;
         }
         let same_sp = ue.sp == bs.sp;
@@ -568,6 +585,7 @@ pub(crate) fn scan_candidate_row(
 pub(crate) fn scan_candidate_row_batch(
     ue: &UeSpec,
     bss: &[BsSpec],
+    budgets: &Budgets,
     nearby: &[(usize, Meters)],
     evaluator: &LinkEvaluator,
     interference_factor: f64,
@@ -578,9 +596,10 @@ pub(crate) fn scan_candidate_row_batch(
     out: &mut Vec<CandidateLink>,
 ) -> Meters {
     batch.clear();
+    let svc = ue.service.as_usize();
     for &(b, distance) in nearby {
         let bs = &bss[b];
-        if !bs.hosts(ue.service) {
+        if budgets.cru_at(b, svc) == 0 {
             continue;
         }
         // `total_rx_mw` is all-zero under noise-only, so the kernel's
@@ -590,7 +609,8 @@ pub(crate) fn scan_candidate_row_batch(
     evaluator.evaluate_batch(ue.tx_power, ue.position, interference_factor, batch);
     let mut row_max = Meters::new(0.0);
     for j in 0..batch.len() {
-        let bs = &bss[batch.tag(j) as usize];
+        let b = batch.tag(j) as usize;
+        let bs = &bss[b];
         let metrics = batch.metrics(j);
         let in_coverage = match coverage {
             CoverageModel::FixedRadius(r) => metrics.distance <= r,
@@ -602,7 +622,7 @@ pub(crate) fn scan_candidate_row_batch(
         let Some(n_rrbs) = evaluator.rrbs_required(ue.rate_demand, metrics.per_rrb_rate) else {
             continue;
         };
-        if n_rrbs > bs.rrb_budget || ue.cru_demand > bs.cru_budget_for(ue.service) {
+        if n_rrbs.get() > budgets.rrb_at(b) || ue.cru_demand.get() > budgets.cru_at(b, svc) {
             continue;
         }
         let same_sp = ue.sp == bs.sp;
@@ -626,7 +646,7 @@ pub(crate) fn scan_candidate_row_batch(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use dmra_types::{Dbm, Hertz, Point, ServiceId, SpId};
+    use dmra_types::{Cru, Dbm, Hertz, Point, ServiceId, SpId};
 
     pub(crate) fn two_sp_instance() -> ProblemInstance {
         let sps = vec![
@@ -832,11 +852,14 @@ pub(crate) mod tests {
     fn residual_instance_shrinks_candidates() {
         let inst = two_sp_instance();
         // Drain bs0 completely; ue0's only remaining candidate is bs1.
-        let rem_cru = vec![vec![Cru::ZERO, Cru::ZERO], inst.bss()[1].cru_budget.clone()];
-        let rem_rrb = vec![RrbCount::ZERO, inst.bss()[1].rrb_budget];
-        let residual = inst
-            .residual(&rem_cru, &rem_rrb, inst.ues().to_vec())
+        let mut rem = inst.budgets().clone();
+        let bs0 = BsId::new(0);
+        rem.take(bs0, ServiceId::new(0), Cru::new(100), RrbCount::new(55))
             .unwrap();
+        rem.take(bs0, ServiceId::new(1), Cru::new(100), RrbCount::ZERO)
+            .unwrap();
+        let residual = inst.residual(&rem, inst.ues().to_vec()).unwrap();
+        assert_eq!(residual.bss()[0].cru_budget, vec![Cru::ZERO, Cru::ZERO]);
         assert_eq!(residual.f_u(UeId::new(0)), 1);
         assert_eq!(residual.candidates(UeId::new(0))[0].bs, BsId::new(1));
         // ue1 requests a service bs1 does not host: no candidates left.
@@ -846,7 +869,15 @@ pub(crate) mod tests {
     #[test]
     fn residual_rejects_wrong_arity() {
         let inst = two_sp_instance();
-        let err = inst.residual(&[], &[], inst.ues().to_vec()).unwrap_err();
+        let one_bs = Budgets::from_bss(&inst.bss()[..1], 2).unwrap();
+        let err = inst.residual(&one_bs, inst.ues().to_vec()).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)));
+        let mut narrow = inst.bss().to_vec();
+        narrow.iter_mut().for_each(|b| b.cru_budget.truncate(1));
+        let one_service = Budgets::from_bss(&narrow, 1).unwrap();
+        let err = inst
+            .residual(&one_service, inst.ues().to_vec())
+            .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)));
     }
 

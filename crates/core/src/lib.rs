@@ -10,16 +10,18 @@
 //!   price `p_{i,u}`). Precomputing links separates radio physics from
 //!   matching logic and makes every allocator comparable on identical
 //!   inputs.
+//! * [`Budgets`] — the one store of remaining budgets: flat per-(BS,
+//!   service) CRUs and per-BS RRBs whose every change is checked, with a
+//!   list of the BSs that changed. Instances, engines and allocators all
+//!   keep their budgets in one.
 //! * [`Allocation`] — the output `a_{u,i}`: each UE is either assigned to
 //!   one BS or forwarded to the remote cloud. [`Allocation::validate`]
 //!   checks every constraint of the TPM problem (Definition 1).
 //! * [`Allocator`] — the object-safe strategy interface implemented by
 //!   [`Dmra`] here and by the baselines in `dmra-baselines`.
 //! * [`matching`] — Algorithm 1's deferred-acceptance loop with the UE-
-//!   and BS-side [`matching::Preferences`] injected, and the
-//!   [`matching::ResourcePool`] budget table every allocator outside the
-//!   dense solver checks, takes and returns resources through. DCSP and
-//!   NonCo in `dmra-baselines` are preference sets for this loop.
+//!   and BS-side [`matching::Preferences`] injected. DCSP and NonCo in
+//!   `dmra-baselines` are preference sets for this loop.
 //! * [`Dmra`] — the paper's Algorithm 1 in a fast centralized-state
 //!   execution, tested against [`Dmra::solve_reference`]: the
 //!   [`matching`] loop under DMRA's preferences. [`agents`] runs the
@@ -81,6 +83,7 @@ pub mod agents;
 mod allocation;
 mod allocator;
 pub mod analysis;
+mod budgets;
 pub mod components;
 mod dmra;
 mod instance;
@@ -89,6 +92,7 @@ mod online;
 
 pub use allocation::{Allocation, AllocationStats};
 pub use allocator::{Allocator, AllocatorSession};
+pub use budgets::Budgets;
 pub use components::{decompose, Component, Decomposition};
 pub use dmra::{Dmra, DmraConfig, DmraOutcome, DmraWorkspace};
 pub use dmra_par::Threads;

@@ -11,83 +11,25 @@
 //! dense solver is tested against; `dmra-baselines` implements the trait
 //! for DCSP and NonCo.
 //!
-//! [`ResourcePool`] is the one remaining-budget table: the loop and every
-//! allocator outside the dense solver check, take and return resources
-//! through it.
+//! The loop, like every allocator outside the dense solver, checks, takes
+//! and returns resources through a copy of the instance's [`Budgets`].
 
 use crate::allocation::Allocation;
+use crate::budgets::Budgets;
 use crate::dmra::DmraOutcome;
 use crate::instance::{CandidateLink, ProblemInstance};
-use dmra_types::{BsId, Cru, Error, Result, RrbCount, ServiceId, UeId, UeSpec};
+use dmra_types::{BsId, Error, Result, RrbCount, UeId, UeSpec};
 use std::collections::BTreeMap;
-
-/// The remaining budgets of every BS: CRUs per `(BS, service)` and RRBs
-/// per BS.
-#[derive(Debug, Clone)]
-pub struct ResourcePool {
-    /// Remaining CRUs, indexed `[bs][service]`.
-    cru: Vec<Vec<Cru>>,
-    /// Remaining RRBs, indexed by BS.
-    rrb: Vec<RrbCount>,
-}
-
-impl ResourcePool {
-    /// A pool holding every BS's full budgets.
-    #[must_use]
-    pub fn new(instance: &ProblemInstance) -> Self {
-        Self {
-            cru: instance
-                .bss()
-                .iter()
-                .map(|b| b.cru_budget.clone())
-                .collect(),
-            rrb: instance.bss().iter().map(|b| b.rrb_budget).collect(),
-        }
-    }
-
-    /// Remaining CRUs of `service` at `bs`.
-    #[must_use]
-    pub fn cru(&self, bs: BsId, service: ServiceId) -> Cru {
-        self.cru[bs.as_usize()][service.as_usize()]
-    }
-
-    /// Remaining RRBs at `bs`.
-    #[must_use]
-    pub fn rrb(&self, bs: BsId) -> RrbCount {
-        self.rrb[bs.as_usize()]
-    }
-
-    /// Line 6 of Algorithm 1: can `link.bs` still fit `ue`'s CRU demand
-    /// and its RRB demand on this link?
-    #[must_use]
-    pub fn fits(&self, ue: &UeSpec, link: &CandidateLink) -> bool {
-        self.cru(link.bs, ue.service) >= ue.cru_demand && self.rrb(link.bs) >= link.n_rrbs
-    }
-
-    /// Commits `ue`'s demands on `link` at `link.bs`.
-    pub fn take(&mut self, ue: &UeSpec, link: &CandidateLink) {
-        let i = link.bs.as_usize();
-        self.cru[i][ue.service.as_usize()] -= ue.cru_demand;
-        self.rrb[i] -= link.n_rrbs;
-    }
-
-    /// Returns what [`ResourcePool::take`] committed for the same pair.
-    pub fn put_back(&mut self, ue: &UeSpec, link: &CandidateLink) {
-        let i = link.bs.as_usize();
-        self.cru[i][ue.service.as_usize()] += ue.cru_demand;
-        self.rrb[i] += link.n_rrbs;
-    }
-}
 
 /// The two preference rules that make [`run`] a particular matching.
 pub trait Preferences {
     /// UE side: the score of proposing on `link`, **lower is better**;
-    /// ties go to the smaller BS id. Called with the live pool, so a score
-    /// may depend on what the BS has left.
+    /// ties go to the smaller BS id. Called with the live budgets, so a
+    /// score may depend on what the BS has left.
     fn ue_score(
         &self,
         instance: &ProblemInstance,
-        pool: &ResourcePool,
+        pool: &Budgets,
         ue: &UeSpec,
         link: &CandidateLink,
     ) -> f64;
@@ -140,14 +82,15 @@ pub fn arg_min(scored: impl Iterator<Item = (f64, BsId)>) -> Option<usize> {
 /// # Errors
 ///
 /// Returns [`Error::NonTermination`] if `max_iterations` elapse — a bug,
-/// as the loop provably terminates.
+/// as the loop provably terminates — and [`Error::OverCommit`] if an
+/// admission exceeds what its BS has left, which the fit checks rule out.
 pub fn run<P: Preferences + ?Sized>(
     instance: &ProblemInstance,
     prefs: &P,
     max_iterations: usize,
 ) -> Result<DmraOutcome> {
     let n_ues = instance.n_ues();
-    let mut pool = ResourcePool::new(instance);
+    let mut pool = instance.budgets().clone();
     // Each UE's live candidate set, pruned monotonically.
     let mut b_u: Vec<Vec<CandidateLink>> = (0..n_ues)
         .map(|u| instance.candidates(UeId::new(u as u32)).to_vec())
@@ -183,7 +126,7 @@ pub fn run<P: Preferences + ?Sized>(
                     break;
                 };
                 let link = b_u[u][best];
-                if pool.fits(spec, &link) {
+                if pool.fits(link.bs, spec.service, spec.cru_demand, link.n_rrbs) {
                     proposals
                         .entry(link.bs.index())
                         .or_default()
@@ -235,8 +178,8 @@ pub fn run<P: Preferences + ?Sized>(
                 }
             }
             for u in winners {
-                let link = instance.link(u, bs).expect("winner is candidate");
-                pool.take(&instance.ues()[u.as_usize()], link);
+                let spec = &instance.ues()[u.as_usize()];
+                pool.take(bs, spec.service, spec.cru_demand, demand(u))?;
                 assigned[u.as_usize()] = Some(bs);
                 accepted_this_iteration += 1;
             }

@@ -16,11 +16,14 @@
 //!   distance, so it is re-checked only when an epoch produces a farther
 //!   candidate than any epoch before it (a high-water mark);
 //! * the epoch instance itself is a single reused allocation — budgets
-//!   are patched in place and the flattened candidate rows are rebuilt
-//!   into the same buffers. One pass over the BSs checks the budgets'
-//!   arity, compares them with the ones the instance holds (the previous
-//!   epoch's) and patches only the BSs that differ; with the row cache
-//!   on, the same pass stamps the cache whenever one of them differs.
+//!   are patched in place, the population is copied into the instance's
+//!   own buffer and the flattened candidate rows are rebuilt into the
+//!   same buffers. The engine hands [`DeploymentContext::build_epoch`]
+//!   its one [`Budgets`] table. When that is the table the previous build
+//!   synced from, unchanged since (every mobility epoch after the first),
+//!   the budget pass does no per-BS work; otherwise it compares every BS
+//!   and patches those that differ. With the row cache on, the pass
+//!   stamps the cache when a BS's budgets differ.
 //!
 //! The rows themselves come from this module's one candidate-row loop
 //! (`RowBuilder`), which [`ProblemInstance::build`] also runs, once and
@@ -51,20 +54,21 @@
 //!   fixed populations (the mobility regime), so it is sized by the
 //!   largest batch seen and never evicts.
 
+use crate::budgets::{arity_error, Budgets};
 use crate::instance::{
     scan_candidate_row, scan_candidate_row_batch, validate_ues, CandidateLink, CandidateScan,
     CoverageModel, ProblemInstance,
 };
 use dmra_geo::GridIndex;
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
-use dmra_types::{Cru, Error, Meters, Result, RrbCount, ServiceId, SpId, UeSpec};
+use dmra_types::{BsId, Cru, Error, Meters, Result, RrbCount, ServiceId, SpId, UeSpec};
 
 /// Epoch-persistent deployment state for the online regime.
 ///
 /// Build one from the validated deployment instance (typically the
 /// zero-UE instance the simulator starts from), then call
-/// [`DeploymentContext::epoch_instance`] once per epoch with the
-/// remaining budgets and the arrival batch.
+/// [`DeploymentContext::build_epoch`] once per epoch with the remaining
+/// budgets and the epoch's UEs.
 #[derive(Debug, Clone)]
 pub struct DeploymentContext {
     /// The reused epoch instance; UEs/links/budgets are overwritten per
@@ -80,6 +84,15 @@ pub struct DeploymentContext {
     /// Cross-epoch candidate-row cache (opt-in, see
     /// [`DeploymentContext::with_row_cache`]).
     row_cache: Option<RowCache>,
+    /// [`Budgets::mark`] of the table the instance's budgets were last
+    /// synced from: a build from a table with this mark has nothing to
+    /// patch.
+    synced: Option<(u64, u64)>,
+    /// The table [`DeploymentContext::epoch_instance`] copies its per-BS
+    /// budgets into, made on its first call.
+    adapter: Option<Budgets>,
+    /// Lifetime budget-pass totals: BSs compared, BSs patched.
+    budget_bss: (u64, u64),
 }
 
 /// Everything a candidate row depends on besides the fixed deployment and
@@ -139,7 +152,7 @@ struct RowCache {
 }
 
 impl RowCache {
-    /// Opens the budget epoch of one [`patch_budgets`] pass. Returns
+    /// Opens the budget epoch of one [`sync_budgets`] pass. Returns
     /// `true` on the cache's first epoch, when every row is cold.
     fn open_epoch(&mut self) -> bool {
         self.epoch += 1;
@@ -194,7 +207,7 @@ impl RowCache {
 
 /// The one candidate-row loop, shared by the one-shot
 /// [`ProblemInstance::build_with_scan`] and every
-/// [`DeploymentContext::epoch_instance`]: the per-BS aggregate-power pass
+/// [`DeploymentContext::build_epoch`]: the per-BS aggregate-power pass
 /// (load-proportional interference only), then per UE either a row-cache
 /// hit or a fresh scan — the pruned batch kernel when a prune index
 /// exists, the exhaustive scalar scan otherwise — flattened in UE-id
@@ -316,6 +329,7 @@ impl RowBuilder {
                         scan_candidate_row_batch(
                             ue,
                             &inst.bss,
+                            &inst.budgets,
                             &self.query_buf,
                             &self.evaluator,
                             self.interference_factor,
@@ -329,6 +343,7 @@ impl RowBuilder {
                     None => scan_candidate_row(
                         ue,
                         &inst.bss,
+                        &inst.budgets,
                         &self.evaluator,
                         self.interference_factor,
                         &self.total_rx_mw,
@@ -384,6 +399,9 @@ impl DeploymentContext {
             rows,
             validated_distance: Meters::new(0.0),
             row_cache: None,
+            synced: None,
+            adapter: None,
+            budget_bss: (0, 0),
         }
     }
 
@@ -411,10 +429,26 @@ impl DeploymentContext {
         self.row_cache.as_ref().map(|c| (c.hits, c.misses))
     }
 
+    /// Lifetime budget-pass totals as `(compared, patched)`: the BSs whose
+    /// budgets the builds compared with the instance's, and those they
+    /// copied because they differed. A build compares every BS, or none
+    /// when its table is the one the previous build synced from,
+    /// unchanged since.
+    #[must_use]
+    pub fn budget_pass_stats(&self) -> (u64, u64) {
+        self.budget_bss
+    }
+
     /// Builds this epoch's instance in place: same deployment, the given
-    /// remaining budgets, and the new arrival batch.
+    /// remaining budgets, and this epoch's UEs, copied into the instance's
+    /// own buffer.
     ///
-    /// Bit-identical to `deployment.residual(rem_cru, rem_rrb, ues)` —
+    /// The budget pass is skipped when `budgets` is the table the
+    /// previous build synced from and has not changed since; otherwise it
+    /// compares every BS and patches those that differ. The row cache is
+    /// stamped only if some BS's budgets differ from the instance's.
+    ///
+    /// Bit-identical to `deployment.residual(budgets, ues.to_vec())` —
     /// same candidate rows, same accepted/rejected inputs, same errors —
     /// without cloning the deployment or re-validating what cannot have
     /// changed. After an error the context remains usable: the next
@@ -423,34 +457,84 @@ impl DeploymentContext {
     /// # Errors
     ///
     /// Exactly the errors [`ProblemInstance::residual`] would return:
-    /// budget-arity mismatches, invalid UE batches, and pricing-margin
+    /// a table of another shape, invalid UE batches, and pricing-margin
     /// violations at a new worst-case candidate distance.
+    pub fn build_epoch(&mut self, budgets: &Budgets, ues: &[UeSpec]) -> Result<&ProblemInstance> {
+        self.instance.check_shape(budgets)?;
+        self.build(budgets, ues)?;
+        Ok(&self.instance)
+    }
+
+    /// [`DeploymentContext::build_epoch`] for budgets in the per-BS
+    /// shape: a thin adapter that checks every arity before anything is
+    /// patched, writes the budgets into a table of its own and builds from
+    /// it. The benchmark's layer replay is its one caller outside tests;
+    /// it leaves with ROADMAP item 1's benchmark change.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when the budgets do not cover every BS
+    /// and service, and every error of
+    /// [`DeploymentContext::build_epoch`].
     pub fn epoch_instance(
         &mut self,
         rem_cru: &[Vec<Cru>],
         rem_rrb: &[RrbCount],
         ues: Vec<UeSpec>,
     ) -> Result<&ProblemInstance> {
+        let n_bss = self.instance.bss.len();
+        if rem_cru.len() != n_bss || rem_rrb.len() != n_bss {
+            return Err(Error::InvalidConfig(format!(
+                "residual budgets cover {} / {} BSs but the instance has {n_bss}",
+                rem_cru.len(),
+                rem_rrb.len(),
+            )));
+        }
+        let n_svcs = self.instance.budgets.n_svcs();
+        if let Some((b, cru)) = rem_cru.iter().enumerate().find(|(_, c)| c.len() != n_svcs) {
+            return Err(arity_error(BsId::new(b as u32), cru.len(), n_svcs));
+        }
+        let mut table = self
+            .adapter
+            .take()
+            .unwrap_or_else(|| self.instance.budgets.clone());
+        for (b, (cru, &rrb)) in rem_cru.iter().zip(rem_rrb).enumerate() {
+            table.set_bs(b, cru, rrb);
+        }
+        let built = self.build(&table, &ues);
+        self.adapter = Some(table);
+        built?;
+        Ok(&self.instance)
+    }
+
+    /// The epoch build behind both entry points, for a table of the
+    /// instance's shape.
+    fn build(&mut self, budgets: &Budgets, ues: &[UeSpec]) -> Result<()> {
         // Observe-only telemetry: one flag read up front, all recording
         // after the rebuild. Nothing here touches candidate generation.
         let obs_on = dmra_obs::enabled();
         let build_started = obs_on.then(std::time::Instant::now);
 
-        let inst = &mut self.instance;
         // Patch the budgets and do the row-cache epoch bookkeeping before
         // any row is built: if any BS's remaining budgets differ from the
         // previous epoch's, the cache is stamped and every slot misses.
         // Load-proportional interference couples each row to the whole
         // batch, so the cache is bypassed entirely there.
         let cache_active = self.row_cache.is_some() && self.rows.interference_factor == 0.0;
-        let invalidated_bss = patch_budgets(
-            inst,
-            rem_cru,
-            rem_rrb,
+        let pass = sync_budgets(
+            &mut self.instance,
+            budgets,
+            self.synced,
             self.row_cache.as_mut().filter(|_| cache_active),
-        )?;
-        validate_ues(&ues, inst.sps.len(), inst.catalog)?;
-        inst.ues = ues;
+        );
+        self.synced = Some(budgets.mark());
+        self.budget_bss.0 += pass.compared;
+        self.budget_bss.1 += pass.patched;
+        let invalidated_bss = pass.invalidated;
+        let inst = &mut self.instance;
+        validate_ues(ues, inst.sps.len(), inst.catalog)?;
+        inst.ues.clear();
+        inst.ues.extend_from_slice(ues);
         let rows = self.rows.build(
             inst,
             self.row_cache.as_mut().filter(|_| cache_active),
@@ -540,7 +624,7 @@ impl DeploymentContext {
                 fields,
             });
         }
-        Ok(&self.instance)
+        Ok(())
     }
 
     /// The coverage model the context prunes for.
@@ -550,54 +634,58 @@ impl DeploymentContext {
     }
 }
 
-/// The budget pass of every epoch build: checks the budgets' arity
-/// against the instance, compares each BS's incoming budgets with the ones
-/// the instance holds (the previous call's), and patches only the BSs
-/// that differ, stamping `cache` at each — one walk over the BSs. Returns
-/// the number of BSs whose budgets changed: every BS on the cache's first
-/// epoch, otherwise the patched ones, and none without a cache.
-///
-/// An arity error part-way through leaves the BSs before it patched and
-/// the cache stamped, so the instance's budgets and the cache's stamp
-/// always agree and the next call only has to compare against the
-/// instance.
-fn patch_budgets(
+/// What one [`sync_budgets`] pass did.
+struct BudgetPass {
+    /// BSs compared with the instance's budgets.
+    compared: u64,
+    /// BSs whose budgets differed and were copied.
+    patched: u64,
+    /// The row-cache invalidation count: every BS on the cache's first
+    /// epoch, otherwise the patched ones, and none without a cache.
+    invalidated: u64,
+}
+
+/// The budget pass of every epoch build: unless `budgets` still carries
+/// the mark `synced` the instance last synced from, compares every BS
+/// with the ones the instance holds, copies those that differ (their BS
+/// specs mirror them) and stamps `cache` if any did.
+fn sync_budgets(
     inst: &mut ProblemInstance,
-    rem_cru: &[Vec<Cru>],
-    rem_rrb: &[RrbCount],
-    mut cache: Option<&mut RowCache>,
-) -> Result<u64> {
+    budgets: &Budgets,
+    synced: Option<(u64, u64)>,
+    cache: Option<&mut RowCache>,
+) -> BudgetPass {
     let n_bss = inst.bss.len();
-    if rem_cru.len() != n_bss || rem_rrb.len() != n_bss {
-        return Err(Error::InvalidConfig(format!(
-            "residual budgets cover {} / {} BSs but the instance has {}",
-            rem_cru.len(),
-            rem_rrb.len(),
-            n_bss
-        )));
-    }
-    let first = cache.as_deref_mut().is_some_and(RowCache::open_epoch);
-    let mut stamped = 0u64;
-    for (b, bs) in inst.bss.iter_mut().enumerate() {
-        let cru = &rem_cru[b];
-        if cru.len() != bs.cru_budget.len() {
-            return Err(Error::InvalidConfig(format!(
-                "{} has {} service budgets but the catalog has {} services",
-                bs.id,
-                cru.len(),
-                inst.catalog.len()
-            )));
+    let compared = if synced == Some(budgets.mark()) {
+        0
+    } else {
+        n_bss
+    };
+    let mut patched = 0u64;
+    for b in 0..compared {
+        if inst.budgets.sync_bs(budgets, b, &mut inst.bss[b]) {
+            patched += 1;
         }
-        if bs.rrb_budget != rem_rrb[b] || bs.cru_budget != *cru {
-            bs.cru_budget.copy_from_slice(cru);
-            bs.rrb_budget = rem_rrb[b];
-            if let Some(cache) = cache.as_deref_mut() {
+    }
+    let invalidated = match cache {
+        Some(cache) => {
+            let first = cache.open_epoch();
+            if patched > 0 {
                 cache.stamp();
-                stamped += 1;
+            }
+            if first {
+                n_bss as u64
+            } else {
+                patched
             }
         }
+        None => 0,
+    };
+    BudgetPass {
+        compared: compared as u64,
+        patched,
+        invalidated,
     }
-    Ok(if first { n_bss as u64 } else { stamped })
 }
 
 #[cfg(test)]
@@ -620,6 +708,26 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// The budgets of the adapter's per-BS shape as one table.
+    fn per_bs_table(deployment: &ProblemInstance, cru: &[Vec<Cru>], rrb: &[RrbCount]) -> Budgets {
+        let mut bss = deployment.bss().to_vec();
+        for ((spec, cru), &rrb) in bss.iter_mut().zip(cru).zip(rrb) {
+            spec.cru_budget = cru.clone();
+            spec.rrb_budget = rrb;
+        }
+        Budgets::from_bss(&bss, deployment.catalog().len() as usize).unwrap()
+    }
+
+    /// The rebuild-from-scratch oracle for budgets in the adapter's shape.
+    fn residual(
+        deployment: &ProblemInstance,
+        cru: &[Vec<Cru>],
+        rrb: &[RrbCount],
+        ues: Vec<UeSpec>,
+    ) -> Result<ProblemInstance> {
+        deployment.residual(&per_bs_table(deployment, cru, rrb), ues)
     }
 
     fn assert_same_instance(a: &ProblemInstance, b: &ProblemInstance) {
@@ -661,9 +769,7 @@ mod tests {
         ];
         for (e, (rem_cru, rem_rrb)) in budgets.iter().enumerate() {
             let batch = fresh_batch(e + 1);
-            let scratch = deployment
-                .residual(rem_cru, rem_rrb, batch.clone())
-                .unwrap();
+            let scratch = residual(&deployment, rem_cru, rem_rrb, batch.clone()).unwrap();
             let fast = ctx.epoch_instance(rem_cru, rem_rrb, batch).unwrap();
             assert_same_instance(fast, &scratch);
         }
@@ -673,9 +779,13 @@ mod tests {
     fn epoch_instance_rejects_what_residual_rejects() {
         let deployment = two_sp_instance();
         let mut ctx = DeploymentContext::new(&deployment);
-        // Wrong outer arity.
+        // Wrong outer arity: the adapter rejects it before anything else,
+        // and a table of the wrong shape fails as the residual build does.
         let err = ctx.epoch_instance(&[], &[], fresh_batch(1)).unwrap_err();
-        let scratch_err = deployment.residual(&[], &[], fresh_batch(1)).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        let one_bs = Budgets::from_bss(&deployment.bss()[..1], 2).unwrap();
+        let err = ctx.build_epoch(&one_bs, &fresh_batch(1)).unwrap_err();
+        let scratch_err = deployment.residual(&one_bs, fresh_batch(1)).unwrap_err();
         assert_eq!(err, scratch_err);
         // Dangling SP reference in the batch.
         let rem_cru: Vec<Vec<Cru>> = deployment
@@ -689,7 +799,7 @@ mod tests {
         let err = ctx
             .epoch_instance(&rem_cru, &rem_rrb, bad.clone())
             .unwrap_err();
-        let scratch_err = deployment.residual(&rem_cru, &rem_rrb, bad).unwrap_err();
+        let scratch_err = residual(&deployment, &rem_cru, &rem_rrb, bad).unwrap_err();
         assert_eq!(err, scratch_err);
         // And the context still works after the errors.
         let ok = ctx
@@ -723,9 +833,7 @@ mod tests {
         ];
         let batch = fresh_batch(3);
         for (rem_cru, rem_rrb) in epochs {
-            let scratch = deployment
-                .residual(rem_cru, rem_rrb, batch.clone())
-                .unwrap();
+            let scratch = residual(&deployment, rem_cru, rem_rrb, batch.clone()).unwrap();
             let fast = ctx.epoch_instance(rem_cru, rem_rrb, batch.clone()).unwrap();
             assert_same_instance(fast, &scratch);
         }
@@ -756,9 +864,7 @@ mod tests {
                 batch[2].cru_demand = Cru::new(7);
                 batch[2].rate_demand = BitsPerSec::from_mbps(5.5);
             }
-            let scratch = deployment
-                .residual(&rem_cru, &rem_rrb, batch.clone())
-                .unwrap();
+            let scratch = residual(&deployment, &rem_cru, &rem_rrb, batch.clone()).unwrap();
             let fast = ctx
                 .epoch_instance(&rem_cru, &rem_rrb, batch.clone())
                 .unwrap();
@@ -860,9 +966,7 @@ mod tests {
             (full_cru, full_rrb),
         ];
         for (e, (rem_cru, rem_rrb)) in epochs.iter().enumerate() {
-            let scratch = deployment
-                .residual(rem_cru, rem_rrb, batch.clone())
-                .unwrap();
+            let scratch = residual(&deployment, rem_cru, rem_rrb, batch.clone()).unwrap();
             let fast = ctx.epoch_instance(rem_cru, rem_rrb, batch.clone()).unwrap();
             assert_same_instance(fast, &scratch);
             // Cold on the first epoch, and a budget change on every later
@@ -877,11 +981,11 @@ mod tests {
 
     #[test]
     fn budget_arity_error_stamps_the_bss_it_already_patched() {
-        // The third call changes BS 0 (patched in place) and then fails on
-        // BS 1's arity; the fourth call reuses that BS 0 budget, so only
-        // the stamp from the failed call can tell that the rows cached by
-        // the second call (built under its BS 0 budget) are stale. A
-        // stamp deferred to the end of the pass would serve them.
+        // The adapter checks every arity before it patches anything, so
+        // the third call, which changes BS 0 and then fails on BS 1's
+        // arity, patches and stamps nothing: a fourth call with the
+        // second call's budgets still hits every row it cached. A fifth
+        // call that does change BS 0 misses both rows.
         let deployment = two_distant_cells();
         let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
         let full = vec![Cru::new(100), Cru::new(100)];
@@ -908,23 +1012,67 @@ mod tests {
         ];
         let rrb = vec![RrbCount::new(55), RrbCount::new(55)];
         let build = |ctx: &mut DeploymentContext, rem_cru: &[Vec<Cru>]| {
-            let scratch = deployment.residual(rem_cru, &rrb, batch.clone()).unwrap();
+            let scratch = residual(&deployment, rem_cru, &rrb, batch.clone()).unwrap();
             let fast = ctx.epoch_instance(rem_cru, &rrb, batch.clone()).unwrap();
             assert_same_instance(fast, &scratch);
             ctx.row_cache_stats().unwrap()
         };
         // A cold epoch, then one that changes BS 1's budgets only.
         assert_eq!(build(&mut ctx, &[full.clone(), full.clone()]), (0, 2));
-        assert_eq!(build(&mut ctx, &[full, drained.clone()]), (0, 4));
+        assert_eq!(build(&mut ctx, &[full.clone(), drained.clone()]), (0, 4));
+        let patched = ctx.budget_pass_stats().1;
         let err = ctx
             .epoch_instance(&[drained.clone(), vec![Cru::new(1)]], &rrb, batch.clone())
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
         assert_eq!(ctx.row_cache_stats(), Some((0, 4)));
-        // Both rows miss: BS 0 was patched, and stamped, before the error,
-        // although this call's budgets equal the ones the instance holds.
-        let stats = build(&mut ctx, &[drained.clone(), drained]);
-        assert_eq!(stats, (0, 6));
+        assert_eq!(ctx.budget_pass_stats().1, patched, "nothing was patched");
+        assert_eq!(build(&mut ctx, &[full, drained.clone()]), (2, 4));
+        assert_eq!(build(&mut ctx, &[drained.clone(), drained]), (2, 6));
+    }
+
+    #[test]
+    fn build_epoch_skips_the_budget_pass_only_for_an_unchanged_table() {
+        // An engine's table: a build from it unchanged since the previous
+        // one compares no BS; after any take or release, every BS is
+        // compared and the ones that differ are patched.
+        let deployment = two_distant_cells();
+        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
+        let mut table = deployment.budgets().clone();
+        let batch = fresh_batch(3);
+        let (bs1, s1) = (BsId::new(1), ServiceId::new(1));
+        let epoch = |ctx: &mut DeploymentContext, table: &Budgets| {
+            let before = ctx.budget_pass_stats();
+            let scratch = deployment.residual(table, batch.clone()).unwrap();
+            let fast = ctx.build_epoch(table, &batch).unwrap();
+            assert_same_instance(fast, &scratch);
+            assert_eq!(fast.budgets(), table);
+            let after = ctx.budget_pass_stats();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        // The first build compares every BS; none differs from the
+        // deployment's.
+        assert_eq!(epoch(&mut ctx, &table), (2, 0));
+        assert_eq!(epoch(&mut ctx, &table), (0, 0));
+        table.take(bs1, s1, Cru::new(7), RrbCount::new(3)).unwrap();
+        assert_eq!(epoch(&mut ctx, &table), (2, 1));
+        // A take and its release change the mark, not the budgets.
+        table.take(bs1, s1, Cru::new(1), RrbCount::new(1)).unwrap();
+        table
+            .put_back(bs1, s1, Cru::new(1), RrbCount::new(1))
+            .unwrap();
+        assert_eq!(epoch(&mut ctx, &table), (2, 0));
+        table
+            .put_back(bs1, s1, Cru::new(7), RrbCount::new(3))
+            .unwrap();
+        assert_eq!(epoch(&mut ctx, &table), (2, 1));
+        assert_eq!(epoch(&mut ctx, &table), (0, 0));
+        // Another table with the same budgets — a clone — is compared in
+        // full and patches nothing.
+        assert_eq!(epoch(&mut ctx, &table.clone()), (2, 0));
+        // Seven epochs of three rows: the cold one and the two that
+        // changed BS 1 miss, the other four hit.
+        assert_eq!(ctx.row_cache_stats(), Some((12, 9)));
     }
 
     #[test]

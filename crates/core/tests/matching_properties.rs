@@ -106,14 +106,11 @@ proptest! {
     #[test]
     fn prop_no_stranded_ues(inst in arb_instance()) {
         let alloc = Dmra::default().allocate(&inst);
-        let rem_cru = inst.remaining_cru(&alloc);
-        let rem_rrb = inst.remaining_rrbs(&alloc);
+        let rem = inst.remaining(&alloc).unwrap();
         for ue in alloc.cloud_ues() {
             let spec = &inst.ues()[ue.as_usize()];
             for link in inst.candidates(ue) {
-                let i = link.bs.as_usize();
-                let fits = rem_cru[i][spec.service.as_usize()] >= spec.cru_demand
-                    && rem_rrb[i] >= link.n_rrbs;
+                let fits = rem.fits(link.bs, spec.service, spec.cru_demand, link.n_rrbs);
                 prop_assert!(!fits, "{ue} stranded while {} fits it", link.bs);
             }
         }

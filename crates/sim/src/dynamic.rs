@@ -22,7 +22,9 @@
 //! One epoch loop serves both shipped entry points. A
 //! [`DeploymentContext`] validates the deployment once, keeps the spatial
 //! prune index and link evaluator across epochs, and rebuilds the epoch
-//! instance in place. Only the epoch's matcher differs:
+//! instance in place from the engine's one [`Budgets`] table, patching
+//! the BSs whose budgets departures and admissions changed since the
+//! previous build. Only the epoch's matcher differs:
 //!
 //! * [`DynamicSimulator::run`] — the allocator, through a reusable
 //!   [`dmra_core::AllocatorSession`] so per-epoch solves stop allocating;
@@ -65,13 +67,14 @@
 use crate::config::ScenarioConfig;
 use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::{
-    Allocation, Allocator, CandidateScan, DeploymentContext, Dmra, DmraConfig, ProblemInstance,
+    Allocation, Allocator, Budgets, CandidateScan, DeploymentContext, Dmra, DmraConfig,
+    ProblemInstance,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{obs_warn, EpochObserver, EpochRecord};
 use dmra_proto::{DelayModel, DropPolicy};
 use dmra_types::{
-    BitsPerSec, BsId, BsSpec, Cru, Error, Money, Result, RrbCount, ServiceId, SpId, UeId, UeSpec,
+    BitsPerSec, BsId, Cru, Error, Money, Result, RrbCount, ServiceId, SpId, UeId, UeSpec,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -569,7 +572,8 @@ impl DynamicSimulator {
         let mut session = self.allocator.session();
         let proto_config = DmraConfig::paper_defaults();
         let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
-        let mut state = EngineState::new(deployment.bss(), cfg.epochs);
+        let mut state = EngineState::new(&deployment, cfg.epochs);
+        let mut ues: Vec<UeSpec> = Vec::new();
         // Observe-only telemetry: the flag is read once per run and every
         // recording happens after the epoch's bookkeeping is committed, so
         // the loop stays bit-identical to `run_scratch`.
@@ -583,21 +587,22 @@ impl DynamicSimulator {
             let cloud_before = state.outcome.cloud_forwarded;
             let completed_before = state.outcome.completed;
             let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            state.release_departures(epoch);
+            let budget_before = ctx.budget_pass_stats();
+            state.release_departures(epoch)?;
             let n_new = poisson(cfg.arrival_rate, &mut rng);
             state.outcome.arrivals += n_new as u64;
             let mut solve_ns = 0u64;
             let mut digest = 0u64;
             let mut degradation = ProtoEpochAux::default();
             if n_new > 0 {
-                let ues = self.draw_arrivals(n_new, &mut rng);
+                self.draw_arrivals(n_new, &mut rng, &mut ues);
                 // Draw holding times for *every* arrival up front so the
                 // workload trace is identical across allocators (admission
                 // decisions must not perturb the RNG stream).
                 let offsets: Vec<f64> = (0..n_new)
                     .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
                     .collect();
-                let instance = ctx.epoch_instance(&state.rem_cru, &state.rem_rrb, ues)?;
+                let instance = ctx.build_epoch(&state.budgets, &ues)?;
                 let solve_started = obs_on.then(std::time::Instant::now);
                 let (allocation, protocol) = match proto {
                     None => (session.allocate(instance), None),
@@ -681,7 +686,7 @@ impl DynamicSimulator {
                 if proto.is_some() {
                     record = degradation.push(record);
                 }
-                obs.on_record(&record);
+                obs.on_record(&push_budget_aux(record, &ctx, budget_before));
             }
         }
         Ok(state.outcome)
@@ -707,7 +712,8 @@ impl DynamicSimulator {
             .with_seed(cfg.seed)
             .build()?;
         let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
-        let mut state = EngineState::new(deployment.bss(), cfg.epochs);
+        let mut state = EngineState::new(&deployment, cfg.epochs);
+        let mut ues: Vec<UeSpec> = Vec::new();
         let obs_on = dmra_obs::enabled();
         let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
         let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
@@ -718,20 +724,19 @@ impl DynamicSimulator {
             let cloud_before = state.outcome.cloud_forwarded;
             let completed_before = state.outcome.completed;
             let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            state.release_departures(epoch);
+            state.release_departures(epoch)?;
             let n_new = poisson(cfg.arrival_rate, &mut rng);
             state.outcome.arrivals += n_new as u64;
             let mut solve_ns = 0u64;
             let mut digest = 0u64;
             if n_new > 0 {
-                let ues = self.draw_arrivals(n_new, &mut rng);
+                self.draw_arrivals(n_new, &mut rng, &mut ues);
                 let offsets: Vec<f64> = (0..n_new)
                     .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
                     .collect();
                 let instance = deployment.residual_with(
-                    &state.rem_cru,
-                    &state.rem_rrb,
-                    ues,
+                    &state.budgets,
+                    ues.clone(),
                     CandidateScan::Exhaustive,
                 )?;
                 let solve_started = obs_on.then(std::time::Instant::now);
@@ -770,27 +775,27 @@ impl DynamicSimulator {
     }
 
     /// Draws one epoch's arrival batch from the scenario's workload
-    /// distributions (dense fresh ids — each epoch instance is standalone).
-    fn draw_arrivals(&self, n: usize, rng: &mut StdRng) -> Vec<UeSpec> {
+    /// distributions into `ues` (dense fresh ids — each epoch instance is
+    /// standalone).
+    fn draw_arrivals(&self, n: usize, rng: &mut StdRng, ues: &mut Vec<UeSpec>) {
         let cfg = &self.config.scenario;
         let (dlo, dhi) = cfg.cru_demand_range;
         let (rlo, rhi) = cfg.rate_demand_mbps;
-        (0..n)
-            .map(|u| {
-                UeSpec::new(
-                    UeId::new(u as u32),
-                    SpId::new(rng.random_range(0..cfg.n_sps)),
-                    dmra_types::Point::new(
-                        rng.random_range(cfg.region.min.x..=cfg.region.max.x),
-                        rng.random_range(cfg.region.min.y..=cfg.region.max.y),
-                    ),
-                    ServiceId::new(rng.random_range(0..cfg.n_services)),
-                    Cru::new(rng.random_range(dlo..=dhi)),
-                    BitsPerSec::from_mbps(rng.random_range(rlo..=rhi)),
-                    cfg.ue_tx_power,
-                )
-            })
-            .collect()
+        ues.clear();
+        ues.extend((0..n).map(|u| {
+            UeSpec::new(
+                UeId::new(u as u32),
+                SpId::new(rng.random_range(0..cfg.n_sps)),
+                dmra_types::Point::new(
+                    rng.random_range(cfg.region.min.x..=cfg.region.max.x),
+                    rng.random_range(cfg.region.min.y..=cfg.region.max.y),
+                ),
+                ServiceId::new(rng.random_range(0..cfg.n_services)),
+                Cru::new(rng.random_range(dlo..=dhi)),
+                BitsPerSec::from_mbps(rng.random_range(rlo..=rhi)),
+                cfg.ue_tx_power,
+            )
+        }));
     }
 }
 
@@ -800,40 +805,46 @@ impl DynamicSimulator {
 /// place guarantees both loops account identically — their only
 /// difference is how the epoch instance is produced.
 struct EngineState {
-    rem_cru: Vec<Vec<Cru>>,
-    rem_rrb: Vec<RrbCount>,
+    /// What every BS has left; departures and admissions change it only
+    /// through [`Budgets::put_back`] and [`Budgets::take`].
+    budgets: Budgets,
     total_rrb: f64,
     active: Vec<ActiveTask>,
     outcome: DynamicOutcome,
 }
 
 impl EngineState {
-    fn new(bss: &[BsSpec], epochs: usize) -> Self {
+    fn new(deployment: &ProblemInstance, epochs: usize) -> Self {
+        let budgets = deployment.budgets().clone();
         Self {
-            rem_cru: bss.iter().map(|b| b.cru_budget.clone()).collect(),
-            rem_rrb: bss.iter().map(|b| b.rrb_budget).collect(),
-            total_rrb: bss.iter().map(|b| b.rrb_budget.as_f64()).sum(),
+            total_rrb: budgets.rrb_total() as f64,
+            budgets,
             active: Vec::new(),
             outcome: empty_outcome(epochs),
         }
     }
 
     /// Departures due at the start of an epoch release their resources.
-    fn release_departures(&mut self, epoch: usize) {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BudgetOverflow`] when a release would overflow a budget.
+    fn release_departures(&mut self, epoch: usize) -> Result<()> {
         let now = epoch as f64;
         let before = self.active.len();
-        let rem_cru = &mut self.rem_cru;
-        let rem_rrb = &mut self.rem_rrb;
+        let budgets = &mut self.budgets;
+        let mut released = Ok(());
         self.active.retain(|t| {
-            if t.departs_at <= now {
-                rem_cru[t.bs.as_usize()][t.service.as_usize()] += t.cru;
-                rem_rrb[t.bs.as_usize()] += t.rrbs;
-                false
-            } else {
-                true
+            if t.departs_at > now {
+                return true;
             }
+            if released.is_ok() {
+                released = budgets.put_back(t.bs, t.service, t.cru, t.rrbs);
+            }
+            false
         });
         self.outcome.completed += (before - self.active.len()) as u64;
+        released
     }
 
     /// Commits one epoch's admissions: deduct resources, register the
@@ -842,7 +853,7 @@ impl EngineState {
     /// # Errors
     ///
     /// [`Error::OverCommit`] when the allocation admits more than a BS
-    /// has left (see [`deduct_admission`]).
+    /// has left ([`Budgets::take`]).
     fn commit_epoch(
         &mut self,
         instance: &ProblemInstance,
@@ -854,14 +865,8 @@ impl EngineState {
         for (ue, bs) in allocation.edge_pairs() {
             let spec = &instance.ues()[ue.as_usize()];
             let link = instance.link(ue, bs).expect("candidate");
-            deduct_admission(
-                &mut self.rem_cru,
-                &mut self.rem_rrb,
-                bs,
-                spec.service,
-                spec.cru_demand,
-                link.n_rrbs,
-            )?;
+            self.budgets
+                .take(bs, spec.service, spec.cru_demand, link.n_rrbs)?;
             self.active.push(ActiveTask {
                 bs,
                 service: spec.service,
@@ -877,7 +882,7 @@ impl EngineState {
 
     /// Records end-of-epoch occupancy and in-service counts.
     fn finish_epoch(&mut self) {
-        let used: f64 = self.total_rrb - self.rem_rrb.iter().map(|r| r.as_f64()).sum::<f64>();
+        let used: f64 = self.total_rrb - self.budgets.rrb_total() as f64;
         self.outcome.rrb_occupancy.push(if self.total_rrb > 0.0 {
             used / self.total_rrb
         } else {
@@ -885,33 +890,6 @@ impl EngineState {
         });
         self.outcome.in_service.push(self.active.len());
     }
-}
-
-/// Deducts one admission's demand from a BS's remaining budgets. Checked
-/// in every build profile: a budget that would go below zero (an
-/// allocation admitting more than the BS has left) is reported as
-/// [`Error::OverCommit`] instead of wrapping around in release builds.
-fn deduct_admission(
-    rem_cru: &mut [Vec<Cru>],
-    rem_rrb: &mut [RrbCount],
-    bs: BsId,
-    service: ServiceId,
-    cru: Cru,
-    rrbs: RrbCount,
-) -> Result<()> {
-    let cru_left = &mut rem_cru[bs.as_usize()][service.as_usize()];
-    *cru_left = cru_left.checked_sub(cru).ok_or_else(|| Error::OverCommit {
-        bs,
-        detail: format!("{service} has {cru_left} left, an admission needs {cru}"),
-    })?;
-    let rrb_left = &mut rem_rrb[bs.as_usize()];
-    *rrb_left = rrb_left
-        .checked_sub(rrbs)
-        .ok_or_else(|| Error::OverCommit {
-            bs,
-            detail: format!("{rrb_left} left, an admission needs {rrbs}"),
-        })?;
-    Ok(())
 }
 
 fn empty_outcome(epochs: usize) -> DynamicOutcome {
@@ -967,6 +945,21 @@ impl AuxCounters {
     pub(crate) fn read(&self) -> (u64, u64, u64) {
         (self.hits.get(), self.misses.get(), self.components.get())
     }
+}
+
+/// Appends the budget pass of the epoch's build to the aux section: the
+/// BSs the context compared with its instance's budgets, and those it
+/// patched, since the `before` reading of
+/// [`DeploymentContext::budget_pass_stats`].
+pub(crate) fn push_budget_aux(
+    record: EpochRecord,
+    ctx: &DeploymentContext,
+    before: (u64, u64),
+) -> EpochRecord {
+    let (compared, patched) = ctx.budget_pass_stats();
+    record
+        .aux("budget_bss_compared", compared - before.0)
+        .aux("budget_bss_patched", patched - before.1)
 }
 
 /// Per-epoch degradation telemetry of the protocol-backed engine,

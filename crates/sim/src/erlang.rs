@@ -111,7 +111,7 @@ impl TrunkModel {
         } else {
             total_n / counted as f64
         };
-        let total_rrbs: f64 = instance.bss().iter().map(|b| b.rrb_budget.as_f64()).sum();
+        let total_rrbs = instance.budgets().rrb_total() as f64;
         Ok(Self {
             servers: (total_rrbs / mean).floor() as u32,
             mean_rrbs_per_task: mean,

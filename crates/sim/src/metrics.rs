@@ -37,30 +37,21 @@ impl Metrics {
     ///
     /// # Panics
     ///
-    /// Panics if the allocation uses non-candidate links (validate first).
+    /// Panics if the allocation is not feasible on the instance: a
+    /// non-candidate link or an over-committed budget (validate first).
     #[must_use]
     pub fn compute(instance: &ProblemInstance, allocation: &Allocation) -> Self {
         let report = instance.profit_report(allocation);
         let stats = allocation.stats(instance);
 
-        let rrb_capacity: f64 = instance.bss().iter().map(|b| b.rrb_budget.as_f64()).sum();
-        let rrb_remaining: f64 = instance
-            .remaining_rrbs(allocation)
-            .iter()
-            .map(|r| r.as_f64())
-            .sum();
-        let cru_capacity: f64 = instance
-            .bss()
-            .iter()
-            .flat_map(|b| b.cru_budget.iter())
-            .map(|c| c.as_f64())
-            .sum();
-        let cru_remaining: f64 = instance
-            .remaining_cru(allocation)
-            .iter()
-            .flatten()
-            .map(|c| c.as_f64())
-            .sum();
+        let capacity = instance.budgets();
+        let remaining = instance
+            .remaining(allocation)
+            .unwrap_or_else(|e| panic!("metrics of an infeasible allocation: {e}"));
+        let rrb_capacity = capacity.rrb_total() as f64;
+        let rrb_remaining = remaining.rrb_total() as f64;
+        let cru_capacity = capacity.cru_total() as f64;
+        let cru_remaining = remaining.cru_total() as f64;
 
         let per_sp_profit: Vec<Money> = report.per_sp.iter().map(|p| p.profit()).collect();
         let sp_fairness = jain_index(&per_sp_profit);
@@ -217,14 +208,15 @@ mod tests {
         // so DMRA itself produces the all-cloud allocation and every SP
         // earns exactly zero (Jain index degenerates to 1 by convention).
         let base = instance();
-        let zero_cru: Vec<Vec<dmra_types::Cru>> = base
-            .bss()
-            .iter()
-            .map(|b| vec![dmra_types::Cru::ZERO; b.cru_budget.len()])
-            .collect();
-        let zero_rrb = vec![dmra_types::RrbCount::ZERO; base.n_bss()];
+        let mut drained = base.budgets().clone();
+        for bs in base.bss() {
+            for svc in base.catalog().iter() {
+                let (cru, rrb) = (drained.cru(bs.id, svc), drained.rrb(bs.id));
+                drained.take(bs.id, svc, cru, rrb).unwrap();
+            }
+        }
         let ues = base.ues().to_vec();
-        let inst = base.residual(&zero_cru, &zero_rrb, ues).unwrap();
+        let inst = base.residual(&drained, ues).unwrap();
         let alloc = Dmra::default().allocate(&inst);
         assert_eq!(alloc.edge_served(), 0);
         let m = Metrics::compute(&inst, &alloc);

@@ -19,7 +19,9 @@
 //!   UE that did not move between epochs (the `stationary_fraction`
 //!   population, or any UE whose waypoint run left it in place) reuses
 //!   its candidate row verbatim, and moved UEs re-evaluate only their
-//!   pruned candidate slice through the batched link kernel;
+//!   pruned candidate slice through the batched link kernel. Every epoch
+//!   matches against the deployment's own [`Budgets`], which never
+//!   change, so after the first build the budget pass touches no BS;
 //! * [`MobilitySimulator::run_scratch`] — the executable specification:
 //!   a full exhaustive-scan [`ProblemInstance`] rebuild every epoch,
 //!   exactly the O(U×B) loop the paper describes.
@@ -45,11 +47,13 @@
 //! ```
 
 use crate::config::ScenarioConfig;
-use crate::dynamic::{push_common_aux, AuxCounters};
-use dmra_core::{Allocation, Allocator, CandidateScan, DeploymentContext, Dmra, ProblemInstance};
+use crate::dynamic::{push_budget_aux, push_common_aux, AuxCounters};
+use dmra_core::{
+    Allocation, Allocator, Budgets, CandidateScan, DeploymentContext, Dmra, ProblemInstance,
+};
 use dmra_geo::rng::component_rng;
 use dmra_obs::{EpochObserver, EpochRecord};
-use dmra_types::{Cru, Error, Money, Point, Rect, Result, RrbCount, UeId, UeSpec};
+use dmra_types::{Error, Money, Point, Rect, Result, UeId, UeSpec};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -197,19 +201,15 @@ impl MobilitySimulator {
         let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
 
         // The population never departs, so every epoch re-matches against
-        // the full budgets; the row cache sees identical budgets each
-        // epoch and invalidates only on the first one.
-        let full_cru: Vec<Vec<Cru>> = deployment
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let full_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
+        // the deployment's full budgets: a table that never changes, so
+        // after the first build the budget pass touches no BS and the row
+        // cache is never stamped again.
+        let full = deployment.budgets();
         let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
         // Sticky re-matching solves against churning residual budgets, so
         // its context gets no cache — it still reuses buffers and the
-        // batched kernel. It is built on the first sticky re-match, so
-        // the other policies never build it.
+        // batched kernel. It is made on the first sticky split, so the
+        // other policies never make it.
         let mut res_ctx: Option<DeploymentContext> = None;
         let mut session = self.allocator.session();
 
@@ -222,7 +222,8 @@ impl MobilitySimulator {
             let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
             let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
-            let instance = ctx.epoch_instance(&full_cru, &full_rrb, ues.clone())?;
+            let budget_before = ctx.budget_pass_stats();
+            let instance = ctx.build_epoch(full, &ues)?;
             // The timed slice covers the allocator solve including the
             // sticky residual re-match (split + residual assembly), i.e.
             // everything between having an epoch instance and having an
@@ -230,13 +231,14 @@ impl MobilitySimulator {
             let solve_started = obs_on.then(std::time::Instant::now);
             let allocation = match (cfg.policy, &previous) {
                 (MobilityPolicy::Sticky, Some(prev)) => {
-                    let split = sticky_split(instance, prev);
+                    let mut rem = full.clone();
+                    let split = sticky_split(instance, prev, &mut rem)?;
                     match split.residual_ues(instance) {
                         None => split.kept,
                         Some(res_ues) => {
                             let residual = res_ctx
                                 .get_or_insert_with(|| DeploymentContext::new(&deployment))
-                                .epoch_instance(&split.rem_cru, &split.rem_rrb, res_ues)?;
+                                .build_epoch(&rem, &res_ues)?;
                             split.merge(session.allocate(residual))
                         }
                     }
@@ -254,7 +256,7 @@ impl MobilitySimulator {
                     counters,
                     aux_before,
                 );
-                obs.on_record(&record);
+                obs.on_record(&push_budget_aux(record, &ctx, budget_before));
             }
             previous = Some(allocation);
             advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
@@ -301,16 +303,13 @@ impl MobilitySimulator {
             let solve_started = obs_on.then(std::time::Instant::now);
             let allocation = match (cfg.policy, &previous) {
                 (MobilityPolicy::Sticky, Some(prev)) => {
-                    let split = sticky_split(&instance, prev);
+                    let mut rem = instance.budgets().clone();
+                    let split = sticky_split(&instance, prev, &mut rem)?;
                     match split.residual_ues(&instance) {
                         None => split.kept,
                         Some(res_ues) => {
-                            let residual = instance.residual_with(
-                                &split.rem_cru,
-                                &split.rem_rrb,
-                                res_ues,
-                                CandidateScan::Exhaustive,
-                            )?;
+                            let residual =
+                                instance.residual_with(&rem, res_ues, CandidateScan::Exhaustive)?;
                             split.merge(session.allocate(&residual))
                         }
                     }
@@ -479,12 +478,10 @@ fn account_epoch(
     }
 }
 
-/// The sticky policy's split of one epoch: kept assignments, leftover
-/// budgets and the UEs that need re-matching.
+/// The sticky policy's split of one epoch: kept assignments and the UEs
+/// that need re-matching.
 struct StickySplit {
     kept: Allocation,
-    rem_cru: Vec<Vec<Cru>>,
-    rem_rrb: Vec<RrbCount>,
     rematch: Vec<UeId>,
 }
 
@@ -519,15 +516,19 @@ impl StickySplit {
     }
 }
 
-/// Keeps every feasible previous assignment (deducting its budgets) and
-/// collects the broken UEs for re-matching.
-fn sticky_split(instance: &ProblemInstance, previous: &Allocation) -> StickySplit {
-    let mut rem_cru: Vec<Vec<Cru>> = instance
-        .bss()
-        .iter()
-        .map(|b| b.cru_budget.clone())
-        .collect();
-    let mut rem_rrb: Vec<RrbCount> = instance.bss().iter().map(|b| b.rrb_budget).collect();
+/// Keeps every feasible previous assignment, taking its budgets from
+/// `budgets` (the full budgets on entry), and collects the broken UEs for
+/// re-matching.
+///
+/// # Errors
+///
+/// [`Error::OverCommit`] if a take exceeds what its BS has left, which
+/// the fit check before it rules out.
+fn sticky_split(
+    instance: &ProblemInstance,
+    previous: &Allocation,
+    budgets: &mut Budgets,
+) -> Result<StickySplit> {
     let mut kept = Allocation::all_cloud(instance.n_ues());
     let mut rematch: Vec<UeId> = Vec::new();
     for ue in instance.ues() {
@@ -537,25 +538,18 @@ fn sticky_split(instance: &ProblemInstance, previous: &Allocation) -> StickySpli
         };
         // The UE moved: its link may have left coverage or grown too
         // expensive in RRBs.
-        let keepable = instance.link(ue.id, bs).is_some_and(|link| {
-            rem_cru[bs.as_usize()][ue.service.as_usize()] >= ue.cru_demand
-                && rem_rrb[bs.as_usize()] >= link.n_rrbs
-        });
-        if keepable {
-            let link = instance.link(ue.id, bs).expect("checked above");
-            rem_cru[bs.as_usize()][ue.service.as_usize()] -= ue.cru_demand;
-            rem_rrb[bs.as_usize()] -= link.n_rrbs;
-            kept.assign(ue.id, bs);
-        } else {
-            rematch.push(ue.id);
+        let keepable = instance
+            .link(ue.id, bs)
+            .filter(|link| budgets.fits(bs, ue.service, ue.cru_demand, link.n_rrbs));
+        match keepable {
+            Some(link) => {
+                budgets.take(bs, ue.service, ue.cru_demand, link.n_rrbs)?;
+                kept.assign(ue.id, bs);
+            }
+            None => rematch.push(ue.id),
         }
     }
-    StickySplit {
-        kept,
-        rem_cru,
-        rem_rrb,
-        rematch,
-    }
+    Ok(StickySplit { kept, rematch })
 }
 
 fn random_point(region: Rect, rng: &mut StdRng) -> Point {
@@ -735,6 +729,42 @@ mod tests {
         assert_eq!(sim.run().unwrap_err(), full_build);
         assert_eq!(sim.run_scratch().unwrap_err(), full_build);
         assert_eq!(records.0.load(std::sync::atomic::Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn budget_pass_touches_no_bs_after_the_first_epoch() {
+        // The population never departs, so every epoch builds against the
+        // deployment's unchanging budgets: the first build compares every
+        // BS (and patches none), every later one compares and patches
+        // none, under both policies.
+        struct BudgetAux(std::sync::Mutex<Vec<(u64, u64)>>);
+        impl EpochObserver for BudgetAux {
+            fn on_record(&self, record: &EpochRecord) {
+                let get = |key: &str| match record.aux.iter().find(|(k, _)| *k == key) {
+                    Some((_, dmra_obs::FieldValue::U64(v))) => *v,
+                    other => panic!("{key}: {other:?}"),
+                };
+                let pass = (get("budget_bss_compared"), get("budget_bss_patched"));
+                self.0.lock().unwrap().push(pass);
+            }
+        }
+        let n_bss = ScenarioConfig::paper_defaults().n_bss() as u64;
+        for policy in [MobilityPolicy::FullReallocation, MobilityPolicy::Sticky] {
+            let mut cfg = config((15.0, 20.0), 6, 8);
+            cfg.policy = policy;
+            let aux = Arc::new(BudgetAux(std::sync::Mutex::new(Vec::new())));
+            MobilitySimulator::new(cfg)
+                .with_observer(Arc::clone(&aux) as Arc<dyn EpochObserver>)
+                .run()
+                .unwrap();
+            let passes = aux.0.lock().unwrap().clone();
+            assert_eq!(passes.len(), 6);
+            assert_eq!(passes[0], (n_bss, 0), "{policy:?}");
+            assert!(
+                passes[1..].iter().all(|&p| p == (0, 0)),
+                "{policy:?}: {passes:?}"
+            );
+        }
     }
 
     #[test]

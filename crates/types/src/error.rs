@@ -49,6 +49,14 @@ pub enum Error {
         /// Which budget ran out, with the remaining and demanded amounts.
         detail: String,
     },
+    /// Returning resources would lift a remaining budget past what its
+    /// counter can hold: a release that no admission took.
+    BudgetOverflow {
+        /// The BS whose budget would overflow.
+        bs: BsId,
+        /// Which budget overflowed, with the held and returned amounts.
+        detail: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -76,6 +84,9 @@ impl fmt::Display for Error {
             }
             Error::OverCommit { bs, detail } => {
                 write!(f, "allocation over-commits {bs}: {detail}")
+            }
+            Error::BudgetOverflow { bs, detail } => {
+                write!(f, "a release overflows the budget of {bs}: {detail}")
             }
         }
     }

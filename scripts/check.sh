@@ -18,8 +18,10 @@ cargo test --workspace -q
 cargo test --release -q -p dmra-core -p dmra-sim
 # The engine-equality integration tests in the same profile: both
 # simulators' set-up and epoch paths must stay bit-identical to their
-# scratch specifications in the build perfbench times.
-cargo test --release -q -p dmra --test incremental --test mobility_incremental
+# scratch specifications in the build perfbench times. The engine pins
+# fold both simulators' det projections — the sticky mobility policy
+# included, which perfbench never runs — against recorded constants.
+cargo test --release -q -p dmra --test incremental --test mobility_incremental --test engine_pins
 # The solver equalities in the same profile: dense against reference at
 # paper scale, the random-scenario proptest and protocol equivalence.
 # The match loop perfbench times is the branch-free keyed one, so its
@@ -115,10 +117,15 @@ echo "figures smoke OK (proto_degradation CSV written, unknown job and flag reje
 # epoch may fail its checks. `--locked` fails the gate when a dependency
 # change would rewrite perfbench/Cargo.lock instead of editing it.
 cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+# `--trace 1` adds the layer replay, which rebuilds every epoch through
+# `DeploymentContext::epoch_instance` and counts a row that differs from
+# the engine's as a failed epoch.
 for workload in paper_arrivals paper_mobility metro_mobility; do
-    line="$(cargo run -q --offline --locked --release --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1)"
-    grep -q '"golden": "match"' <<<"$line" || { echo "perfbench $workload: golden mismatch: $line" >&2; exit 1; }
-    grep -q '"failed": 0[,}]' <<<"$line" || { echo "perfbench $workload: failed epochs: $line" >&2; exit 1; }
+    for trace in 0 1; do
+        line="$(cargo run -q --offline --locked --release --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace "$trace")"
+        grep -q '"golden": "match"' <<<"$line" || { echo "perfbench $workload --trace $trace: golden mismatch: $line" >&2; exit 1; }
+        grep -q '"failed": 0[,}]' <<<"$line" || { echo "perfbench $workload --trace $trace: failed epochs: $line" >&2; exit 1; }
+    done
 done
-echo "perfbench smoke OK (3 workloads, golden match, 0 failed)"
+echo "perfbench smoke OK (3 workloads × --trace 0/1, golden match, 0 failed)"

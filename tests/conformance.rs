@@ -160,16 +160,23 @@ fn remaining_resources_never_underflow() {
         .unwrap();
     for algo in allocators() {
         let allocation = algo.allocate(&instance);
-        // remaining_* saturate at zero only if over-allocated; validate()
-        // already rejects that, so these must be exact non-negative counts.
-        let rem_rrb = instance.remaining_rrbs(&allocation);
-        assert_eq!(rem_rrb.len(), instance.n_bss());
-        let rem_cru = instance.remaining_cru(&allocation);
-        for (bs, rems) in rem_cru.iter().enumerate() {
-            for (svc, rem) in rems.iter().enumerate() {
-                let cap = instance.bss()[bs].cru_budget[svc];
-                assert!(*rem <= cap, "{}: remaining exceeds capacity", algo.name());
+        // Every assignment is taken through the checked `Budgets::take`,
+        // so a feasible allocation leaves exact counts no larger than the
+        // capacities, and an over-committing one is an error.
+        let rem = instance
+            .remaining(&allocation)
+            .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+        assert_eq!(rem.n_bss(), instance.n_bss());
+        let cap = instance.budgets();
+        for bs in instance.bss() {
+            for svc in instance.catalog().iter() {
+                assert!(
+                    rem.cru(bs.id, svc) <= cap.cru(bs.id, svc),
+                    "{}: remaining exceeds capacity",
+                    algo.name()
+                );
             }
+            assert!(rem.rrb(bs.id) <= cap.rrb(bs.id), "{}", algo.name());
         }
     }
 }

@@ -148,14 +148,11 @@ fn dmra_never_strands_serveable_ues() {
             .build()
             .unwrap();
         let allocation = Dmra::default().allocate(&instance);
-        let rem_cru = instance.remaining_cru(&allocation);
-        let rem_rrb = instance.remaining_rrbs(&allocation);
+        let rem = instance.remaining(&allocation).unwrap();
         for ue in allocation.cloud_ues() {
             let spec = &instance.ues()[ue.as_usize()];
             for link in instance.candidates(ue) {
-                let i = link.bs.as_usize();
-                let fits = rem_cru[i][spec.service.as_usize()] >= spec.cru_demand
-                    && rem_rrb[i] >= link.n_rrbs;
+                let fits = rem.fits(link.bs, spec.service, spec.cru_demand, link.n_rrbs);
                 assert!(
                     !fits,
                     "seed {seed}: {ue} went to the cloud but {} still fits it",
@@ -179,14 +176,11 @@ fn baselines_never_strand_serveable_ues() {
         vec![Box::new(Dcsp::default()), Box::new(NonCo::default())];
     for algo in algos {
         let allocation = algo.allocate(&instance);
-        let rem_cru = instance.remaining_cru(&allocation);
-        let rem_rrb = instance.remaining_rrbs(&allocation);
+        let rem = instance.remaining(&allocation).unwrap();
         for ue in allocation.cloud_ues() {
             let spec = &instance.ues()[ue.as_usize()];
             for link in instance.candidates(ue) {
-                let i = link.bs.as_usize();
-                let fits = rem_cru[i][spec.service.as_usize()] >= spec.cru_demand
-                    && rem_rrb[i] >= link.n_rrbs;
+                let fits = rem.fits(link.bs, spec.service, spec.cru_demand, link.n_rrbs);
                 assert!(!fits, "{}: {ue} stranded with capacity left", algo.name());
             }
         }
