@@ -105,12 +105,14 @@ pub struct ProblemInstance {
     pub(crate) pricing: PricingConfig,
     pub(crate) radio: RadioConfig,
     pub(crate) coverage: CoverageModel,
-    /// All candidate links, flattened row-major by UE id: UE `u` owns
-    /// `links[row_start[u]..row_start[u + 1]]`, sorted by BS id. The flat
-    /// layout lets the online engine rebuild rows in place each epoch
-    /// without dropping/reallocating one `Vec` per UE.
+    /// Every candidate row in one buffer: UE `u`'s row, sorted by BS id,
+    /// is the span `links[row_start[u]..row_start[u] + f_u[u]]`. A build
+    /// that scans every row lays them out contiguously in UE order. A
+    /// row-cached epoch build keeps each unchanged row where it is, so the
+    /// buffer can also hold dead spans, never more links than the rows
+    /// hold (the online module's row cache).
     pub(crate) links: Vec<CandidateLink>,
-    /// Row boundaries into `links`, length `n_ues + 1`.
+    /// Where each UE's row starts in `links`, one entry per UE.
     pub(crate) row_start: Vec<usize>,
     /// `f_u`: number of candidate BSs of UE `u` (the statistic the BS-side
     /// tie-break of Algorithm 1 uses).
@@ -210,7 +212,6 @@ impl ProblemInstance {
         // builder and its prune index (every simulator builds its
         // deployment so, then indexes it in its own `DeploymentContext`).
         let max_candidate_distance = if instance.ues.is_empty() {
-            instance.row_start.push(0);
             Meters::new(0.0)
         } else {
             RowBuilder::new(&instance, scan).build_once(&mut instance)
@@ -283,7 +284,8 @@ impl ProblemInstance {
     #[must_use]
     pub fn candidates(&self, ue: UeId) -> &[CandidateLink] {
         let u = ue.as_usize();
-        &self.links[self.row_start[u]..self.row_start[u + 1]]
+        let start = self.row_start[u];
+        &self.links[start..start + self.f_u[u] as usize]
     }
 
     /// `f_u`: the number of candidate BSs of UE `u`.

@@ -17,8 +17,8 @@
 //!   candidate than any epoch before it (a high-water mark);
 //! * the epoch instance itself is a single reused allocation — budgets
 //!   are patched in place, the population is copied into the instance's
-//!   own buffer and the flattened candidate rows are rebuilt into the
-//!   same buffers. The engine hands [`DeploymentContext::build_epoch`]
+//!   own buffer and the candidate rows are rebuilt into the same link
+//!   buffer. The engine hands [`DeploymentContext::build_epoch`]
 //!   its one [`Budgets`] table. When that is the table the previous build
 //!   synced from, unchanged since (every mobility epoch after the first),
 //!   the budget pass does no per-BS work; otherwise it compares every BS
@@ -41,7 +41,7 @@
 //!   every batch size: on the benchmark workloads a thread fan-out cost
 //!   more than it saved (DESIGN.md §8, §12);
 //! * an opt-in cross-epoch [`row cache`](DeploymentContext::with_row_cache)
-//!   reuses the candidate row of any UE whose key (position bits, SP,
+//!   keeps the candidate row of any UE whose key (position bits, SP,
 //!   service, demands, transmit power) is unchanged since the row was
 //!   built *and* no BS's remaining budgets changed since — one budget
 //!   stamp for the whole deployment. A row depends on the budgets of
@@ -50,14 +50,20 @@
 //!   mobility loop, hands every epoch the same full budgets, so a finer
 //!   stamp would save nothing there. The cache stays off under
 //!   load-proportional interference, where every row depends on the
-//!   whole batch. It holds one slot per batch position and is meant for
-//!   fixed populations (the mobility regime), so it is sized by the
-//!   largest batch seen and never evicts.
+//!   whole batch. Every row has one copy, its span in the instance's
+//!   link buffer: a hit leaves it where it is; a miss is scanned onto
+//!   the buffer's tail and moves into its old span if it fits, or stays
+//!   at the tail and leaves the old span dead. Once dead space exceeds
+//!   the live links, the build compacts the buffer in UE order, so the
+//!   buffer never holds more than twice the live links. A build after a
+//!   budget stamp misses every row and lays them all out afresh,
+//!   contiguously. The cache holds one slot per UE of the last batch and
+//!   is meant for fixed populations (the mobility regime).
 
 use crate::budgets::{arity_error, Budgets};
 use crate::instance::{
-    scan_candidate_row, scan_candidate_row_batch, validate_ues, CandidateLink, CandidateScan,
-    CoverageModel, ProblemInstance,
+    scan_candidate_row, scan_candidate_row_batch, validate_ues, CandidateScan, CoverageModel,
+    ProblemInstance,
 };
 use dmra_geo::GridIndex;
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
@@ -124,27 +130,30 @@ impl RowKey {
     }
 }
 
-/// One cached candidate row.
-#[derive(Debug, Clone)]
+/// One cached candidate row. Its links live in the epoch instance's own
+/// buffer, at `links[row_start[u]..row_start[u] + f_u[u]]`; the slot keeps
+/// what decides a hit and how many links that span can hold.
+#[derive(Debug, Clone, Copy)]
 struct CachedRow {
     key: RowKey,
-    links: Vec<CandidateLink>,
+    /// Links the row's span can hold: the length of the row first laid
+    /// out there. A shorter row scanned later reuses the span.
+    cap: u32,
     row_max: Meters,
-    /// The budget epoch the row was built under.
-    built: u64,
 }
 
-/// Cross-epoch candidate-row cache. Slot `u` caches the row of the UE at
-/// batch position `u` (UE ids are dense per epoch); the key carries the
-/// UE-spec inputs, and one budget stamp tracks budget churn: a row is
-/// fresh while no BS's budgets changed after it was built.
+/// Cross-epoch candidate-row cache. Slot `u` describes the row of the UE
+/// at batch position `u` (UE ids are dense per epoch), and there is one
+/// slot per UE of the last batch built. A budget change anywhere makes
+/// every row stale at once, so slots carry no budget stamp: the next
+/// build re-lays every row.
 #[derive(Debug, Clone, Default)]
 struct RowCache {
-    slots: Vec<Option<CachedRow>>,
-    /// Monotone budget epoch, bumped once per budget pass.
+    slots: Vec<CachedRow>,
+    /// Budget passes opened so far.
     epoch: u64,
-    /// The last epoch in which some BS's remaining budgets changed.
-    budgets_changed: u64,
+    /// Whether some BS's budgets changed since the rows were laid out.
+    stale: bool,
     /// Lifetime hit/miss totals (see
     /// [`DeploymentContext::row_cache_stats`]).
     hits: u64,
@@ -161,47 +170,7 @@ impl RowCache {
 
     /// Records that some BS's budgets changed in the open epoch.
     fn stamp(&mut self) {
-        self.budgets_changed = self.epoch;
-    }
-
-    /// The cached row for batch slot `u`, if its key matches and no
-    /// budget changed since it was built.
-    fn lookup(&self, u: usize, key: &RowKey) -> Option<&CachedRow> {
-        match self.slots.get(u) {
-            Some(Some(row)) if row.key == *key && self.budgets_changed <= row.built => Some(row),
-            _ => None,
-        }
-    }
-
-    /// Grows the slot table to cover a batch of `n_ues`, once per build,
-    /// so that [`RowCache::store`] never reallocates it row by row.
-    fn reserve_slots(&mut self, n_ues: usize) {
-        if self.slots.len() < n_ues {
-            self.slots.resize_with(n_ues, || None);
-        }
-    }
-
-    /// Stores (or overwrites) slot `u`, reusing its allocation. The slot
-    /// table must already cover `u` ([`RowCache::reserve_slots`]).
-    fn store(&mut self, u: usize, key: RowKey, links: &[CandidateLink], row_max: Meters) {
-        let built = self.epoch;
-        match &mut self.slots[u] {
-            Some(row) => {
-                row.key = key;
-                row.links.clear();
-                row.links.extend_from_slice(links);
-                row.row_max = row_max;
-                row.built = built;
-            }
-            slot @ None => {
-                *slot = Some(CachedRow {
-                    key,
-                    links: links.to_vec(),
-                    row_max,
-                    built,
-                });
-            }
-        }
+        self.stale = true;
     }
 }
 
@@ -209,9 +178,9 @@ impl RowCache {
 /// [`ProblemInstance::build_with_scan`] and every
 /// [`DeploymentContext::build_epoch`]: the per-BS aggregate-power pass
 /// (load-proportional interference only), then per UE either a row-cache
-/// hit or a fresh scan — the pruned batch kernel when a prune index
-/// exists, the exhaustive scalar scan otherwise — flattened in UE-id
-/// order into the instance's row buffers.
+/// hit, which leaves the row where it is, or a fresh scan — the pruned
+/// batch kernel when a prune index exists, the exhaustive scalar scan
+/// otherwise — into the instance's one link buffer.
 #[derive(Debug, Clone)]
 pub(crate) struct RowBuilder {
     /// Radio evaluator, derived once from the deployment's radio config.
@@ -239,11 +208,22 @@ pub(crate) struct RowBuilder {
 struct RowStats {
     /// The largest candidate distance over every row.
     max_distance: Meters,
+    /// Links in the batch's rows, dead spans of the buffer excluded.
+    links: usize,
     precull_kept: u64,
     precull_rejected: u64,
     cache_hits: u64,
     cache_misses: u64,
     kernel_ns: u64,
+}
+
+impl RowStats {
+    /// Folds one row's largest candidate distance into the batch's.
+    fn row_done(&mut self, row_max: Meters) {
+        if row_max > self.max_distance {
+            self.max_distance = row_max;
+        }
+    }
 }
 
 impl RowBuilder {
@@ -273,19 +253,14 @@ impl RowBuilder {
     }
 
     /// Rebuilds `inst`'s candidate rows from its UEs and BS budgets, in
-    /// place. With a `cache`, a UE whose row is fresh there reuses it and
-    /// every scanned row is stored back.
+    /// place: with a `cache`, only the rows it does not hold fresh are
+    /// scanned; without, every row is.
     fn build(
         &mut self,
         inst: &mut ProblemInstance,
-        mut cache: Option<&mut RowCache>,
+        cache: Option<&mut RowCache>,
         obs_on: bool,
     ) -> RowStats {
-        let n_bss = inst.bss.len();
-        let n_ues = inst.ues.len();
-        if let Some(cache) = cache.as_deref_mut() {
-            cache.reserve_slots(n_ues);
-        }
         // Each BS's aggregate sums over the UEs in id order.
         if self.interference_factor > 0.0 {
             for (b, total) in self.total_rx_mw.iter_mut().enumerate() {
@@ -297,81 +272,161 @@ impl RowBuilder {
                     .sum();
             }
         }
-
-        inst.links.clear();
-        inst.row_start.clear();
-        inst.row_start.reserve(n_ues + 1);
-        inst.row_start.push(0);
-        inst.f_u.clear();
-        inst.f_u.reserve(n_ues);
         let kernel_started = obs_on.then(std::time::Instant::now);
         let mut stats = RowStats::default();
-        for u in 0..n_ues {
-            let ue = &inst.ues[u];
-            let row_from = inst.links.len();
-            let key = cache.is_some().then(|| RowKey::of(ue));
-            let cached = match (cache.as_deref(), &key) {
-                (Some(cache), Some(key)) => cache.lookup(u, key),
-                _ => None,
-            };
-            let row_max = if let Some(row) = cached {
-                inst.links.extend_from_slice(&row.links);
-                stats.cache_hits += 1;
-                row.row_max
-            } else {
-                let row_max = match &self.prune {
-                    Some((index, radius)) => {
-                        index.query_within_dist_into(ue.position, *radius, &mut self.query_buf);
-                        if obs_on {
-                            stats.precull_kept += self.query_buf.len() as u64;
-                            stats.precull_rejected += (n_bss - self.query_buf.len()) as u64;
-                        }
-                        scan_candidate_row_batch(
-                            ue,
-                            &inst.bss,
-                            &inst.budgets,
-                            &self.query_buf,
-                            &self.evaluator,
-                            self.interference_factor,
-                            &self.total_rx_mw,
-                            inst.coverage,
-                            &inst.pricing,
-                            &mut self.batch,
-                            &mut inst.links,
-                        )
-                    }
-                    None => scan_candidate_row(
-                        ue,
-                        &inst.bss,
-                        &inst.budgets,
-                        &self.evaluator,
-                        self.interference_factor,
-                        &self.total_rx_mw,
-                        inst.coverage,
-                        &inst.pricing,
-                        &mut inst.links,
-                    ),
-                };
-                if let (Some(cache), Some(key)) = (cache.as_deref_mut(), key) {
-                    stats.cache_misses += 1;
-                    cache.store(u, key, &inst.links[row_from..], row_max);
-                }
-                row_max
-            };
-            if row_max > stats.max_distance {
-                stats.max_distance = row_max;
-            }
-            inst.f_u.push((inst.links.len() - row_from) as u32);
-            inst.row_start.push(inst.links.len());
+        match cache {
+            Some(cache) => self.patch_rows(inst, cache, obs_on, &mut stats),
+            None => self.lay_out_rows(inst, obs_on, &mut stats),
         }
         stats.kernel_ns = kernel_started.map_or(0, |t| {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
-        if let Some(cache) = cache {
-            cache.hits += stats.cache_hits;
-            cache.misses += stats.cache_misses;
-        }
         stats
+    }
+
+    /// The uncached build: scans every row into `inst`'s buffer,
+    /// contiguously in UE order.
+    fn lay_out_rows(&mut self, inst: &mut ProblemInstance, obs_on: bool, stats: &mut RowStats) {
+        let n_ues = inst.ues.len();
+        inst.links.clear();
+        inst.row_start.clear();
+        inst.row_start.reserve(n_ues);
+        inst.f_u.clear();
+        inst.f_u.reserve(n_ues);
+        for u in 0..n_ues {
+            let start = inst.links.len();
+            let row_max = self.scan_row(inst, u, obs_on, stats);
+            stats.row_done(row_max);
+            inst.row_start.push(start);
+            inst.f_u.push((inst.links.len() - start) as u32);
+        }
+        stats.links = inst.links.len();
+    }
+
+    /// The cached build: scans only the rows whose key changed since
+    /// their slot was filled; every other row stays where it is,
+    /// untouched. A scanned row lands at the buffer's tail and moves into
+    /// its old span if it fits there; otherwise it stays at the tail and
+    /// the old span is dead. Slots past the end of the batch go, their
+    /// spans dead too. Once dead space exceeds the live links, the buffer
+    /// is compacted. On the cache's first build, and after a budget
+    /// change, no slot is left, so every row misses and the rows land
+    /// contiguously in UE order.
+    fn patch_rows(
+        &mut self,
+        inst: &mut ProblemInstance,
+        cache: &mut RowCache,
+        obs_on: bool,
+        stats: &mut RowStats,
+    ) {
+        let n_ues = inst.ues.len();
+        if cache.stale {
+            cache.slots.clear();
+            inst.links.clear();
+            cache.stale = false;
+        }
+        cache.slots.truncate(n_ues);
+        // `row_start` and `f_u` describe one span per slot. The UEs past
+        // the slots (every UE of a cold build) append to all three, sized
+        // here once rather than grown row by row.
+        inst.row_start.truncate(cache.slots.len());
+        inst.f_u.truncate(cache.slots.len());
+        let new_rows = n_ues - cache.slots.len();
+        cache.slots.reserve(new_rows);
+        inst.row_start.reserve(new_rows);
+        inst.f_u.reserve(new_rows);
+        for u in 0..n_ues {
+            let key = RowKey::of(&inst.ues[u]);
+            if let Some(slot) = cache.slots.get(u).filter(|slot| slot.key == key) {
+                stats.cache_hits += 1;
+                stats.row_done(slot.row_max);
+                continue;
+            }
+            let tail = inst.links.len();
+            let row_max = self.scan_row(inst, u, obs_on, stats);
+            let len = inst.links.len() - tail;
+            stats.cache_misses += 1;
+            stats.row_done(row_max);
+            let row = CachedRow {
+                key,
+                cap: len as u32,
+                row_max,
+            };
+            match cache.slots.get_mut(u) {
+                Some(slot) if len <= slot.cap as usize => {
+                    inst.links.copy_within(tail.., inst.row_start[u]);
+                    inst.links.truncate(tail);
+                    *slot = CachedRow {
+                        cap: slot.cap,
+                        ..row
+                    };
+                    inst.f_u[u] = len as u32;
+                }
+                Some(slot) => {
+                    *slot = row;
+                    inst.row_start[u] = tail;
+                    inst.f_u[u] = len as u32;
+                }
+                // The batch grew past the slots.
+                None => {
+                    cache.slots.push(row);
+                    inst.row_start.push(tail);
+                    inst.f_u.push(len as u32);
+                }
+            }
+        }
+        cache.hits += stats.cache_hits;
+        cache.misses += stats.cache_misses;
+        stats.links = inst.f_u.iter().map(|&len| len as usize).sum();
+        if inst.links.len() - stats.links > stats.links {
+            compact(inst, cache, stats.links);
+        }
+    }
+
+    /// Scans UE `u`'s candidate row onto the end of `inst.links` and
+    /// returns its largest candidate distance: the pruned batch kernel
+    /// when a prune index exists, the exhaustive scalar scan otherwise.
+    fn scan_row(
+        &mut self,
+        inst: &mut ProblemInstance,
+        u: usize,
+        obs_on: bool,
+        stats: &mut RowStats,
+    ) -> Meters {
+        let ue = &inst.ues[u];
+        match &self.prune {
+            Some((index, radius)) => {
+                index.query_within_dist_into(ue.position, *radius, &mut self.query_buf);
+                if obs_on {
+                    stats.precull_kept += self.query_buf.len() as u64;
+                    stats.precull_rejected += (inst.bss.len() - self.query_buf.len()) as u64;
+                }
+                scan_candidate_row_batch(
+                    ue,
+                    &inst.bss,
+                    &inst.budgets,
+                    &self.query_buf,
+                    &self.evaluator,
+                    self.interference_factor,
+                    &self.total_rx_mw,
+                    inst.coverage,
+                    &inst.pricing,
+                    &mut self.batch,
+                    &mut inst.links,
+                )
+            }
+            None => scan_candidate_row(
+                ue,
+                &inst.bss,
+                &inst.budgets,
+                &self.evaluator,
+                self.interference_factor,
+                &self.total_rx_mw,
+                inst.coverage,
+                &inst.pricing,
+                &mut inst.links,
+            ),
+        }
     }
 
     /// Builds `inst`'s rows once, without a cache or telemetry, and
@@ -379,6 +434,24 @@ impl RowBuilder {
     pub(crate) fn build_once(&mut self, inst: &mut ProblemInstance) -> Meters {
         self.build(inst, None, false).max_distance
     }
+}
+
+/// Rewrites `inst`'s buffer with the batch's rows in UE order and no dead
+/// space (`live` links); each span's capacity becomes its row's length.
+fn compact(inst: &mut ProblemInstance, cache: &mut RowCache, live: usize) {
+    let mut packed = Vec::with_capacity(live);
+    for ((start, &len), slot) in inst
+        .row_start
+        .iter_mut()
+        .zip(&inst.f_u)
+        .zip(&mut cache.slots)
+    {
+        let from = *start;
+        *start = packed.len();
+        packed.extend_from_slice(&inst.links[from..from + len as usize]);
+        slot.cap = len;
+    }
+    inst.links = packed;
 }
 
 impl DeploymentContext {
@@ -392,7 +465,6 @@ impl DeploymentContext {
         instance.ues.clear();
         instance.links.clear();
         instance.row_start.clear();
-        instance.row_start.push(0);
         instance.f_u.clear();
         Self {
             instance,
@@ -407,14 +479,17 @@ impl DeploymentContext {
 
     /// Enables the cross-epoch candidate-row cache: a UE whose key
     /// (position bits, SP, service, demands, transmit power) is unchanged
-    /// since its row was built reuses that row verbatim, provided no BS's
-    /// remaining budgets changed in between (a freed budget could
-    /// re-admit a candidate the build-time scan dropped). Intended for
-    /// fixed populations (the mobility regime): the cache keeps one slot
-    /// per batch position, so its size is the largest batch seen. Under
-    /// load-proportional interference the cache is bypassed, because
-    /// every row depends on the whole batch. Outputs stay bit-identical
-    /// to an uncached rebuild — `tests/mobility_incremental.rs` pins this.
+    /// since its row was built keeps that row where it is in the epoch
+    /// instance's link buffer, provided no BS's remaining budgets changed
+    /// in between (a freed budget could re-admit a candidate the
+    /// build-time scan dropped). Intended for fixed populations (the
+    /// mobility regime): the cache keeps one slot per UE of the last
+    /// batch, a rescanned row that outgrows its span moves to the end of
+    /// the buffer, and a build compacts the buffer once its dead spans
+    /// hold more links than its rows. Under load-proportional
+    /// interference the cache is bypassed, because every row depends on
+    /// the whole batch. Outputs stay bit-identical to an uncached rebuild
+    /// — `tests/mobility_incremental.rs` pins this.
     #[must_use]
     pub fn with_row_cache(mut self) -> Self {
         self.row_cache = Some(RowCache::default());
@@ -583,7 +658,7 @@ impl DeploymentContext {
             ROWS_REBUILT.get().add(inst.ues.len() as u64);
             PRECULL_KEPT.get().add(rows.precull_kept);
             PRECULL_REJECTED.get().add(rows.precull_rejected);
-            LINKS_KEPT.get().add(inst.links.len() as u64);
+            LINKS_KEPT.get().add(rows.links as u64);
             if margin_recheck {
                 MARGIN_RECHECKS.get().inc();
             }
@@ -608,7 +683,7 @@ impl DeploymentContext {
                 ("ues", inst.ues.len() as f64),
                 ("precull_kept", rows.precull_kept as f64),
                 ("precull_rejected", rows.precull_rejected as f64),
-                ("links", inst.links.len() as f64),
+                ("links", rows.links as f64),
                 ("margin_recheck", f64::from(u8::from(margin_recheck))),
                 ("wall_ns", build_ns as f64),
                 ("kernel_ns", rows.kernel_ns as f64),
@@ -870,6 +945,156 @@ mod tests {
                 .unwrap();
             assert_same_instance(fast, &scratch);
         }
+    }
+
+    /// The live links of `ctx`'s epoch instance: its rows' lengths.
+    fn live_links(ctx: &DeploymentContext) -> usize {
+        ctx.instance.f_u.iter().map(|&len| len as usize).sum()
+    }
+
+    /// The bound every cached build keeps: the buffer's dead space never
+    /// exceeds its live links.
+    fn assert_buffer_bounded(ctx: &DeploymentContext, epoch: usize) {
+        let live = live_links(ctx);
+        assert!(
+            ctx.instance.links.len() <= 2 * live,
+            "epoch {epoch}: {} links in the buffer for {live} live",
+            ctx.instance.links.len()
+        );
+    }
+
+    #[test]
+    fn row_cache_follows_a_changing_batch_size() {
+        // Shrinking drops the slots past the batch (their spans go dead),
+        // growing scans the new UEs onto the tail; every epoch still
+        // equals the scratch residual, and only new or moved UEs miss.
+        let deployment = two_sp_instance();
+        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
+        let table = deployment.budgets().clone();
+        let mut moved = fresh_batch(5);
+        moved[3].position = Point::new(-150.0, 40.0);
+        let epochs = [
+            (fresh_batch(4), (0, 4)),
+            (fresh_batch(2), (2, 0)),
+            (fresh_batch(5), (2, 3)),
+            (moved, (4, 1)),
+            (fresh_batch(1), (1, 0)),
+        ];
+        let mut before = (0, 0);
+        for (e, (batch, traffic)) in epochs.iter().enumerate() {
+            let scratch = deployment.residual(&table, batch.clone()).unwrap();
+            let fast = ctx.build_epoch(&table, batch).unwrap();
+            assert_same_instance(fast, &scratch);
+            assert_buffer_bounded(&ctx, e);
+            let after = ctx.row_cache_stats().unwrap();
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                *traffic,
+                "epoch {e}"
+            );
+            before = after;
+        }
+    }
+
+    #[test]
+    fn an_all_hit_build_leaves_links_and_spans_untouched() {
+        let deployment = two_sp_instance();
+        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
+        let table = deployment.budgets().clone();
+        let mut batch = fresh_batch(4);
+        // UE 1 starts out of BS 1's reach, then moves into both cells:
+        // its longer row no longer fits its span and lands at the tail.
+        batch[1].position = Point::new(-200.0, 10.0);
+        ctx.build_epoch(&table, &batch).unwrap();
+        batch[1].position = Point::new(150.0, 10.0);
+        ctx.build_epoch(&table, &batch).unwrap();
+        let inst = &ctx.instance;
+        assert!(inst.row_start[1] > inst.row_start[3], "UE 1's row moved");
+        let (links, starts, lens) = (inst.links.clone(), inst.row_start.clone(), inst.f_u.clone());
+        let (hits, misses) = ctx.row_cache_stats().unwrap();
+        let scratch = deployment.residual(&table, batch.clone()).unwrap();
+        assert_same_instance(ctx.build_epoch(&table, &batch).unwrap(), &scratch);
+        assert_eq!(ctx.row_cache_stats(), Some((hits + 4, misses)));
+        assert_eq!(ctx.instance.links, links);
+        assert_eq!(ctx.instance.row_start, starts);
+        assert_eq!(ctx.instance.f_u, lens);
+    }
+
+    /// One SP's BSs every 100 m along the x axis.
+    fn bs_line(n: u32) -> ProblemInstance {
+        use dmra_types::{BsId, BsSpec, Hertz, Money, ServiceCatalog, SpSpec};
+        let bss = (0..n)
+            .map(|b| {
+                BsSpec::new(
+                    BsId::new(b),
+                    SpId::new(0),
+                    Point::new(100.0 * f64::from(b), 0.0),
+                    vec![Cru::new(100)],
+                    Hertz::from_mhz(10.0),
+                    RrbCount::new(55),
+                )
+            })
+            .collect();
+        ProblemInstance::build(
+            vec![SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0))],
+            bss,
+            Vec::new(),
+            ServiceCatalog::new(1),
+            dmra_econ::PricingConfig::paper_defaults(),
+            dmra_radio::RadioConfig::paper_defaults(),
+            CoverageModel::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn growing_rows_compact_the_buffer() {
+        // Three UEs walk in from beyond the line's left end, each epoch
+        // into reach of one more BS: every longer row leaves its span dead
+        // at the tail, until dead space exceeds the live links and the
+        // build compacts the buffer. A fourth UE stands still, so its
+        // cached row is moved by the compaction, never rescanned.
+        let deployment = bs_line(10);
+        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
+        let table = deployment.budgets().clone();
+        let ue = |id: u32, x: f64, y: f64| {
+            UeSpec::new(
+                UeId::new(id),
+                SpId::new(0),
+                Point::new(x, y),
+                ServiceId::new(0),
+                Cru::new(2),
+                BitsPerSec::from_mbps(1.0),
+                Dbm::new(20.0),
+            )
+        };
+        let (mut compactions, mut prev_len, mut prev_row) = (0, 0, 0);
+        for e in 0..6 {
+            let x = -290.0 + 100.0 * e as f64;
+            let batch = vec![
+                ue(0, x, 0.0),
+                ue(1, 450.0, 0.0),
+                ue(2, x, 5.0),
+                ue(3, x, -5.0),
+            ];
+            let scratch = deployment.residual(&table, batch.clone()).unwrap();
+            let fast = ctx.build_epoch(&table, &batch).unwrap();
+            assert_same_instance(fast, &scratch);
+            let row = fast.candidates(UeId::new(0)).len();
+            assert!(row > prev_row, "epoch {e}: the walkers' rows grow");
+            assert_buffer_bounded(&ctx, e);
+            let len = ctx.instance.links.len();
+            // Only a compaction shrinks the buffer, and it leaves no dead
+            // space behind.
+            if len < prev_len {
+                compactions += 1;
+                assert_eq!(len, live_links(&ctx), "epoch {e}");
+            }
+            (prev_len, prev_row) = (len, row);
+        }
+        assert!(compactions > 0, "the buffer never compacted");
+        // The standing UE hit the cache in every epoch after the first.
+        assert_eq!(ctx.row_cache_stats(), Some((5, 4 + 3 * 5)));
     }
 
     /// Two cells 5 km apart — far beyond the 300 m coverage radius — so

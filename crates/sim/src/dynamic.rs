@@ -586,7 +586,7 @@ impl DynamicSimulator {
             let admitted_before = state.outcome.admitted;
             let cloud_before = state.outcome.cloud_forwarded;
             let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
+            let aux_before = aux_counters.as_ref().map_or(0, AuxCounters::read);
             let budget_before = ctx.budget_pass_stats();
             state.release_departures(epoch)?;
             let n_new = poisson(cfg.arrival_rate, &mut rng);
@@ -680,6 +680,7 @@ impl DynamicSimulator {
                     ),
                     epoch_ns,
                     solve_ns,
+                    (0, 0),
                     aux_counters.as_ref().expect("fetched alongside observer"),
                     aux_before,
                 );
@@ -723,7 +724,7 @@ impl DynamicSimulator {
             let admitted_before = state.outcome.admitted;
             let cloud_before = state.outcome.cloud_forwarded;
             let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
+            let aux_before = aux_counters.as_ref().map_or(0, AuxCounters::read);
             state.release_departures(epoch)?;
             let n_new = poisson(cfg.arrival_rate, &mut rng);
             state.outcome.arrivals += n_new as u64;
@@ -765,6 +766,7 @@ impl DynamicSimulator {
                     ),
                     epoch_ns,
                     solve_ns,
+                    (0, 0),
                     aux_counters.as_ref().expect("fetched alongside observer"),
                     aux_before,
                 );
@@ -922,28 +924,23 @@ pub(crate) fn record_solve_phase(obs_on: bool, solve_started: Option<std::time::
     solve_ns
 }
 
-/// Handles to the global counters surfaced as per-epoch deltas in a
-/// flight record's aux section (row-cache traffic, component counts).
-/// Fetched once per run, and only when an observer is attached.
+/// Handle to the global counter surfaced as a per-epoch delta in a
+/// flight record's aux section (component counts). Fetched once per run,
+/// and only when an observer is attached.
 pub(crate) struct AuxCounters {
-    hits: Arc<dmra_obs::Counter>,
-    misses: Arc<dmra_obs::Counter>,
     components: Arc<dmra_obs::Counter>,
 }
 
 impl AuxCounters {
     pub(crate) fn fetch() -> Self {
-        let g = dmra_obs::global();
         Self {
-            hits: g.counter("online.row_cache_hits"),
-            misses: g.counter("online.row_cache_misses"),
-            components: g.counter("core.components"),
+            components: dmra_obs::global().counter("core.components"),
         }
     }
 
-    /// Current cumulative `(hits, misses, components)` readings.
-    pub(crate) fn read(&self) -> (u64, u64, u64) {
-        (self.hits.get(), self.misses.get(), self.components.get())
+    /// Current cumulative `components` reading.
+    pub(crate) fn read(&self) -> u64 {
+        self.components.get()
     }
 }
 
@@ -991,22 +988,23 @@ impl ProtoEpochAux {
 }
 
 /// Appends the standard aux fields shared by the dynamic engines:
-/// wall/solve timing plus per-epoch row-cache and component-count
-/// deltas against the `before` reading.
+/// wall/solve timing, the epoch's row-cache `(hits, misses)` (zeros for
+/// an engine without a row cache) and the component-count delta against
+/// the `before` reading.
 pub(crate) fn push_common_aux(
     record: EpochRecord,
     wall_ns: u64,
     solve_ns: u64,
+    row_cache: (u64, u64),
     counters: &AuxCounters,
-    before: (u64, u64, u64),
+    before: u64,
 ) -> EpochRecord {
-    let (hits, misses, components) = counters.read();
     record
         .aux("wall_ns", wall_ns)
         .aux("solve_ns", solve_ns)
-        .aux("row_cache_hits", hits - before.0)
-        .aux("row_cache_misses", misses - before.1)
-        .aux("components", components - before.2)
+        .aux("row_cache_hits", row_cache.0)
+        .aux("row_cache_misses", row_cache.1)
+        .aux("components", counters.read() - before)
 }
 
 /// Builds the engine-independent `det` section of a `"sim.epoch"`

@@ -220,9 +220,10 @@ impl MobilitySimulator {
         let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
         for epoch in 0..cfg.epochs {
             let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
+            let aux_before = aux_counters.as_ref().map_or(0, AuxCounters::read);
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
             let budget_before = ctx.budget_pass_stats();
+            let cache_before = ctx.row_cache_stats().unwrap_or_default();
             let instance = ctx.build_epoch(full, &ues)?;
             // The timed slice covers the allocator solve including the
             // sticky residual re-match (split + residual assembly), i.e.
@@ -249,10 +250,12 @@ impl MobilitySimulator {
             debug_assert!(allocation.validate(instance).is_ok());
             account_epoch(&mut outcome, instance, &allocation, previous.as_ref());
             if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
+                let (hits, misses) = ctx.row_cache_stats().unwrap_or_default();
                 let record = push_common_aux(
                     mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
                     elapsed_ns(epoch_started),
                     solve_ns,
+                    (hits - cache_before.0, misses - cache_before.1),
                     counters,
                     aux_before,
                 );
@@ -288,7 +291,7 @@ impl MobilitySimulator {
         let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
         for epoch in 0..cfg.epochs {
             let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
+            let aux_before = aux_counters.as_ref().map_or(0, AuxCounters::read);
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
             let instance = ProblemInstance::build_with_scan(
                 deployment.sps().to_vec(),
@@ -324,6 +327,7 @@ impl MobilitySimulator {
                     mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
                     elapsed_ns(epoch_started),
                     solve_ns,
+                    (0, 0),
                     counters,
                     aux_before,
                 );
@@ -764,6 +768,43 @@ mod tests {
                 passes[1..].iter().all(|&p| p == (0, 0)),
                 "{policy:?}: {passes:?}"
             );
+        }
+    }
+
+    #[test]
+    fn flight_record_counts_row_cache_traffic_with_telemetry_off() {
+        // The aux row-cache fields come from the run's own context, so
+        // they hold whether or not telemetry is on (this binary leaves it
+        // off): epoch 0 misses every row, and later epochs hit the rows
+        // of the pinned 90%.
+        struct CacheAux(std::sync::Mutex<Vec<(u64, u64)>>);
+        impl EpochObserver for CacheAux {
+            fn on_record(&self, record: &EpochRecord) {
+                let get = |key: &str| match record.aux.iter().find(|(k, _)| *k == key) {
+                    Some((_, dmra_obs::FieldValue::U64(v))) => *v,
+                    other => panic!("{key}: {other:?}"),
+                };
+                let traffic = (get("row_cache_hits"), get("row_cache_misses"));
+                self.0.lock().unwrap().push(traffic);
+            }
+        }
+        for policy in [MobilityPolicy::FullReallocation, MobilityPolicy::Sticky] {
+            let mut cfg = config((5.0, 10.0), 5, 12);
+            cfg.scenario = cfg.scenario.with_ues(200);
+            cfg.stationary_fraction = 0.9;
+            cfg.policy = policy;
+            let aux = Arc::new(CacheAux(std::sync::Mutex::new(Vec::new())));
+            MobilitySimulator::new(cfg)
+                .with_observer(Arc::clone(&aux) as Arc<dyn EpochObserver>)
+                .run()
+                .unwrap();
+            let traffic = aux.0.lock().unwrap().clone();
+            assert_eq!(traffic.len(), 5);
+            assert_eq!(traffic[0], (0, 200), "{policy:?}");
+            for &(hits, misses) in &traffic[1..] {
+                assert_eq!(hits + misses, 200, "{policy:?}: {traffic:?}");
+                assert!(hits >= 180, "{policy:?}: {traffic:?}");
+            }
         }
     }
 

@@ -20,8 +20,11 @@ cargo test --release -q -p dmra-core -p dmra-sim
 # simulators' set-up and epoch paths must stay bit-identical to their
 # scratch specifications in the build perfbench times. The engine pins
 # fold both simulators' det projections — the sticky mobility policy
-# included, which perfbench never runs — against recorded constants.
-cargo test --release -q -p dmra --test incremental --test mobility_incremental --test engine_pins
+# included, which perfbench never runs — against recorded constants. The
+# observability tests run the engines with telemetry on, as perfbench's
+# traced runs do, and check that the row cache's telemetry counts only
+# the links of live rows.
+cargo test --release -q -p dmra --test incremental --test mobility_incremental --test engine_pins --test observability
 # The solver equalities in the same profile: dense against reference at
 # paper scale, the random-scenario proptest and protocol equivalence.
 # The match loop perfbench times is the branch-free keyed one, so its

@@ -7,7 +7,8 @@
 //! scalar evaluator. These tests pin their equality — identical
 //! `MobilityOutcome`s, byte for byte — across reallocation policies,
 //! allocators, seeds and stationary fractions, including a 1400-UE
-//! population.
+//! population and a 60-epoch horizon long enough for the row cache's
+//! buffer to fill with dead spans and compact.
 
 use dmra_core::{Allocator, Dmra};
 use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
@@ -73,4 +74,21 @@ fn incremental_engine_matches_scratch_above_the_parallel_rebuild_threshold() {
     cfg.epochs = 4;
     let sim = MobilitySimulator::new(cfg);
     assert_eq!(sim.run().unwrap(), sim.run_scratch().unwrap());
+}
+
+#[test]
+fn incremental_engine_matches_scratch_over_a_long_horizon() {
+    // Every UE moves every epoch for 60 epochs: rows that outgrow their
+    // spans leave dead space behind until the cached context compacts
+    // its buffer, under both policies.
+    for policy in [MobilityPolicy::FullReallocation, MobilityPolicy::Sticky] {
+        let mut cfg = config(17, policy, 0.0);
+        cfg.epochs = 60;
+        let sim = MobilitySimulator::new(cfg);
+        assert_eq!(
+            sim.run().unwrap(),
+            sim.run_scratch().unwrap(),
+            "{policy:?} diverged over 60 epochs"
+        );
+    }
 }

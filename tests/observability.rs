@@ -8,9 +8,24 @@
 //! counters and trace events the instrumentation promises are actually
 //! populated.
 
-use dmra_core::{Dmra, Threads};
+use dmra_core::{DeploymentContext, Dmra, Threads};
 use dmra_sim::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution};
 use dmra_sim::{ScenarioConfig, SweepRunner};
+use dmra_types::{Point, UeId};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by the tests that read an `online.*` counter's delta or drain
+/// the trace, and by the one other test that builds epochs, so that no
+/// concurrent test moves what they read.
+static ONLINE_TELEMETRY: Mutex<()> = Mutex::new(());
+
+/// Takes [`ONLINE_TELEMETRY`]. It guards no data, so a test that
+/// panicked holding it leaves nothing to repair.
+fn serialize_online() -> MutexGuard<'static, ()> {
+    ONLINE_TELEMETRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn instance(ues: usize, seed: u64) -> dmra_core::ProblemInstance {
     ScenarioConfig::paper_defaults()
@@ -44,6 +59,7 @@ fn solver_equality_holds_with_telemetry_enabled() {
 
 #[test]
 fn online_engines_identical_with_telemetry_enabled() {
+    let _online = serialize_online();
     dmra_obs::set_enabled(true);
     let config = DynamicConfig {
         scenario: ScenarioConfig::paper_defaults(),
@@ -101,6 +117,7 @@ fn sweep_tables_thread_independent_with_telemetry_enabled() {
 
 #[test]
 fn trace_records_convergence_trajectory() {
+    let _online = serialize_online();
     dmra_obs::set_enabled(true);
     // A UE count no other test in this binary uses, so the trace event is
     // uniquely ours even though the suites share the global trace log.
@@ -128,4 +145,43 @@ fn trace_records_convergence_trajectory() {
         1234.0,
         "every UE ends either edge-served or cloud-forwarded"
     );
+}
+
+#[test]
+fn links_kept_counts_the_live_links_of_a_cached_build() {
+    // A row-cached context keeps dead spans in its link buffer: the rows
+    // of UEs that left the batch, and rows that outgrew their span. The
+    // `online.links_kept` counter and the build's trace event count only
+    // the links of the batch's rows.
+    let _online = serialize_online();
+    dmra_obs::set_enabled(true);
+    let full = instance(333, 29);
+    let mut ctx = DeploymentContext::new(&full).with_row_cache();
+    let kept = dmra_obs::global().counter("online.links_kept");
+    let mut ues = full.ues().to_vec();
+    for epoch in 0..4 {
+        if epoch == 1 {
+            // A third of the population leaves; its spans go dead.
+            ues.truncate(222);
+        }
+        if epoch >= 2 {
+            for ue in ues.iter_mut().step_by(7) {
+                ue.position = Point::new(ue.position.y, ue.position.x);
+            }
+        }
+        let before = kept.get();
+        let built = ctx.build_epoch(full.budgets(), &ues).unwrap();
+        let live: usize = (0..built.n_ues())
+            .map(|u| built.candidates(UeId::new(u as u32)).len())
+            .sum();
+        assert_eq!(kept.get() - before, live as u64, "epoch {epoch}");
+        let events = dmra_obs::global_trace().drain();
+        let build = events
+            .iter()
+            .rfind(|e| e.name == "online.epoch_build")
+            .expect("a trace event per build");
+        let field = |key: &str| build.fields.iter().find(|&&(k, _)| k == key).unwrap().1;
+        assert_eq!(field("ues"), ues.len() as f64, "epoch {epoch}");
+        assert_eq!(field("links"), live as f64, "epoch {epoch}");
+    }
 }
