@@ -21,10 +21,13 @@
 //!   admission step never drops *all* winners), hence the algorithm
 //!   terminates after at most `|U| + 1` iterations.
 //!
-//! There is one execution: [`Dmra::solve_with_workspace`] loads the whole
+//! There is one execution: [`Dmra::solve_with_workspace`] loads the
 //! instance into dense workspace buffers and runs one match loop over it.
-//! Each round of that loop does work in proportion to the UEs still
-//! unmatched, not to the instance:
+//! The workspace's candidate windows mirror the instance's link buffer
+//! and outlive the solve, so a load copies only the windows of rows whose
+//! generation it has not loaded (an epoch instance's row-cache hits keep
+//! theirs). Each round of the loop does work in proportion to the UEs
+//! still unmatched, not to the instance:
 //!
 //! * the UE side visits a worklist of unmatched UEs, in ascending order;
 //! * Eq. (17)'s resource term `ρ / d` is read from a per-workspace table
@@ -238,13 +241,14 @@ impl Dmra {
             )));
         }
 
-        let max_denominator = load_monolithic(instance, n_svcs, ws);
-        load_rho_table(self.config.rho, max_denominator, ws);
+        let loaded = load_monolithic(instance, n_svcs, ws);
+        load_rho_table(self.config.rho, loaded.max_denominator, ws);
 
-        let run = match_loop(&self.config, n_ues, n_bss, n_svcs, ws)?;
+        let rows = (&instance.row_start[..], &instance.f_u[..]);
+        let run = match_loop(&self.config, rows, n_bss, n_svcs, ws)?;
 
         if obs_on {
-            record_solve(&run, n_ues, solve_started);
+            record_solve(&run, n_ues, loaded.windows, solve_started);
         }
 
         Ok(run.into_outcome())
@@ -332,10 +336,16 @@ impl Allocator for Dmra {
 ///
 /// The remaining budgets are the solver's private working copy of the
 /// instance's [`Budgets`], loaded with one slice copy per solve; its
-/// deductions follow the match loop's own fit checks. Every field is
-/// sized/overwritten at the start of a solve (the `ρ / d`
-/// table whenever `ρ` changes or it is too short), so a workspace can be
-/// reused freely across instances of different shapes and configs; it
+/// deductions follow the match loop's own fit checks. The candidate
+/// windows mirror the instance's link buffer and persist across solves:
+/// a solve copies only the windows of rows whose generation differs from
+/// the one the workspace loaded for that UE, and forgets the loads of
+/// UEs past its batch, whose windows its own loads may overwrite. A kept
+/// window holds the same candidates, possibly reordered by the last
+/// solve's prunes, which changes no decision. Every other field is
+/// sized/overwritten at the start of a solve (the `ρ / d` table whenever
+/// `ρ` changes or it is too short). So a workspace can be reused freely
+/// across instances of different shapes, row stores and configs; it
 /// never influences the outcome. The winner table and its bitset rely on
 /// the solver's drain discipline (every slot 0 and every bit clear
 /// between solves), which a `debug_assert` re-checks on entry.
@@ -345,18 +355,19 @@ pub struct DmraWorkspace {
     rem_cru: Vec<u32>,
     /// Remaining RRBs per BS.
     rem_rrb: Vec<u32>,
-    /// Flattened per-UE candidate windows.
+    /// The candidate windows, laid out like the instance's link buffer:
+    /// UE `u`'s window is `cands[row_start[u]..][..f_u[u]]`, in some
+    /// order of its row's links (a solve's prunes permute it).
     cands: Vec<DenseCand>,
-    /// Window start of each UE in `cands`.
-    start: Vec<usize>,
+    /// The row generation each UE's window was loaded from, one entry
+    /// per UE of the last batch solved.
+    gens: Vec<u64>,
     /// Live window length of each UE.
     len: Vec<usize>,
     /// Requested service index per UE.
     svc: Vec<usize>,
     /// CRU demand per UE.
     cru_demand: Vec<u32>,
-    /// `f_u` per UE.
-    f_u: Vec<u32>,
     /// Eq. (17)'s resource term by integer denominator:
     /// `rho_term[d] = ρ / d` for `d = rem_cru + rem_rrb` (see
     /// [`load_rho_table`]), and `rho_term[0] = +∞`, so a drained slot
@@ -424,6 +435,15 @@ struct MatchRun {
     workspace_reused: bool,
 }
 
+/// What [`load_monolithic`] did besides loading.
+struct Loaded {
+    /// A bound on every Eq. (17) denominator `rem_cru + rem_rrb` the
+    /// loaded budgets can form.
+    max_denominator: u64,
+    /// Candidate windows copied from the instance's rows.
+    windows: u64,
+}
+
 impl MatchRun {
     fn into_outcome(self) -> DmraOutcome {
         DmraOutcome {
@@ -439,10 +459,21 @@ impl MatchRun {
 }
 
 /// Loads the dense caches of `instance` into `ws`, indexed by raw UE/BS
-/// indices, and returns a bound on every Eq. (17) denominator
-/// `rem_cru + rem_rrb` the loaded budgets can form.
-fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorkspace) -> u64 {
-    let n_ues = instance.n_ues();
+/// indices.
+///
+/// The candidate windows mirror the instance's link buffer, so a window
+/// the workspace already holds stays where it is: UE `u`'s window is
+/// copied only when the row generation the workspace loaded for `u` is
+/// not the instance's. That is sound because a generation names one
+/// row's contents at one span in every instance that holds it, and no
+/// two live spans of one instance overlap: a window loaded for this batch
+/// never overwrites the window of another UE of the batch that is kept.
+/// The loads of UEs past the batch are forgotten, since this solve's
+/// windows may overwrite theirs. A kept window may have been permuted by
+/// the last solve's swap-with-tail prunes; every Eq. (17) key is unique
+/// through its BS id, so the same candidates in another order give the
+/// same decisions and the same counts.
+fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorkspace) -> Loaded {
     let ues = instance.ues();
 
     // The working copy of the budgets, flattened `[bs * n_svcs + svc]`
@@ -455,37 +486,49 @@ fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorks
     ws.rem_rrb.clear();
     ws.rem_rrb.extend_from_slice(budgets.rrb_table());
 
-    // Flattened candidate windows: UE `u` owns
-    // `cands[start[u] .. start[u] + len[u]]`; pruning swaps the pruned
-    // entry to the window tail and shrinks the window. The arg-min in the
-    // match loop has a unique (value, bs) key per entry, so the reordering
-    // never changes which candidate is selected.
-    ws.cands.clear();
-    ws.start.clear();
-    ws.len.clear();
-    for (u, ue) in ues.iter().enumerate() {
-        let row = instance.candidates(UeId::new(u as u32));
-        let svc = ue.service.as_usize();
-        ws.start.push(ws.cands.len());
-        ws.len.push(row.len());
-        ws.cands.extend(row.iter().map(|l| DenseCand {
-            price: l.price.get(),
-            bs: l.bs.index(),
-            // The caller checked that every slot index fits a `u32`.
-            slot: (l.bs.as_usize() * n_svcs + svc) as u32,
-            n_rrbs: l.n_rrbs.get(),
-            same_sp: l.same_sp,
-        }));
+    // The mirror is as long as the buffer's capacity, so it grows in the
+    // buffer's own steps: at most once per growth of the buffer.
+    let links = &instance.links;
+    if ws.cands.len() < links.len() {
+        ws.cands.resize(links.capacity(), DenseCand::default());
     }
+    ws.gens.truncate(ues.len());
+    let mut windows = 0;
+    for (u, ue) in ues.iter().enumerate() {
+        let gen = instance.row_gen[u];
+        if ws.gens.get(u) == Some(&gen) {
+            continue;
+        }
+        let start = instance.row_start[u];
+        let row = start..start + instance.f_u[u] as usize;
+        let svc = ue.service.as_usize();
+        for (c, l) in ws.cands[row.clone()].iter_mut().zip(&links[row]) {
+            *c = DenseCand {
+                price: l.price.get(),
+                bs: l.bs.index(),
+                // The caller checked that every slot index fits a `u32`.
+                slot: (l.bs.as_usize() * n_svcs + svc) as u32,
+                n_rrbs: l.n_rrbs.get(),
+                same_sp: l.same_sp,
+            };
+        }
+        match ws.gens.get_mut(u) {
+            Some(loaded) => *loaded = gen,
+            None => ws.gens.push(gen),
+        }
+        windows += 1;
+    }
+    ws.len.clear();
+    ws.len.extend(instance.f_u.iter().map(|&len| len as usize));
     ws.svc.clear();
     ws.svc.extend(ues.iter().map(|ue| ue.service.as_usize()));
     ws.cru_demand.clear();
     ws.cru_demand
         .extend(ues.iter().map(|ue| ue.cru_demand.get()));
-    ws.f_u.clear();
-    ws.f_u
-        .extend((0..n_ues).map(|u| instance.f_u(UeId::new(u as u32))));
-    budgets.denominator_bound()
+    Loaded {
+        max_denominator: budgets.denominator_bound(),
+        windows,
+    }
 }
 
 /// Longest `ρ / d` table a workspace keeps (32 KiB of `f64`). The paper
@@ -512,23 +555,23 @@ fn load_rho_table(rho: f64, max_denominator: u64, ws: &mut DmraWorkspace) {
 
 /// The dense deferred-acceptance loop of Algorithm 1, running over the
 /// `n_ues × n_bss × n_svcs` instance currently loaded in `ws` (see
-/// [`load_monolithic`] and [`load_rho_table`]).
+/// [`load_monolithic`] and [`load_rho_table`]), whose rows start at
+/// `row_start` and hold `f_u` candidates each.
 fn match_loop(
     config: &DmraConfig,
-    n_ues: usize,
+    (row_start, f_u): (&[usize], &[u32]),
     n_bss: usize,
     n_svcs: usize,
     ws: &mut DmraWorkspace,
 ) -> Result<MatchRun> {
+    let n_ues = f_u.len();
     let DmraWorkspace {
         rem_cru,
         rem_rrb,
         cands,
-        start,
         len,
         svc,
         cru_demand,
-        f_u,
         rho_term,
         pending,
         best,
@@ -586,7 +629,8 @@ fn match_loop(
                 }
                 // Eq. (17) arg-min over the live window: the smallest
                 // `(v, bs)` key, whose low word is the entry's index.
-                let window = &cands[start[u]..start[u] + len[u]];
+                let start = row_start[u];
+                let window = &cands[start..start + len[u]];
                 let mut best_key = u128::MAX;
                 for (i, c) in window.iter().enumerate() {
                     let d = u64::from(rem_cru[c.slot as usize]) + u64::from(rem_rrb[c.bs as usize]);
@@ -617,7 +661,7 @@ fn match_loop(
                 // Line 10: the BS can never serve this UE again.
                 prunes += 1;
                 len[u] -= 1;
-                cands.swap(start[u] + best_i, start[u] + len[u]);
+                cands.swap(start + best_i, start + len[u]);
             }
         }
         if !any {
@@ -690,8 +734,14 @@ fn match_loop(
     })
 }
 
-/// Records the standard `dmra.*` telemetry of one finished solve.
-fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::Instant>) {
+/// Records the standard `dmra.*` telemetry of one finished solve that
+/// copied `windows` candidate windows.
+fn record_solve(
+    run: &MatchRun,
+    n_ues: usize,
+    windows: u64,
+    solve_started: Option<std::time::Instant>,
+) {
     // Handles are resolved once and cached; steady-state recording
     // is one atomic op per metric (see BENCH_obs_overhead.json).
     static SOLVES: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("dmra.solves");
@@ -704,6 +754,8 @@ fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::I
     static EVICTIONS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("dmra.evictions");
     static REUSE_HITS: dmra_obs::LazyCounter =
         dmra_obs::LazyCounter::new("dmra.workspace_reuse_hits");
+    static WINDOWS_LOADED: dmra_obs::LazyCounter =
+        dmra_obs::LazyCounter::new("dmra.windows_loaded");
     static SOLVE_NS: dmra_obs::LazyHistogram = dmra_obs::LazyHistogram::new("dmra.solve_ns");
     SOLVES.get().inc();
     ROUNDS.get().add(run.iterations as u64);
@@ -715,6 +767,7 @@ fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::I
     if run.workspace_reused {
         REUSE_HITS.get().inc();
     }
+    WINDOWS_LOADED.get().add(windows);
     let solve_ns = solve_started.map_or(0, |t| {
         u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
     });
@@ -736,7 +789,7 @@ fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::I
 }
 
 /// One live candidate in the dense solver's flattened per-UE window.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct DenseCand {
     /// `p_{i,u}` as a raw float.
     price: f64,
@@ -789,6 +842,7 @@ mod tests {
     use crate::components::tests::island_instance;
     use crate::instance::tests::two_sp_instance;
     use crate::instance::{CoverageModel, ProblemInstance};
+    use crate::DeploymentContext;
     use dmra_econ::PricingConfig;
     use dmra_radio::RadioConfig;
     use dmra_types::{
@@ -1307,6 +1361,216 @@ mod tests {
         for inst in [two_sp_instance(), contested_instance(1), two_sp_instance()] {
             assert_eq!(session.allocate(&inst), dmra.allocate(&inst));
         }
+    }
+
+    /// A fixed LCG's uniform draws in `[0, 1)`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn unit(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn point(&mut self, extent: f64) -> Point {
+            Point::new(extent * self.unit(), extent * self.unit())
+        }
+    }
+
+    /// A UE-less deployment: 5 SPs, 6 services and a `side × side` grid
+    /// of BSs `spacing` apart (round-robin SPs) with tight budgets.
+    fn grid_deployment(side: u32, spacing: f64) -> ProblemInstance {
+        let sps: Vec<SpSpec> = (0..5)
+            .map(|k| SpSpec::new(SpId::new(k), Money::new(9.0), Money::new(1.0)))
+            .collect();
+        let bss: Vec<BsSpec> = (0..side * side)
+            .map(|b| {
+                let (row, col) = (f64::from(b / side), f64::from(b % side));
+                BsSpec::new(
+                    BsId::new(b),
+                    SpId::new(b % 5),
+                    Point::new(spacing * (0.5 + col), spacing * (0.5 + row)),
+                    (0..6)
+                        .map(|j| Cru::new(12 + (b * 7 + j * 13) % 9))
+                        .collect(),
+                    Hertz::from_mhz(10.0),
+                    dmra_types::RrbCount::new(30),
+                )
+            })
+            .collect();
+        ProblemInstance::build(
+            sps,
+            bss,
+            Vec::new(),
+            ServiceCatalog::new(6),
+            PricingConfig::paper_defaults(),
+            RadioConfig::paper_defaults(),
+            CoverageModel::default(),
+        )
+        .unwrap()
+    }
+
+    fn ue_at(u: u32, at: Point) -> UeSpec {
+        UeSpec::new(
+            dmra_types::UeId::new(u),
+            SpId::new(u % 5),
+            at,
+            ServiceId::new((u * 7) % 6),
+            Cru::new(3 + u % 3),
+            BitsPerSec::from_mbps(2.0 + f64::from(u % 5)),
+            Dbm::new(10.0),
+        )
+    }
+
+    /// One epoch instance's per-row state: UE specs, generations, spans
+    /// and the links of each row.
+    struct RowState {
+        ues: Vec<UeSpec>,
+        gens: Vec<u64>,
+        rows: Vec<(usize, Vec<CandidateLink>)>,
+        buffer: usize,
+    }
+
+    impl RowState {
+        fn of(inst: &ProblemInstance) -> Self {
+            Self {
+                ues: inst.ues.clone(),
+                gens: inst.row_gen.clone(),
+                rows: (0..inst.n_ues())
+                    .map(|u| {
+                        let ue = dmra_types::UeId::new(u as u32);
+                        (inst.row_start[u], inst.candidates(ue).to_vec())
+                    })
+                    .collect(),
+                buffer: inst.links.len(),
+            }
+        }
+    }
+
+    #[test]
+    fn one_workspace_follows_many_row_stores() {
+        // One workspace solves, in turn: 30 epochs of a row-cached
+        // context whose batch moves, shrinks and grows, meets one budget
+        // stamp and compacts its buffer; the epochs of a second context
+        // over a denser grid, whose few UEs hold many more links each, so
+        // its windows overwrite the first context's; a clone of an early
+        // epoch instance; and one-shot builds. Every solve must equal a
+        // fresh workspace's. Along the way the first context's rows must
+        // follow the generation rules: a hit keeps its generation; a
+        // miss, a compaction and a stamp take fresh ones; one generation
+        // never names two different rows or spans.
+        let dmra = Dmra::default();
+        let mut ws = DmraWorkspace::default();
+        let (mut reused, mut solves) = (0usize, 0usize);
+        let mut solve = |inst: &ProblemInstance, ws: &mut DmraWorkspace, what: &str| {
+            reused += (0..inst.n_ues())
+                .filter(|&u| ws.gens.get(u) == Some(&inst.row_gen[u]))
+                .count();
+            solves += 1;
+            let got = dmra.solve_with_workspace(inst, ws).unwrap();
+            assert_eq!(got, dmra.solve(inst).unwrap(), "{what}");
+        };
+
+        let sparse = grid_deployment(5, 300.0);
+        let dense = grid_deployment(7, 100.0);
+        let mut ctx = DeploymentContext::new(&sparse).with_row_cache();
+        let mut dense_ctx = DeploymentContext::new(&dense).with_row_cache();
+        let full = sparse.budgets().clone();
+        let mut drained = full.clone();
+        drained
+            .take(
+                BsId::new(6),
+                ServiceId::new(0),
+                Cru::new(5),
+                RrbCount::new(4),
+            )
+            .unwrap();
+
+        let mut rng = Lcg(0x2545_f491_4f6c_dd1d);
+        let mut at: Vec<Point> = (0..200).map(|_| rng.point(1500.0)).collect();
+        let mut dense_at: Vec<Point> = (0..40).map(|_| rng.point(700.0)).collect();
+        let mut names: std::collections::HashMap<u64, (usize, Vec<CandidateLink>)> =
+            std::collections::HashMap::new();
+        let mut prev: Option<RowState> = None;
+        let (mut stamps, mut compactions, mut hits) = (0, 0, 0);
+        let mut early: Option<ProblemInstance> = None;
+        for e in 0..30u32 {
+            // Every third UE moves each epoch; the batch shrinks at epoch
+            // 8, grows past its old size at 12 and settles at 17.
+            for (u, p) in at.iter_mut().enumerate() {
+                if e > 0 && u % 3 == (e % 3) as usize {
+                    *p = rng.point(1500.0);
+                }
+            }
+            let n = match e {
+                0..=7 => 150,
+                8..=11 => 90,
+                12..=16 => 200,
+                _ => 170,
+            };
+            let batch: Vec<UeSpec> = (0..n).map(|u| ue_at(u as u32, at[u])).collect();
+            let stamped = e == 20 || e == 21;
+            let table = if e == 20 { &drained } else { &full };
+            let inst = ctx.build_epoch(table, &batch).unwrap();
+            let now = RowState::of(inst);
+
+            // The generation rules.
+            let distinct: std::collections::HashSet<u64> = now.gens.iter().copied().collect();
+            assert_eq!(
+                distinct.len(),
+                now.gens.len(),
+                "epoch {e}: a shared generation"
+            );
+            for (u, (&gen, row)) in now.gens.iter().zip(&now.rows).enumerate() {
+                let named = names.entry(gen).or_insert_with(|| row.clone());
+                assert_eq!(named, row, "epoch {e}: generation of UE {u} names two rows");
+            }
+            if let Some(prev) = &prev {
+                let compacted = !stamped && now.buffer < prev.buffer;
+                stamps += usize::from(stamped);
+                compactions += usize::from(compacted);
+                for u in 0..n.min(prev.ues.len()) {
+                    let kept = now.gens[u] == prev.gens[u];
+                    let hit = !stamped && !compacted && now.ues[u] == prev.ues[u];
+                    assert_eq!(kept, hit, "epoch {e}, UE {u}");
+                    hits += usize::from(hit);
+                }
+                for u in prev.ues.len()..n {
+                    assert!(!prev.gens.contains(&now.gens[u]), "epoch {e}, new UE {u}");
+                }
+            }
+            solve(inst, &mut ws, &format!("epoch {e}"));
+            if e == 4 {
+                early = Some(inst.clone());
+            }
+            prev = Some(now);
+
+            if e % 3 == 1 {
+                for p in dense_at.iter_mut().step_by(4) {
+                    *p = rng.point(700.0);
+                }
+                let m = 25 + (e as usize % 4) * 5;
+                let batch: Vec<UeSpec> = (0..m).map(|u| ue_at(u as u32, dense_at[u])).collect();
+                let inst = dense_ctx.build_epoch(dense.budgets(), &batch).unwrap();
+                solve(inst, &mut ws, &format!("dense epoch {e}"));
+            }
+            if e % 9 == 5 {
+                let early = early.as_ref().unwrap();
+                solve(early, &mut ws, &format!("epoch 4's clone at {e}"));
+            }
+            if e % 4 == 2 {
+                let batch: Vec<UeSpec> = (0..30).map(|u| ue_at(u, rng.point(1500.0))).collect();
+                let one_shot = sparse.residual(&full, batch).unwrap();
+                solve(&one_shot, &mut ws, &format!("one-shot at {e}"));
+            }
+        }
+        assert_eq!(stamps, 2);
+        assert!(compactions > 0, "the buffer never compacted");
+        assert!(hits > 0 && reused > 0, "{hits} hits, {reused} windows kept");
+        assert_eq!(solves, 50);
     }
 
     #[test]

@@ -117,6 +117,38 @@ pub struct ProblemInstance {
     /// `f_u`: number of candidate BSs of UE `u` (the statistic the BS-side
     /// tie-break of Algorithm 1 uses).
     pub(crate) f_u: Vec<u32>,
+    /// Each UE's row generation: a process-wide unique name for one row's
+    /// contents at one span, taken whenever a build writes or moves the
+    /// row and kept by a row-cache hit (the online module's row builder).
+    /// A clone holds the same rows at the same spans, so it keeps them.
+    /// Consumers that keep per-row state across instances (the dense
+    /// solver's candidate windows, [`PriceMemo`]) skip a row whose
+    /// generation they have seen.
+    pub(crate) row_gen: Vec<u64>,
+}
+
+/// The price of the link each UE was last served on, by the row it was
+/// read from: [`ProblemInstance::profit_report_with`] reads a served UE's
+/// price here when the UE's row generation and BS are the entry's, and
+/// through [`ProblemInstance::link`] otherwise. A generation names one
+/// row's contents, so an entry it matches holds the price `link` would
+/// find. Meant for one fixed population re-matched epoch after epoch.
+#[derive(Debug, Clone, Default)]
+pub struct PriceMemo {
+    /// Per UE: `(row generation, BS, price)` of its last looked-up link.
+    /// No row has generation 0, so a fresh entry matches nothing.
+    entries: Vec<(u64, BsId, Money)>,
+    /// Lifetime [`ProblemInstance::link`] lookups.
+    lookups: u64,
+}
+
+impl PriceMemo {
+    /// Lifetime count of prices read through [`ProblemInstance::link`]
+    /// rather than from the memo.
+    #[must_use]
+    pub fn lookups(&self) -> u64 {
+        self.lookups
+    }
 }
 
 impl ProblemInstance {
@@ -207,6 +239,7 @@ impl ProblemInstance {
             links: Vec::new(),
             row_start: Vec::new(),
             f_u: Vec::new(),
+            row_gen: Vec::new(),
         };
         // A build without UEs has no row to scan, so it skips the row
         // builder and its prune index (every simulator builds its
@@ -351,19 +384,62 @@ impl ProblemInstance {
     /// first when in doubt).
     #[must_use]
     pub fn profit_report(&self, allocation: &Allocation) -> ProfitReport {
+        self.ledger(allocation, |ue, bs| self.price(ue, bs))
+    }
+
+    /// [`ProblemInstance::profit_report`] with each served UE's price
+    /// read from `memo` when its row and BS are the ones the memo last
+    /// saw for it: the same ledger, folded in the same UE order, so the
+    /// report is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// As [`ProblemInstance::profit_report`].
+    #[must_use]
+    pub fn profit_report_with(
+        &self,
+        allocation: &Allocation,
+        memo: &mut PriceMemo,
+    ) -> ProfitReport {
+        memo.entries
+            .resize(self.ues.len(), (0, BsId::new(0), Money::new(0.0)));
+        self.ledger(allocation, |ue, bs| {
+            let u = ue.as_usize();
+            let gen = self.row_gen[u];
+            match &mut memo.entries[u] {
+                (seen, at, price) if *seen == gen && *at == bs => *price,
+                entry => {
+                    memo.lookups += 1;
+                    let price = self.price(ue, bs);
+                    *entry = (gen, bs, price);
+                    price
+                }
+            }
+        })
+    }
+
+    /// The Eqs. (5)–(8) ledger of an allocation, in UE order, with each
+    /// served UE's price from `price`.
+    fn ledger(
+        &self,
+        allocation: &Allocation,
+        mut price: impl FnMut(UeId, BsId) -> Money,
+    ) -> ProfitReport {
         let mut ledger = ProfitLedger::new(&self.sps);
         for ue in &self.ues {
             match allocation.bs_of(ue.id) {
-                Some(bs) => {
-                    let link = self
-                        .link(ue.id, bs)
-                        .expect("allocation must only use candidate links");
-                    ledger.record_edge_service(ue.sp, ue.cru_demand, link.price);
-                }
+                Some(bs) => ledger.record_edge_service(ue.sp, ue.cru_demand, price(ue.id, bs)),
                 None => ledger.record_cloud_forward(ue.sp),
             }
         }
         ledger.report()
+    }
+
+    /// The per-CRU price of the candidate link between `ue` and `bs`.
+    fn price(&self, ue: UeId, bs: BsId) -> Money {
+        self.link(ue, bs)
+            .expect("allocation must only use candidate links")
+            .price
     }
 
     /// Total uplink demand (in bit/s) of the UEs the allocation forwards to
@@ -480,22 +556,34 @@ impl ProblemInstance {
 }
 
 /// Validates one batch of UEs against the deployment (dense ids, known SP,
-/// known service) — shared between the static build and the online
-/// engine's per-epoch batch so both reject exactly the same inputs.
+/// known service): the static build's check. The online engine runs
+/// [`validate_ue`] on the UEs of its batch that changed, in batch order,
+/// so both reject exactly the same inputs.
 pub(crate) fn validate_ues(ues: &[UeSpec], n_sps: usize, catalog: ServiceCatalog) -> Result<()> {
     for (i, ue) in ues.iter().enumerate() {
-        if ue.id.as_usize() != i {
-            return Err(Error::InvalidConfig(format!(
-                "UE ids must be dense and ordered; found {} at position {i}",
-                ue.id
-            )));
-        }
-        if ue.sp.as_usize() >= n_sps {
-            return Err(Error::UnknownSp(ue.sp));
-        }
-        if !catalog.contains(ue.service) {
-            return Err(Error::UnknownService(ue.service));
-        }
+        validate_ue(i, ue, n_sps, catalog)?;
+    }
+    Ok(())
+}
+
+/// The checks of [`validate_ues`] for the UE at batch position `i`.
+pub(crate) fn validate_ue(
+    i: usize,
+    ue: &UeSpec,
+    n_sps: usize,
+    catalog: ServiceCatalog,
+) -> Result<()> {
+    if ue.id.as_usize() != i {
+        return Err(Error::InvalidConfig(format!(
+            "UE ids must be dense and ordered; found {} at position {i}",
+            ue.id
+        )));
+    }
+    if ue.sp.as_usize() >= n_sps {
+        return Err(Error::UnknownSp(ue.sp));
+    }
+    if !catalog.contains(ue.service) {
+        return Err(Error::UnknownService(ue.service));
     }
     Ok(())
 }

@@ -96,5 +96,5 @@ pub use budgets::Budgets;
 pub use components::{decompose, Component, Decomposition};
 pub use dmra::{Dmra, DmraConfig, DmraOutcome, DmraWorkspace};
 pub use dmra_par::Threads;
-pub use instance::{CandidateLink, CandidateScan, CoverageModel, ProblemInstance};
+pub use instance::{CandidateLink, CandidateScan, CoverageModel, PriceMemo, ProblemInstance};
 pub use online::DeploymentContext;

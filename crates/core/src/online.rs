@@ -41,33 +41,54 @@
 //!   every batch size: on the benchmark workloads a thread fan-out cost
 //!   more than it saved (DESIGN.md §8, §12);
 //! * an opt-in cross-epoch [`row cache`](DeploymentContext::with_row_cache)
-//!   keeps the candidate row of any UE whose key (position bits, SP,
-//!   service, demands, transmit power) is unchanged since the row was
-//!   built *and* no BS's remaining budgets changed since — one budget
-//!   stamp for the whole deployment. A row depends on the budgets of
-//!   every BS its scan looked at (a freed budget could re-admit a
-//!   candidate the scan dropped), and the one cached caller, the
-//!   mobility loop, hands every epoch the same full budgets, so a finer
-//!   stamp would save nothing there. The cache stays off under
-//!   load-proportional interference, where every row depends on the
-//!   whole batch. Every row has one copy, its span in the instance's
-//!   link buffer: a hit leaves it where it is; a miss is scanned onto
-//!   the buffer's tail and moves into its old span if it fits, or stays
-//!   at the tail and leaves the old span dead. Once dead space exceeds
-//!   the live links, the build compacts the buffer in UE order, so the
-//!   buffer never holds more than twice the live links. A build after a
-//!   budget stamp misses every row and lays them all out afresh,
-//!   contiguously. The cache holds one slot per UE of the last batch and
-//!   is meant for fixed populations (the mobility regime).
+//!   keeps the candidate row of any UE whose spec (id, position bits, SP,
+//!   service, demands, transmit power) is bit-identical to the one the
+//!   instance holds at the same batch position, provided no BS's
+//!   remaining budgets changed since — one budget stamp for the whole
+//!   deployment. A row depends on the budgets of every BS its scan
+//!   looked at (a freed budget could re-admit a candidate the scan
+//!   dropped), and the one cached caller, the mobility loop, hands every
+//!   epoch the same full budgets, so a finer stamp would save nothing
+//!   there. The cache stays off under load-proportional interference,
+//!   where every row depends on the whole batch. Every row has one copy,
+//!   its span in the instance's link buffer: a hit leaves it where it
+//!   is; a miss is scanned onto the buffer's tail and moves into its old
+//!   span if it fits, or stays at the tail and leaves the old span dead.
+//!   Once dead space exceeds the live links, the build compacts the
+//!   buffer in UE order, so the buffer never holds more than twice the
+//!   live links. A build after a budget stamp misses every row and lays
+//!   them all out afresh, contiguously. The cache keeps one span
+//!   capacity per UE of the last batch and is meant for fixed
+//!   populations (the mobility regime).
+//!
+//! Every build compares the incoming batch with the instance's own copy
+//! of the last valid one, bit for bit, and validates and copies only the
+//! UEs that differ; with the row cache on, only their rows are rescanned.
+//! An unchanged UE passed the same checks at the same position, so the
+//! first error is still the one [`ProblemInstance::residual`] reports,
+//! and everything is checked before anything is copied, so a rejected
+//! batch leaves the UEs and rows as they were.
+//!
+//! Every row a build writes — a scan into its old span or onto the tail,
+//! every row of an uncached build, every row a compaction moves — takes a
+//! fresh *generation* from one process-wide counter; a cache hit keeps
+//! its own. A generation names one row's contents at one span in every
+//! instance that holds it, clones included, so a consumer that keeps
+//! per-row state across epochs skips the rows whose generation it has
+//! seen: the DMRA solver keeps its candidate windows
+//! ([`DmraWorkspace`](crate::DmraWorkspace)) and the mobility loop its
+//! prices ([`PriceMemo`](crate::PriceMemo)). A build reserves its
+//! generations in one step, two per UE of its batch.
 
 use crate::budgets::{arity_error, Budgets};
 use crate::instance::{
-    scan_candidate_row, scan_candidate_row_batch, validate_ues, CandidateScan, CoverageModel,
+    scan_candidate_row, scan_candidate_row_batch, validate_ue, CandidateScan, CoverageModel,
     ProblemInstance,
 };
 use dmra_geo::GridIndex;
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
-use dmra_types::{BsId, Cru, Error, Meters, Result, RrbCount, ServiceId, SpId, UeSpec};
+use dmra_types::{BsId, Cru, Error, Meters, Result, RrbCount, UeSpec};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Epoch-persistent deployment state for the online regime.
 ///
@@ -99,60 +120,74 @@ pub struct DeploymentContext {
     adapter: Option<Budgets>,
     /// Lifetime budget-pass totals: BSs compared, BSs patched.
     budget_bss: (u64, u64),
+    /// The batch positions whose UE the current build found changed,
+    /// ascending (scratch, reused by every build).
+    changed: Vec<u32>,
+    /// Lifetime count of UEs the builds found changed.
+    ues_changed: u64,
 }
 
-/// Everything a candidate row depends on besides the fixed deployment and
-/// the remaining budgets: the UE's own spec (position as raw bits — a
-/// cache hit must mean *bit-identical* inputs, so no epsilon). Budget
-/// freshness is tracked separately, by the cache's budget stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RowKey {
-    x_bits: u64,
-    y_bits: u64,
-    sp: SpId,
-    service: ServiceId,
-    cru_demand: Cru,
-    rate_bits: u64,
-    tx_bits: u64,
+/// Source of row generations: every row a build writes or moves takes a
+/// fresh one, so no two rows ever share one. No row has generation 0.
+static NEXT_ROW_GEN: AtomicU64 = AtomicU64::new(1);
+
+/// The generations one build hands out, reserved from [`NEXT_ROW_GEN`]
+/// in one step: two per UE of the batch, enough for every row to be
+/// scanned and then moved by a compaction.
+struct RowGens {
+    next: u64,
 }
 
-impl RowKey {
-    fn of(ue: &UeSpec) -> Self {
+impl RowGens {
+    fn reserve(n_rows: usize) -> Self {
         Self {
-            x_bits: ue.position.x.to_bits(),
-            y_bits: ue.position.y.to_bits(),
-            sp: ue.sp,
-            service: ue.service,
-            cru_demand: ue.cru_demand,
-            rate_bits: ue.rate_demand.get().to_bits(),
-            tx_bits: ue.tx_power.get().to_bits(),
+            next: NEXT_ROW_GEN.fetch_add(2 * n_rows as u64, Ordering::Relaxed),
         }
+    }
+
+    fn take(&mut self) -> u64 {
+        let gen = self.next;
+        self.next += 1;
+        gen
     }
 }
 
-/// One cached candidate row. Its links live in the epoch instance's own
-/// buffer, at `links[row_start[u]..row_start[u] + f_u[u]]`; the slot keeps
-/// what decides a hit and how many links that span can hold.
-#[derive(Debug, Clone, Copy)]
-struct CachedRow {
-    key: RowKey,
-    /// Links the row's span can hold: the length of the row first laid
-    /// out there. A shorter row scanned later reuses the span.
-    cap: u32,
-    row_max: Meters,
+/// Whether two UE specs are bit-identical: id, position bits, SP,
+/// service, demands and transmit power. An epoch build copies, validates
+/// and (with the row cache on) rescans only the UEs whose spec is not
+/// the one the instance holds at the same batch position.
+fn same_ue(a: &UeSpec, b: &UeSpec) -> bool {
+    a.id == b.id
+        && a.position.x.to_bits() == b.position.x.to_bits()
+        && a.position.y.to_bits() == b.position.y.to_bits()
+        && a.sp == b.sp
+        && a.service == b.service
+        && a.cru_demand == b.cru_demand
+        && a.rate_demand.get().to_bits() == b.rate_demand.get().to_bits()
+        && a.tx_power.get().to_bits() == b.tx_power.get().to_bits()
 }
 
-/// Cross-epoch candidate-row cache. Slot `u` describes the row of the UE
-/// at batch position `u` (UE ids are dense per epoch), and there is one
-/// slot per UE of the last batch built. A budget change anywhere makes
-/// every row stale at once, so slots carry no budget stamp: the next
-/// build re-lays every row.
+/// Cross-epoch candidate-row cache. A cached row is the row of the UE the
+/// epoch instance holds at batch position `u` (UE ids are dense per
+/// epoch), scanned for that very spec, and its links live in the
+/// instance's own buffer at `links[row_start[u]..row_start[u] + f_u[u]]`.
+/// The instance's UEs are the key: a build rescans exactly the rows of
+/// the UEs it found changed. The cache itself keeps one span capacity per
+/// UE of the last batch built. A budget change anywhere makes every row
+/// stale at once, so rows carry no budget stamp: the next build re-lays
+/// every row.
 #[derive(Debug, Clone, Default)]
 struct RowCache {
-    slots: Vec<CachedRow>,
+    /// Per cached row: the links its span can hold, the length of the row
+    /// first laid out there. A shorter row scanned later reuses the span.
+    caps: Vec<u32>,
+    /// Links in the cached rows, dead spans of the buffer excluded.
+    live: usize,
     /// Budget passes opened so far.
     epoch: u64,
-    /// Whether some BS's budgets changed since the rows were laid out.
+    /// Whether every row must be laid out afresh: some BS's budgets
+    /// changed since the rows were laid out, or their build failed the
+    /// pricing-margin check.
     stale: bool,
     /// Lifetime hit/miss totals (see
     /// [`DeploymentContext::row_cache_stats`]).
@@ -168,7 +203,8 @@ impl RowCache {
         self.epoch == 1
     }
 
-    /// Records that some BS's budgets changed in the open epoch.
+    /// Marks every row stale: some BS's budgets changed in the open
+    /// epoch, or the rows' build failed.
     fn stamp(&mut self) {
         self.stale = true;
     }
@@ -206,10 +242,15 @@ pub(crate) struct RowBuilder {
 /// telemetry on.
 #[derive(Debug, Default)]
 struct RowStats {
-    /// The largest candidate distance over every row.
+    /// The largest candidate distance over the rows scanned. A cached
+    /// row's distance passed the margin check of the build that scanned
+    /// it: a build that fails the check stamps the cache.
     max_distance: Meters,
     /// Links in the batch's rows, dead spans of the buffer excluded.
     links: usize,
+    /// Rows scanned: every row of an uncached build, the misses of a
+    /// cached one.
+    scanned: u64,
     precull_kept: u64,
     precull_rejected: u64,
     cache_hits: u64,
@@ -253,12 +294,13 @@ impl RowBuilder {
     }
 
     /// Rebuilds `inst`'s candidate rows from its UEs and BS budgets, in
-    /// place: with a `cache`, only the rows it does not hold fresh are
+    /// place: with a `cache`, only the rows of the `changed` batch
+    /// positions (ascending) and the rows it does not hold fresh are
     /// scanned; without, every row is.
     fn build(
         &mut self,
         inst: &mut ProblemInstance,
-        cache: Option<&mut RowCache>,
+        cache: Option<(&mut RowCache, &[u32])>,
         obs_on: bool,
     ) -> RowStats {
         // Each BS's aggregate sums over the UEs in id order.
@@ -274,9 +316,12 @@ impl RowBuilder {
         }
         let kernel_started = obs_on.then(std::time::Instant::now);
         let mut stats = RowStats::default();
+        let mut gens = RowGens::reserve(inst.ues.len());
         match cache {
-            Some(cache) => self.patch_rows(inst, cache, obs_on, &mut stats),
-            None => self.lay_out_rows(inst, obs_on, &mut stats),
+            Some((cache, changed)) => {
+                self.patch_rows(inst, cache, changed, &mut gens, obs_on, &mut stats);
+            }
+            None => self.lay_out_rows(inst, &mut gens, obs_on, &mut stats),
         }
         stats.kernel_ns = kernel_started.map_or(0, |t| {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -285,101 +330,116 @@ impl RowBuilder {
     }
 
     /// The uncached build: scans every row into `inst`'s buffer,
-    /// contiguously in UE order.
-    fn lay_out_rows(&mut self, inst: &mut ProblemInstance, obs_on: bool, stats: &mut RowStats) {
+    /// contiguously in UE order, each under a fresh generation.
+    fn lay_out_rows(
+        &mut self,
+        inst: &mut ProblemInstance,
+        gens: &mut RowGens,
+        obs_on: bool,
+        stats: &mut RowStats,
+    ) {
         let n_ues = inst.ues.len();
         inst.links.clear();
         inst.row_start.clear();
         inst.row_start.reserve(n_ues);
         inst.f_u.clear();
         inst.f_u.reserve(n_ues);
+        inst.row_gen.clear();
+        inst.row_gen.reserve(n_ues);
         for u in 0..n_ues {
             let start = inst.links.len();
             let row_max = self.scan_row(inst, u, obs_on, stats);
             stats.row_done(row_max);
             inst.row_start.push(start);
             inst.f_u.push((inst.links.len() - start) as u32);
+            inst.row_gen.push(gens.take());
         }
         stats.links = inst.links.len();
     }
 
-    /// The cached build: scans only the rows whose key changed since
-    /// their slot was filled; every other row stays where it is,
-    /// untouched. A scanned row lands at the buffer's tail and moves into
-    /// its old span if it fits there; otherwise it stays at the tail and
-    /// the old span is dead. Slots past the end of the batch go, their
-    /// spans dead too. Once dead space exceeds the live links, the buffer
-    /// is compacted. On the cache's first build, and after a budget
-    /// change, no slot is left, so every row misses and the rows land
-    /// contiguously in UE order.
+    /// The cached build: scans only the rows of the `changed` UEs among
+    /// the cached rows, and the rows past them; every other row stays
+    /// where it is, untouched, generation included. A scanned row lands
+    /// at the buffer's tail and moves into its old span if it fits there;
+    /// otherwise it stays at the tail and the old span is dead. Rows past
+    /// the end of the batch go, their spans dead too. Once dead space
+    /// exceeds the live links, the buffer is compacted. On the cache's
+    /// first build, and after a stamp, no row is cached, so every row
+    /// misses and the rows land contiguously in UE order.
     fn patch_rows(
         &mut self,
         inst: &mut ProblemInstance,
         cache: &mut RowCache,
+        changed: &[u32],
+        gens: &mut RowGens,
         obs_on: bool,
         stats: &mut RowStats,
     ) {
         let n_ues = inst.ues.len();
         if cache.stale {
-            cache.slots.clear();
+            cache.caps.clear();
+            cache.live = 0;
             inst.links.clear();
             cache.stale = false;
         }
-        cache.slots.truncate(n_ues);
-        // `row_start` and `f_u` describe one span per slot. The UEs past
-        // the slots (every UE of a cold build) append to all three, sized
-        // here once rather than grown row by row.
-        inst.row_start.truncate(cache.slots.len());
-        inst.f_u.truncate(cache.slots.len());
-        let new_rows = n_ues - cache.slots.len();
-        cache.slots.reserve(new_rows);
-        inst.row_start.reserve(new_rows);
-        inst.f_u.reserve(new_rows);
-        for u in 0..n_ues {
-            let key = RowKey::of(&inst.ues[u]);
-            if let Some(slot) = cache.slots.get(u).filter(|slot| slot.key == key) {
-                stats.cache_hits += 1;
-                stats.row_done(slot.row_max);
-                continue;
-            }
+        // `row_start`, `f_u` and `row_gen` describe one span per cached
+        // row; the rows past the batch go.
+        if cache.caps.len() > n_ues {
+            let dropped: usize = inst.f_u[n_ues..].iter().map(|&len| len as usize).sum();
+            cache.live -= dropped;
+            cache.caps.truncate(n_ues);
+        }
+        let cached = cache.caps.len();
+        inst.row_start.truncate(cached);
+        inst.f_u.truncate(cached);
+        inst.row_gen.truncate(cached);
+        // Cached rows: only the changed UEs' are rescanned.
+        for &u in changed.iter().take_while(|&&u| (u as usize) < cached) {
+            let u = u as usize;
             let tail = inst.links.len();
             let row_max = self.scan_row(inst, u, obs_on, stats);
-            let len = inst.links.len() - tail;
-            stats.cache_misses += 1;
             stats.row_done(row_max);
-            let row = CachedRow {
-                key,
-                cap: len as u32,
-                row_max,
-            };
-            match cache.slots.get_mut(u) {
-                Some(slot) if len <= slot.cap as usize => {
-                    inst.links.copy_within(tail.., inst.row_start[u]);
-                    inst.links.truncate(tail);
-                    *slot = CachedRow {
-                        cap: slot.cap,
-                        ..row
-                    };
-                    inst.f_u[u] = len as u32;
-                }
-                Some(slot) => {
-                    *slot = row;
-                    inst.row_start[u] = tail;
-                    inst.f_u[u] = len as u32;
-                }
-                // The batch grew past the slots.
-                None => {
-                    cache.slots.push(row);
-                    inst.row_start.push(tail);
-                    inst.f_u.push(len as u32);
-                }
+            let len = inst.links.len() - tail;
+            if len <= cache.caps[u] as usize {
+                inst.links.copy_within(tail.., inst.row_start[u]);
+                inst.links.truncate(tail);
+            } else {
+                cache.caps[u] = len as u32;
+                inst.row_start[u] = tail;
             }
+            cache.live = cache.live - inst.f_u[u] as usize + len;
+            inst.f_u[u] = len as u32;
+            inst.row_gen[u] = gens.take();
         }
+        // The UEs past the cached rows (every UE of a cold build) append
+        // to all four, sized here once rather than grown row by row.
+        let new_rows = n_ues - cached;
+        cache.caps.reserve(new_rows);
+        inst.row_start.reserve(new_rows);
+        inst.f_u.reserve(new_rows);
+        inst.row_gen.reserve(new_rows);
+        for u in cached..n_ues {
+            let tail = inst.links.len();
+            let row_max = self.scan_row(inst, u, obs_on, stats);
+            stats.row_done(row_max);
+            let len = inst.links.len() - tail;
+            cache.caps.push(len as u32);
+            cache.live += len;
+            inst.row_start.push(tail);
+            inst.f_u.push(len as u32);
+            inst.row_gen.push(gens.take());
+        }
+        stats.cache_misses = stats.scanned;
+        stats.cache_hits = n_ues as u64 - stats.scanned;
         cache.hits += stats.cache_hits;
         cache.misses += stats.cache_misses;
-        stats.links = inst.f_u.iter().map(|&len| len as usize).sum();
-        if inst.links.len() - stats.links > stats.links {
-            compact(inst, cache, stats.links);
+        debug_assert_eq!(
+            cache.live,
+            inst.f_u.iter().map(|&len| len as usize).sum::<usize>()
+        );
+        stats.links = cache.live;
+        if inst.links.len() - cache.live > cache.live {
+            compact(inst, cache, gens);
         }
     }
 
@@ -393,6 +453,7 @@ impl RowBuilder {
         obs_on: bool,
         stats: &mut RowStats,
     ) -> Meters {
+        stats.scanned += 1;
         let ue = &inst.ues[u];
         match &self.prune {
             Some((index, radius)) => {
@@ -437,19 +498,22 @@ impl RowBuilder {
 }
 
 /// Rewrites `inst`'s buffer with the batch's rows in UE order and no dead
-/// space (`live` links); each span's capacity becomes its row's length.
-fn compact(inst: &mut ProblemInstance, cache: &mut RowCache, live: usize) {
-    let mut packed = Vec::with_capacity(live);
-    for ((start, &len), slot) in inst
+/// space; each span's capacity becomes its row's length, and every row,
+/// moved, takes a fresh generation.
+fn compact(inst: &mut ProblemInstance, cache: &mut RowCache, gens: &mut RowGens) {
+    let mut packed = Vec::with_capacity(cache.live);
+    for (((start, &len), gen), cap) in inst
         .row_start
         .iter_mut()
         .zip(&inst.f_u)
-        .zip(&mut cache.slots)
+        .zip(&mut inst.row_gen)
+        .zip(&mut cache.caps)
     {
         let from = *start;
         *start = packed.len();
         packed.extend_from_slice(&inst.links[from..from + len as usize]);
-        slot.cap = len;
+        *cap = len;
+        *gen = gens.take();
     }
     inst.links = packed;
 }
@@ -466,6 +530,7 @@ impl DeploymentContext {
         instance.links.clear();
         instance.row_start.clear();
         instance.f_u.clear();
+        instance.row_gen.clear();
         Self {
             instance,
             rows,
@@ -474,17 +539,19 @@ impl DeploymentContext {
             synced: None,
             adapter: None,
             budget_bss: (0, 0),
+            changed: Vec::new(),
+            ues_changed: 0,
         }
     }
 
-    /// Enables the cross-epoch candidate-row cache: a UE whose key
-    /// (position bits, SP, service, demands, transmit power) is unchanged
-    /// since its row was built keeps that row where it is in the epoch
-    /// instance's link buffer, provided no BS's remaining budgets changed
-    /// in between (a freed budget could re-admit a candidate the
-    /// build-time scan dropped). Intended for fixed populations (the
-    /// mobility regime): the cache keeps one slot per UE of the last
-    /// batch, a rescanned row that outgrows its span moves to the end of
+    /// Enables the cross-epoch candidate-row cache: a UE whose spec (id,
+    /// position bits, SP, service, demands, transmit power) is unchanged
+    /// since its row was built keeps that row, and its generation, where
+    /// it is in the epoch instance's link buffer, provided no BS's
+    /// remaining budgets changed in between (a freed budget could
+    /// re-admit a candidate the build-time scan dropped). Intended for
+    /// fixed populations (the mobility regime): the cache keeps one span
+    /// capacity per UE of the last batch, a rescanned row that outgrows its span moves to the end of
     /// the buffer, and a build compacts the buffer once its dead spans
     /// hold more links than its rows. Under load-proportional
     /// interference the cache is bypassed, because every row depends on
@@ -502,6 +569,16 @@ impl DeploymentContext {
     #[must_use]
     pub fn row_cache_stats(&self) -> Option<(u64, u64)> {
         self.row_cache.as_ref().map(|c| (c.hits, c.misses))
+    }
+
+    /// Lifetime count of UEs the builds found changed: the batch
+    /// positions whose UE spec was not bit-identical to the one the
+    /// previous valid batch held there (every UE of the first build).
+    /// Only those UEs are validated and copied, and, with the row cache
+    /// on, only their rows are rescanned.
+    #[must_use]
+    pub fn ues_changed(&self) -> u64 {
+        self.ues_changed
     }
 
     /// Lifetime budget-pass totals as `(compared, patched)`: the BSs whose
@@ -526,8 +603,10 @@ impl DeploymentContext {
     /// Bit-identical to `deployment.residual(budgets, ues.to_vec())` —
     /// same candidate rows, same accepted/rejected inputs, same errors —
     /// without cloning the deployment or re-validating what cannot have
-    /// changed. After an error the context remains usable: the next
-    /// successful call overwrites all epoch state.
+    /// changed: only the UEs that differ from the ones the instance holds
+    /// at the same positions are validated and copied. A rejected batch
+    /// leaves the instance's UEs and rows as they were, and the context
+    /// remains usable.
     ///
     /// # Errors
     ///
@@ -592,7 +671,7 @@ impl DeploymentContext {
 
         // Patch the budgets and do the row-cache epoch bookkeeping before
         // any row is built: if any BS's remaining budgets differ from the
-        // previous epoch's, the cache is stamped and every slot misses.
+        // previous epoch's, the cache is stamped and every row misses.
         // Load-proportional interference couples each row to the whole
         // batch, so the cache is bypassed entirely there.
         let cache_active = self.row_cache.is_some() && self.rows.interference_factor == 0.0;
@@ -607,21 +686,50 @@ impl DeploymentContext {
         self.budget_bss.1 += pass.patched;
         let invalidated_bss = pass.invalidated;
         let inst = &mut self.instance;
-        validate_ues(ues, inst.sps.len(), inst.catalog)?;
-        inst.ues.clear();
-        inst.ues.extend_from_slice(ues);
+
+        // The batch against the instance's own copy of the last valid one:
+        // only the UEs that differ are validated, copied and, with the
+        // cache on, rescanned. An unchanged UE passed the same checks at
+        // the same position, and the changed ones are checked in batch
+        // order, so the first error is the one a full validation reports.
+        // Nothing is copied before every check passed, so a rejected batch
+        // leaves the UEs and rows as they were.
+        self.changed.clear();
+        for (u, ue) in ues.iter().enumerate() {
+            if inst.ues.get(u).is_none_or(|held| !same_ue(held, ue)) {
+                validate_ue(u, ue, inst.sps.len(), inst.catalog)?;
+                self.changed.push(u as u32);
+            }
+        }
+        let held = inst.ues.len().min(ues.len());
+        inst.ues.truncate(held);
+        for &u in self.changed.iter().take_while(|&&u| (u as usize) < held) {
+            inst.ues[u as usize] = ues[u as usize];
+        }
+        // Every position past the held UEs changed.
+        inst.ues.extend_from_slice(&ues[held..]);
+        self.ues_changed += self.changed.len() as u64;
+        let cache = self.row_cache.as_mut().filter(|_| cache_active);
         let rows = self.rows.build(
             inst,
-            self.row_cache.as_mut().filter(|_| cache_active),
+            cache.map(|cache| (cache, self.changed.as_slice())),
             obs_on,
         );
 
         // Constraint (16): the worst-case price is monotone in distance,
         // so only a new high-water distance needs re-validation — and it
         // fails with exactly the error a from-scratch build would raise.
+        // A cached row passed the check when it was scanned, so the
+        // scanned rows' distance decides; after a failure every row is
+        // stale, and the next build scans and checks them all again.
         let margin_recheck = rows.max_distance > self.validated_distance;
         if margin_recheck {
-            inst.pricing.validate_margin(&inst.sps, rows.max_distance)?;
+            if let Err(err) = inst.pricing.validate_margin(&inst.sps, rows.max_distance) {
+                if let Some(cache) = &mut self.row_cache {
+                    cache.stamp();
+                }
+                return Err(err);
+            }
             self.validated_distance = rows.max_distance;
         }
 
@@ -655,7 +763,7 @@ impl DeploymentContext {
             let inst = &self.instance;
             let builds = EPOCH_BUILDS.get();
             builds.inc();
-            ROWS_REBUILT.get().add(inst.ues.len() as u64);
+            ROWS_REBUILT.get().add(rows.scanned);
             PRECULL_KEPT.get().add(rows.precull_kept);
             PRECULL_REJECTED.get().add(rows.precull_rejected);
             LINKS_KEPT.get().add(rows.links as u64);
@@ -806,7 +914,7 @@ mod tests {
     }
 
     fn assert_same_instance(a: &ProblemInstance, b: &ProblemInstance) {
-        assert_eq!(a.n_ues(), b.n_ues());
+        assert_eq!(a.ues(), b.ues());
         for u in 0..a.n_ues() {
             let ue = UeId::new(u as u32);
             assert_eq!(a.candidates(ue), b.candidates(ue), "UE {u} rows differ");
@@ -881,6 +989,51 @@ mod tests {
             .epoch_instance(&rem_cru, &rem_rrb, fresh_batch(2))
             .unwrap();
         assert_eq!(ok.n_ues(), 2);
+
+        // A cached context validates only the UEs that changed. Each
+        // rejected batch changes two valid UEs, then breaks one (a bad
+        // id, SP or service) and appends another broken one: residual's
+        // error is the first broken UE's. The next valid batch, which
+        // moves one UE of the last valid one, must build residual's
+        // instance with the cache traffic of a build that never saw the
+        // rejected batch.
+        let mut cached = DeploymentContext::new(&deployment).with_row_cache();
+        let table = deployment.budgets().clone();
+        let mut held = fresh_batch(4);
+        cached.build_epoch(&table, &held).unwrap();
+        let breaks: [fn(&mut UeSpec); 3] = [
+            |ue| ue.id = UeId::new(7),
+            |ue| ue.sp = SpId::new(9),
+            |ue| ue.service = ServiceId::new(5),
+        ];
+        for (k, break_ue) in breaks.into_iter().enumerate() {
+            let mut bad = held.clone();
+            bad[0].position = Point::new(-60.0 - 10.0 * k as f64, 20.0);
+            bad[1].cru_demand = Cru::new(6);
+            break_ue(&mut bad[2]);
+            let mut appended = fresh_batch(5)[4];
+            appended.sp = SpId::new(8);
+            bad.push(appended);
+            let (stats, changed) = (cached.row_cache_stats(), cached.ues_changed());
+            let err = cached.build_epoch(&table, &bad).unwrap_err();
+            assert_eq!(
+                err,
+                deployment.residual(&table, bad).unwrap_err(),
+                "break {k}"
+            );
+            assert_eq!(cached.row_cache_stats(), stats, "break {k}");
+            assert_eq!(cached.ues_changed(), changed, "break {k}");
+            held[3].position = Point::new(60.0 + 10.0 * k as f64, 30.0);
+            let scratch = deployment.residual(&table, held.clone()).unwrap();
+            assert_same_instance(cached.build_epoch(&table, &held).unwrap(), &scratch);
+            let (hits, misses) = stats.unwrap();
+            assert_eq!(
+                cached.row_cache_stats(),
+                Some((hits + 3, misses + 1)),
+                "break {k}"
+            );
+            assert_eq!(cached.ues_changed(), changed + 1, "break {k}");
+        }
     }
 
     #[test]

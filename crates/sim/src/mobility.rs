@@ -21,7 +21,10 @@
 //!   its candidate row verbatim, and moved UEs re-evaluate only their
 //!   pruned candidate slice through the batched link kernel. Every epoch
 //!   matches against the deployment's own [`Budgets`], which never
-//!   change, so after the first build the budget pass touches no BS;
+//!   change, so after the first build the budget pass touches no BS. A
+//!   UE that did not change is not validated or copied again, the DMRA
+//!   solver keeps its candidate window, and the profit ledger reads its
+//!   price from a [`PriceMemo`] while it keeps its row and its BS;
 //! * [`MobilitySimulator::run_scratch`] — the executable specification:
 //!   a full exhaustive-scan [`ProblemInstance`] rebuild every epoch,
 //!   exactly the O(U×B) loop the paper describes.
@@ -49,7 +52,8 @@
 use crate::config::ScenarioConfig;
 use crate::dynamic::{push_budget_aux, push_common_aux, AuxCounters};
 use dmra_core::{
-    Allocation, Allocator, Budgets, CandidateScan, DeploymentContext, Dmra, ProblemInstance,
+    Allocation, Allocator, Budgets, CandidateScan, DeploymentContext, Dmra, PriceMemo,
+    ProblemInstance,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{EpochObserver, EpochRecord};
@@ -212,6 +216,9 @@ impl MobilitySimulator {
         // other policies never make it.
         let mut res_ctx: Option<DeploymentContext> = None;
         let mut session = self.allocator.session();
+        // Each UE's price on its last served link, by row generation: a
+        // UE that kept its row and its BS is priced without a lookup.
+        let mut prices = PriceMemo::default();
 
         let mut previous: Option<Allocation> = None;
         let mut outcome = empty_outcome(cfg.epochs);
@@ -224,6 +231,7 @@ impl MobilitySimulator {
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
             let budget_before = ctx.budget_pass_stats();
             let cache_before = ctx.row_cache_stats().unwrap_or_default();
+            let work_before = (ctx.ues_changed(), prices.lookups());
             let instance = ctx.build_epoch(full, &ues)?;
             // The timed slice covers the allocator solve including the
             // sticky residual re-match (split + residual assembly), i.e.
@@ -248,7 +256,16 @@ impl MobilitySimulator {
             };
             let solve_ns = crate::dynamic::record_solve_phase(obs_on, solve_started);
             debug_assert!(allocation.validate(instance).is_ok());
-            account_epoch(&mut outcome, instance, &allocation, previous.as_ref());
+            let profit = instance
+                .profit_report_with(&allocation, &mut prices)
+                .total_profit();
+            account_epoch(
+                &mut outcome,
+                instance,
+                &allocation,
+                previous.as_ref(),
+                profit,
+            );
             if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
                 let (hits, misses) = ctx.row_cache_stats().unwrap_or_default();
                 let record = push_common_aux(
@@ -259,7 +276,10 @@ impl MobilitySimulator {
                     counters,
                     aux_before,
                 );
-                obs.on_record(&push_budget_aux(record, &ctx, budget_before));
+                let record = push_budget_aux(record, &ctx, budget_before)
+                    .aux("ues_changed", ctx.ues_changed() - work_before.0)
+                    .aux("price_lookups", prices.lookups() - work_before.1);
+                obs.on_record(&record);
             }
             previous = Some(allocation);
             advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
@@ -321,7 +341,14 @@ impl MobilitySimulator {
             };
             let solve_ns = crate::dynamic::record_solve_phase(obs_on, solve_started);
             debug_assert!(allocation.validate(&instance).is_ok());
-            account_epoch(&mut outcome, &instance, &allocation, previous.as_ref());
+            let profit = instance.total_profit(&allocation);
+            account_epoch(
+                &mut outcome,
+                &instance,
+                &allocation,
+                previous.as_ref(),
+                profit,
+            );
             if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
                 let record = push_common_aux(
                     mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
@@ -459,17 +486,17 @@ fn advance_waypoints(
     }
 }
 
-/// Updates the outcome counters and timelines with one epoch's allocation.
+/// Updates the outcome counters and timelines with one epoch's allocation
+/// and its total profit.
 fn account_epoch(
     outcome: &mut MobilityOutcome,
     instance: &ProblemInstance,
     allocation: &Allocation,
     previous: Option<&Allocation>,
+    profit: Money,
 ) {
     outcome.served_timeline.push(allocation.edge_served());
-    outcome
-        .profit_timeline
-        .push(instance.total_profit(allocation));
+    outcome.profit_timeline.push(profit);
     if let Some(prev) = previous {
         for ue in instance.ues() {
             match (prev.bs_of(ue.id), allocation.bs_of(ue.id)) {

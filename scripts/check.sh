@@ -20,11 +20,14 @@ cargo test --release -q -p dmra-core -p dmra-sim
 # simulators' set-up and epoch paths must stay bit-identical to their
 # scratch specifications in the build perfbench times. The engine pins
 # fold both simulators' det projections — the sticky mobility policy
-# included, which perfbench never runs — against recorded constants. The
+# included, which perfbench never runs — against recorded constants, and
+# the experiment pins fold the CSV of every `figures --quick` experiment
+# (Figs. 2–7 and the six ablations), the profile `figures` ships in. The
 # observability tests run the engines with telemetry on, as perfbench's
 # traced runs do, and check that the row cache's telemetry counts only
-# the links of live rows.
-cargo test --release -q -p dmra --test incremental --test mobility_incremental --test engine_pins --test observability
+# the links of live rows and that an unchanged mobility epoch does no
+# per-row work.
+cargo test --release -q -p dmra --test incremental --test mobility_incremental --test engine_pins --test experiment_pins --test observability
 # The solver equalities in the same profile: dense against reference at
 # paper scale, the random-scenario proptest and protocol equivalence.
 # The match loop perfbench times is the branch-free keyed one, so its

@@ -9,14 +9,16 @@
 //! populated.
 
 use dmra_core::{DeploymentContext, Dmra, Threads};
+use dmra_obs::{EpochObserver, EpochRecord, FieldValue};
 use dmra_sim::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution};
+use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
 use dmra_sim::{ScenarioConfig, SweepRunner};
 use dmra_types::{Point, UeId};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Held by the tests that read an `online.*` counter's delta or drain
-/// the trace, and by the one other test that builds epochs, so that no
-/// concurrent test moves what they read.
+/// Held by the tests that read an `online.*` or `dmra.*` counter's delta
+/// or drain the trace, and by every other test that builds epochs or
+/// solves, so that no concurrent test moves what they read.
 static ONLINE_TELEMETRY: Mutex<()> = Mutex::new(());
 
 /// Takes [`ONLINE_TELEMETRY`]. It guards no data, so a test that
@@ -37,6 +39,7 @@ fn instance(ues: usize, seed: u64) -> dmra_core::ProblemInstance {
 
 #[test]
 fn solver_equality_holds_with_telemetry_enabled() {
+    let _online = serialize_online();
     dmra_obs::set_enabled(true);
     let dmra = Dmra::default();
     for &(ues, seed) in &[(300usize, 5u64), (900, 17)] {
@@ -89,6 +92,7 @@ fn online_engines_identical_with_telemetry_enabled() {
 
 #[test]
 fn sweep_tables_thread_independent_with_telemetry_enabled() {
+    let _online = serialize_online();
     dmra_obs::set_enabled(true);
     let points: Vec<(f64, ScenarioConfig)> = [120usize, 240]
         .iter()
@@ -183,5 +187,129 @@ fn links_kept_counts_the_live_links_of_a_cached_build() {
         let field = |key: &str| build.fields.iter().find(|&&(k, _)| k == key).unwrap().1;
         assert_eq!(field("ues"), ues.len() as f64, "epoch {epoch}");
         assert_eq!(field("links"), live as f64, "epoch {epoch}");
+    }
+}
+
+/// One mobility epoch's work: the deltas of `online.rows_rebuilt`,
+/// `online.row_cache_misses` and `dmra.windows_loaded`, and the record's
+/// `row_cache_misses`, `ues_changed` and `price_lookups` aux fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EpochWork {
+    rows_rebuilt: u64,
+    cache_misses: u64,
+    windows_loaded: u64,
+    aux_misses: u64,
+    ues_changed: u64,
+    price_lookups: u64,
+}
+
+/// Reads the counters at every record; each epoch's deltas are taken
+/// against the reading of the record before it.
+struct WorkLog {
+    last: Mutex<[u64; 3]>,
+    epochs: Mutex<Vec<EpochWork>>,
+}
+
+fn work_counters() -> [u64; 3] {
+    let reg = dmra_obs::global();
+    [
+        reg.counter("online.rows_rebuilt").get(),
+        reg.counter("online.row_cache_misses").get(),
+        reg.counter("dmra.windows_loaded").get(),
+    ]
+}
+
+impl EpochObserver for WorkLog {
+    fn on_record(&self, record: &EpochRecord) {
+        let aux = |key: &str| match record.aux.iter().find(|(k, _)| *k == key) {
+            Some((_, FieldValue::U64(v))) => *v,
+            other => panic!("{key}: {other:?}"),
+        };
+        let now = work_counters();
+        let mut last = self.last.lock().unwrap();
+        self.epochs.lock().unwrap().push(EpochWork {
+            rows_rebuilt: now[0] - last[0],
+            cache_misses: now[1] - last[1],
+            windows_loaded: now[2] - last[2],
+            aux_misses: aux("row_cache_misses"),
+            ues_changed: aux("ues_changed"),
+            price_lookups: aux("price_lookups"),
+        });
+        *last = now;
+    }
+}
+
+/// Runs a 300-UE, 8-epoch DMRA mobility simulation with telemetry on and
+/// returns each epoch's work.
+fn mobility_work(stationary_fraction: f64) -> Vec<EpochWork> {
+    dmra_obs::set_enabled(true);
+    let log = Arc::new(WorkLog {
+        last: Mutex::new(work_counters()),
+        epochs: Mutex::new(Vec::new()),
+    });
+    let config = MobilityConfig {
+        scenario: ScenarioConfig::paper_defaults().with_ues(300),
+        speed_mps: (8.0, 16.0),
+        epoch_seconds: 10.0,
+        epochs: 8,
+        seed: 31,
+        policy: MobilityPolicy::FullReallocation,
+        stationary_fraction,
+    };
+    MobilitySimulator::new(config)
+        .with_observer(Arc::clone(&log) as Arc<dyn EpochObserver>)
+        .run()
+        .unwrap();
+    let epochs = log.epochs.lock().unwrap().clone();
+    assert_eq!(epochs.len(), 8);
+    epochs
+}
+
+#[test]
+fn rows_rebuilt_counts_the_rows_a_cached_build_scanned() {
+    // A cached mobility build scans exactly its cache misses, so each
+    // epoch's `online.rows_rebuilt` delta is its `online.row_cache_misses`
+    // delta (the record's own miss count): every row on the cold first
+    // epoch, the moved UEs' rows after it.
+    let _online = serialize_online();
+    let epochs = mobility_work(0.5);
+    for (e, w) in epochs.iter().enumerate() {
+        assert_eq!(w.rows_rebuilt, w.cache_misses, "epoch {e}: {w:?}");
+        assert_eq!(w.cache_misses, w.aux_misses, "epoch {e}: {w:?}");
+        assert_eq!(w.rows_rebuilt, w.ues_changed, "epoch {e}: {w:?}");
+    }
+    assert_eq!(epochs[0].rows_rebuilt, 300);
+    assert!(
+        epochs[1..]
+            .iter()
+            .all(|w| w.rows_rebuilt > 0 && w.rows_rebuilt < 300),
+        "{epochs:?}"
+    );
+}
+
+#[test]
+fn an_unchanged_mobility_epoch_does_no_per_row_work() {
+    // Every UE pinned: after the first epoch each batch equals the last
+    // one bit for bit, so the build validates, copies and rescans no UE,
+    // the solver copies no candidate window and the profit ledger looks
+    // up no price.
+    let _online = serialize_online();
+    let epochs = mobility_work(1.0);
+    let first = epochs[0];
+    assert_eq!(
+        (first.rows_rebuilt, first.ues_changed, first.windows_loaded),
+        (300, 300, 300)
+    );
+    assert!(first.price_lookups > 0);
+    let idle = EpochWork {
+        rows_rebuilt: 0,
+        cache_misses: 0,
+        windows_loaded: 0,
+        aux_misses: 0,
+        ues_changed: 0,
+        price_lookups: 0,
+    };
+    for (e, w) in epochs.iter().enumerate().skip(1) {
+        assert_eq!(*w, idle, "epoch {e}");
     }
 }
