@@ -26,8 +26,12 @@
 //! The workspace's candidate windows mirror the instance's link buffer
 //! and outlive the solve, so a load copies only the windows of rows whose
 //! generation it has not loaded (an epoch instance's row-cache hits keep
-//! theirs). Each round of the loop does work in proportion to the UEs
-//! still unmatched, not to the instance:
+//! theirs). Each UE's round-1 proposal outlives the solve too: round 1
+//! runs before any deduction, so a UE whose window, budgets (their
+//! [`Budgets`] mark), `ρ` and preference flag are unchanged proposes
+//! again with one winner-table `max` and one bit set, reading no window.
+//! Each round of the loop does work in proportion to the UEs still
+//! unmatched, not to the instance:
 //!
 //! * the UE side visits a worklist of unmatched UEs, in ascending order;
 //! * Eq. (17)'s resource term `ρ / d` is read from a per-workspace table
@@ -241,7 +245,7 @@ impl Dmra {
             )));
         }
 
-        let loaded = load_monolithic(instance, n_svcs, ws);
+        let loaded = load_monolithic(instance, &self.config, n_svcs, ws);
         load_rho_table(self.config.rho, loaded.max_denominator, ws);
 
         let rows = (&instance.row_start[..], &instance.f_u[..]);
@@ -342,13 +346,17 @@ impl Allocator for Dmra {
 /// the one the workspace loaded for that UE, and forgets the loads of
 /// UEs past its batch, whose windows its own loads may overwrite. A kept
 /// window holds the same candidates, possibly reordered by the last
-/// solve's prunes, which changes no decision. Every other field is
-/// sized/overwritten at the start of a solve (the `ρ / d` table whenever
-/// `ρ` changes or it is too short). So a workspace can be reused freely
-/// across instances of different shapes, row stores and configs; it
-/// never influences the outcome. The winner table and its bitset rely on
-/// the solver's drain discipline (every slot 0 and every bit clear
-/// between solves), which a `debug_assert` re-checks on entry.
+/// solve's prunes, which changes no decision. Each UE's round-1 proposal
+/// persists with its window: a reload forgets it, and so does a solve
+/// whose budgets mark, `ρ` or preference flag differs from the one it
+/// was made under; only a proposal made without a prune is kept. The
+/// other per-UE fields and the budgets are overwritten at the start of a
+/// solve, and the `ρ / d` table whenever `ρ` changes or it is too short.
+/// So a workspace can be reused freely across instances of different
+/// shapes, row stores and configs; it never influences the outcome. The
+/// winner table and its bitset rely on the solver's drain discipline
+/// (every slot 0 and every bit clear between solves), which a
+/// `debug_assert` re-checks on entry.
 #[derive(Debug, Clone, Default)]
 pub struct DmraWorkspace {
     /// Remaining CRUs, flattened `[bs * n_svcs + svc]`.
@@ -362,10 +370,18 @@ pub struct DmraWorkspace {
     /// The row generation each UE's window was loaded from, one entry
     /// per UE of the last batch solved.
     gens: Vec<u64>,
+    /// Each UE's round-1 proposal, parallel to `gens`:
+    /// `slot << 32 | same_sp << 31 | n_rrbs`, with `same_sp` the BS-side
+    /// flag the proposal carried (the preference already applied), or
+    /// [`NO_FIRST`]. It holds only while the window keeps its generation
+    /// and the solve's [`FirstKey`] is `first_key`.
+    first: Vec<u64>,
+    /// The budgets, `ρ` and preference flag `first` was written under.
+    first_key: Option<FirstKey>,
     /// Live window length of each UE.
-    len: Vec<usize>,
+    len: Vec<u32>,
     /// Requested service index per UE.
-    svc: Vec<usize>,
+    svc: Vec<u32>,
     /// CRU demand per UE.
     cru_demand: Vec<u32>,
     /// Eq. (17)'s resource term by integer denominator:
@@ -391,6 +407,36 @@ pub struct DmraWorkspace {
     proposed: Vec<u64>,
     /// Per-BS winner keys for the admission step.
     winners: Vec<u128>,
+}
+
+/// An empty [`DmraWorkspace::first`] entry. No packed proposal is all
+/// ones: its slot is below the slot count, which fits a `u32`.
+const NO_FIRST: u64 = u64::MAX;
+
+/// Packs a round-1 proposal for [`DmraWorkspace::first`]; `n_rrbs` must
+/// be below `2^31`.
+fn pack_first(slot: usize, same_sp: bool, n_rrbs: u32) -> u64 {
+    (slot as u64) << 32 | u64::from(same_sp) << 31 | u64::from(n_rrbs)
+}
+
+/// The `(slot, same_sp, n_rrbs)` of a packed round-1 proposal.
+fn unpack_first(first: u64) -> (usize, bool, u32) {
+    let low = first as u32;
+    ((first >> 32) as usize, low >> 31 != 0, low & !(1 << 31))
+}
+
+/// What a round-1 proposal depends on besides its row: the instance's
+/// budgets (their [`Budgets::mark`]), the bits of `ρ` and the BS-side
+/// same-SP preference.
+type FirstKey = ((u64, u64), u64, bool);
+
+/// The [`FirstKey`] of a solve under `config` over `budgets`.
+fn first_key(budgets: &Budgets, config: &DmraConfig) -> FirstKey {
+    (
+        budgets.mark(),
+        config.rho.to_bits(),
+        config.same_sp_preference,
+    )
 }
 
 /// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace.
@@ -426,6 +472,9 @@ struct MatchRun {
     prunes: u64,
     /// Admission-step evictions.
     evictions: u64,
+    /// Round-1 Eq. (17) arg-mins computed, not replayed from the
+    /// workspace (telemetry only).
+    first_scored: u64,
     /// Total UEs edge-assigned.
     assigned_total: usize,
     /// Total UEs cloud-forwarded.
@@ -473,7 +522,17 @@ impl MatchRun {
 /// the last solve's swap-with-tail prunes; every Eq. (17) key is unique
 /// through its BS id, so the same candidates in another order give the
 /// same decisions and the same counts.
-fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorkspace) -> Loaded {
+///
+/// The round-1 proposals `ws.first` keeps follow the windows: a reloaded
+/// window forgets its UE's entry, the entries are truncated with the
+/// generations, and all of them go when the solve's [`FirstKey`] is not
+/// the one they were written under.
+fn load_monolithic(
+    instance: &ProblemInstance,
+    config: &DmraConfig,
+    n_svcs: usize,
+    ws: &mut DmraWorkspace,
+) -> Loaded {
     let ues = instance.ues();
 
     // The working copy of the budgets, flattened `[bs * n_svcs + svc]`
@@ -492,7 +551,13 @@ fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorks
     if ws.cands.len() < links.len() {
         ws.cands.resize(links.capacity(), DenseCand::default());
     }
+    let key = first_key(budgets, config);
+    if ws.first_key != Some(key) {
+        ws.first_key = Some(key);
+        ws.first.fill(NO_FIRST);
+    }
     ws.gens.truncate(ues.len());
+    ws.first.truncate(ues.len());
     let mut windows = 0;
     for (u, ue) in ues.iter().enumerate() {
         let gen = instance.row_gen[u];
@@ -513,15 +578,21 @@ fn load_monolithic(instance: &ProblemInstance, n_svcs: usize, ws: &mut DmraWorks
             };
         }
         match ws.gens.get_mut(u) {
-            Some(loaded) => *loaded = gen,
-            None => ws.gens.push(gen),
+            Some(loaded) => {
+                *loaded = gen;
+                ws.first[u] = NO_FIRST;
+            }
+            None => {
+                ws.gens.push(gen);
+                ws.first.push(NO_FIRST);
+            }
         }
         windows += 1;
     }
     ws.len.clear();
-    ws.len.extend(instance.f_u.iter().map(|&len| len as usize));
+    ws.len.extend_from_slice(&instance.f_u);
     ws.svc.clear();
-    ws.svc.extend(ues.iter().map(|ue| ue.service.as_usize()));
+    ws.svc.extend(ues.iter().map(|ue| ue.service.index()));
     ws.cru_demand.clear();
     ws.cru_demand
         .extend(ues.iter().map(|ue| ue.cru_demand.get()));
@@ -556,7 +627,9 @@ fn load_rho_table(rho: f64, max_denominator: u64, ws: &mut DmraWorkspace) {
 /// The dense deferred-acceptance loop of Algorithm 1, running over the
 /// `n_ues × n_bss × n_svcs` instance currently loaded in `ws` (see
 /// [`load_monolithic`] and [`load_rho_table`]), whose rows start at
-/// `row_start` and hold `f_u` candidates each.
+/// `row_start` and hold `f_u` candidates each. Round 1 replays every
+/// round-1 proposal the workspace kept and keeps each one it computes
+/// without a prune.
 fn match_loop(
     config: &DmraConfig,
     (row_start, f_u): (&[usize], &[u32]),
@@ -569,6 +642,7 @@ fn match_loop(
         rem_cru,
         rem_rrb,
         cands,
+        first,
         len,
         svc,
         cru_demand,
@@ -592,6 +666,7 @@ fn match_loop(
     let mut unmatched: Vec<usize> = Vec::new();
     let mut prunes = 0u64;
     let mut evictions = 0u64;
+    let mut first_scored = 0u64;
     let mut assigned_total = 0usize;
     let mut cloud_total = 0usize;
 
@@ -617,9 +692,23 @@ fn match_loop(
 
     for iteration in 1..=config.max_iterations {
         // ---- UE side: lines 3–10 ----
+        let first_round = iteration == 1;
         let mut any = false;
         for &u in pending.iter() {
             let u = u as usize;
+            // Round 1 runs before any deduction, so a UE whose window,
+            // budgets, ρ and preference are those of its kept entry
+            // makes that entry's proposal again (see `load_monolithic`).
+            if first_round && first[u] != NO_FIRST {
+                let (slot, same_sp, n_rrbs) = unpack_first(first[u]);
+                let key =
+                    matching::bs_key(same_sp, f_u[u], n_rrbs + cru_demand[u], UeId::new(u as u32));
+                best[slot] = best[slot].max(key);
+                proposed[slot / 64] |= 1 << (slot % 64);
+                proposals_total += 1;
+                any = true;
+                continue;
+            }
             loop {
                 if len[u] == 0 {
                     // Line 1 / fallthrough of lines 4–10: no BS can
@@ -627,10 +716,11 @@ fn match_loop(
                     cloud_total += 1;
                     break;
                 }
+                first_scored += u64::from(first_round);
                 // Eq. (17) arg-min over the live window: the smallest
                 // `(v, bs)` key, whose low word is the entry's index.
                 let start = row_start[u];
-                let window = &cands[start..start + len[u]];
+                let window = &cands[start..start + len[u] as usize];
                 let mut best_key = u128::MAX;
                 for (i, c) in window.iter().enumerate() {
                     let d = u64::from(rem_cru[c.slot as usize]) + u64::from(rem_rrb[c.bs as usize]);
@@ -646,8 +736,9 @@ fn match_loop(
                 let c = window[best_i];
                 let slot = c.slot as usize;
                 if rem_cru[slot] >= cru_demand[u] && rem_rrb[c.bs as usize] >= c.n_rrbs {
+                    let same_sp = config.same_sp_preference & c.same_sp;
                     let key = matching::bs_key(
-                        config.same_sp_preference & c.same_sp,
+                        same_sp,
                         f_u[u],
                         c.n_rrbs + cru_demand[u],
                         UeId::new(u as u32),
@@ -656,12 +747,17 @@ fn match_loop(
                     proposed[slot / 64] |= 1 << (slot % 64);
                     proposals_total += 1;
                     any = true;
+                    // Only a prune-free arg-min is kept: a prune shrinks
+                    // the window, which a replayed proposal would skip.
+                    if first_round && len[u] == f_u[u] && c.n_rrbs < 1 << 31 {
+                        first[u] = pack_first(slot, same_sp, c.n_rrbs);
+                    }
                     break;
                 }
                 // Line 10: the BS can never serve this UE again.
                 prunes += 1;
                 len[u] -= 1;
-                cands.swap(start + best_i, start + len[u]);
+                cands.swap(start + best_i, start + len[u] as usize);
             }
         }
         if !any {
@@ -676,8 +772,8 @@ fn match_loop(
         let n_rrbs = |key: u128| !((key >> 32) as u32) - cru_demand[ue_of(key)];
         let mut accepted_this_iteration = 0usize;
         let mut slots = drain_set_bits(&mut proposed[..n_slots.div_ceil(64)]).peekable();
-        while let Some(&first) = slots.peek() {
-            let bs = first / n_svcs;
+        while let Some(&first_slot) = slots.peek() {
+            let bs = first_slot / n_svcs;
             let bs_end = bs * n_svcs + n_svcs;
             winners.clear();
             // One winner per service: the slot's max-preference proposer.
@@ -699,7 +795,7 @@ fn match_loop(
             }
             for &w in winners.iter() {
                 let u = ue_of(w);
-                rem_cru[bs * n_svcs + svc[u]] -= cru_demand[u];
+                rem_cru[bs * n_svcs + svc[u] as usize] -= cru_demand[u];
                 rem_rrb[bs] -= n_rrbs(w);
                 assigned[u] = Some(BsId::new(bs as u32));
                 accepted_this_iteration += 1;
@@ -728,6 +824,7 @@ fn match_loop(
         unmatched,
         prunes,
         evictions,
+        first_scored,
         assigned_total,
         cloud_total,
         workspace_reused,
@@ -756,6 +853,8 @@ fn record_solve(
         dmra_obs::LazyCounter::new("dmra.workspace_reuse_hits");
     static WINDOWS_LOADED: dmra_obs::LazyCounter =
         dmra_obs::LazyCounter::new("dmra.windows_loaded");
+    static FIRST_SCORED: dmra_obs::LazyCounter =
+        dmra_obs::LazyCounter::new("dmra.first_proposals_scored");
     static SOLVE_NS: dmra_obs::LazyHistogram = dmra_obs::LazyHistogram::new("dmra.solve_ns");
     SOLVES.get().inc();
     ROUNDS.get().add(run.iterations as u64);
@@ -768,6 +867,7 @@ fn record_solve(
         REUSE_HITS.get().inc();
     }
     WINDOWS_LOADED.get().add(windows);
+    FIRST_SCORED.get().add(run.first_scored);
     let solve_ns = solve_started.map_or(0, |t| {
         u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
     });
@@ -1571,6 +1671,216 @@ mod tests {
         assert!(compactions > 0, "the buffer never compacted");
         assert!(hits > 0 && reused > 0, "{hits} hits, {reused} windows kept");
         assert_eq!(solves, 50);
+    }
+
+    /// Each UE's round-1 Eq. (17) arg-min under `dmra` at `inst`'s own
+    /// budgets: the link its first proposal scores best, if any.
+    fn first_choices(dmra: &Dmra, inst: &ProblemInstance) -> Vec<Option<CandidateLink>> {
+        inst.ues()
+            .iter()
+            .map(|spec| {
+                let cands = inst.candidates(spec.id);
+                let scored = cands
+                    .iter()
+                    .map(|l| (dmra.ue_score(inst, inst.budgets(), spec, l), l.bs));
+                matching::arg_min(scored).map(|i| cands[i])
+            })
+            .collect()
+    }
+
+    /// How many UEs of `inst` a solve under `dmra` replays from the
+    /// round-1 proposals `ws` keeps.
+    fn replays(ws: &DmraWorkspace, inst: &ProblemInstance, dmra: &Dmra) -> usize {
+        if ws.first_key != Some(first_key(inst.budgets(), dmra.config())) {
+            return 0;
+        }
+        (0..inst.n_ues())
+            .filter(|&u| {
+                ws.gens.get(u) == Some(&inst.row_gen[u])
+                    && ws.first.get(u).is_some_and(|&m| m != NO_FIRST)
+            })
+            .count()
+    }
+
+    #[test]
+    fn one_workspace_keys_first_proposals() {
+        // One workspace solves, in turn: cached epochs whose UEs move and
+        // whose batch shrinks and grows back with nothing solved in
+        // between; one epoch instance under ρ = 100, 0, +∞ and 100, then
+        // without and with the same-SP preference; a budget stamp; a
+        // clone of an earlier epoch instance (same generations, new
+        // budgets identity) before and after a drain of its budgets;
+        // one-shot builds; and cached epochs again. Every solve must
+        // equal a fresh workspace's and the reference's, and the kept
+        // round-1 proposals must have been replayed.
+        let paper = Dmra::default();
+        let mut ws = DmraWorkspace::default();
+        let solve = |inst: &ProblemInstance, dmra: &Dmra, ws: &mut DmraWorkspace, what: &str| {
+            let got = dmra.solve_with_workspace(inst, ws).unwrap();
+            assert_eq!(got, dmra.solve(inst).unwrap(), "{what}: fresh workspace");
+            assert_eq!(
+                got,
+                dmra.solve_reference(inst).unwrap(),
+                "{what}: reference"
+            );
+            got
+        };
+
+        let sparse = grid_deployment(5, 300.0);
+        let mut ctx = DeploymentContext::new(&sparse).with_row_cache();
+        let full = sparse.budgets().clone();
+        let mut drained = full.clone();
+        drained
+            .take(
+                BsId::new(6),
+                ServiceId::new(0),
+                Cru::new(5),
+                RrbCount::new(4),
+            )
+            .unwrap();
+
+        let mut rng = Lcg(0x9e6c_63d0_676a_9a99);
+        let mut at: Vec<Point> = (0..200).map(|_| rng.point(1500.0)).collect();
+        let mut early: Option<ProblemInstance> = None;
+        for e in 0..12usize {
+            // Every third UE moves each epoch; the batch shrinks at epoch
+            // 3 and grows past its old size at 4.
+            for p in at.iter_mut().skip(e % 3).step_by(3).filter(|_| e > 0) {
+                *p = rng.point(1500.0);
+            }
+            let n = match e {
+                0..=2 => 150,
+                3 => 90,
+                4 | 5 => 200,
+                _ => 170,
+            };
+            let batch: Vec<UeSpec> = (0..n).map(|u| ue_at(u as u32, at[u])).collect();
+            let table = if e == 6 { &drained } else { &full };
+            let inst = ctx.build_epoch(table, &batch).unwrap();
+            // An epoch replays its kept rows unless its build renamed
+            // every row (epoch 3's compaction, the stamps at 6 and 7) or
+            // another instance was solved since the last epoch (the
+            // clone at 8, the one-shots at 9).
+            let replayed = replays(&ws, inst, &paper);
+            let expected = matches!(e, 1 | 2 | 4 | 5 | 8 | 11);
+            assert_eq!(replayed > 0, expected, "epoch {e}: {replayed} replays");
+            solve(inst, &paper, &mut ws, &format!("epoch {e}"));
+            if e == 1 {
+                early = Some(inst.clone());
+            }
+
+            if e == 5 {
+                // Each ρ moves some UE's first choice; a second solve of
+                // one instance under one config replays every kept UE.
+                let cfg = DmraConfig::paper_defaults();
+                let rhos = [100.0, 0.0, f64::INFINITY, 100.0];
+                let choices: Vec<_> = rhos
+                    .iter()
+                    .map(|&rho| first_choices(&Dmra::new(cfg.with_rho(rho)), inst))
+                    .collect();
+                assert_ne!(choices[0], choices[1]);
+                assert_ne!(choices[1], choices[2]);
+                let kept = ws.first.iter().filter(|&&m| m != NO_FIRST).count();
+                assert!(kept > 0);
+                assert_eq!(replays(&ws, inst, &paper), kept);
+                for rho in rhos {
+                    let dmra = Dmra::new(cfg.with_rho(rho));
+                    solve(inst, &dmra, &mut ws, &format!("epoch {e} at ρ = {rho}"));
+                }
+                // Some first choice is a same-SP link, so the preference
+                // decides the flag its proposal carries.
+                assert!(choices[0].iter().flatten().any(|l| l.same_sp));
+                let outcomes: Vec<DmraOutcome> = [false, true]
+                    .into_iter()
+                    .map(|same_sp_preference| {
+                        let dmra = Dmra::new(DmraConfig {
+                            same_sp_preference,
+                            ..cfg
+                        });
+                        let what = format!("epoch {e}, preference {same_sp_preference}");
+                        solve(inst, &dmra, &mut ws, &what)
+                    })
+                    .collect();
+                assert_ne!(outcomes[0], outcomes[1]);
+            }
+            if e == 8 {
+                // The clone keeps epoch 1's generations under a budgets
+                // table of its own; draining its most-chosen BS to one RRB
+                // moves that table's mark and some UE's first choice.
+                let mut clone = early.take().unwrap();
+                solve(&clone, &paper, &mut ws, "epoch 1's clone");
+                let choices = first_choices(&paper, &clone);
+                let mut picks = vec![0usize; clone.n_bss()];
+                for l in choices.iter().flatten() {
+                    picks[l.bs.as_usize()] += 1;
+                }
+                let most = (0..picks.len()).max_by_key(|&b| picks[b]).unwrap();
+                let bs = BsId::new(most as u32);
+                let rrbs = clone.budgets().rrb(bs).get();
+                clone
+                    .budgets
+                    .take(bs, ServiceId::new(0), Cru::ZERO, RrbCount::new(rrbs - 1))
+                    .unwrap();
+                assert_ne!(first_choices(&paper, &clone), choices);
+                assert!(
+                    replays(&ws, &clone, &paper) == 0,
+                    "the drain moved the mark"
+                );
+                solve(&clone, &paper, &mut ws, "epoch 1's drained clone");
+            }
+            if e == 9 {
+                for k in 0..2 {
+                    let batch: Vec<UeSpec> = (0..40).map(|u| ue_at(u, rng.point(1500.0))).collect();
+                    let one_shot = sparse.residual(&full, batch).unwrap();
+                    solve(&one_shot, &paper, &mut ws, &format!("one-shot {k}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_proposal_is_kept_only_without_a_prune() {
+        // Round 1 never prunes on rows built against the instance's own
+        // budgets. Here one UE's first-choice link needs one RRB more
+        // than its BS holds, so round 1 prunes it and the UE proposes to
+        // its next choice; another UE's first choice needs 2^31 RRBs,
+        // which its BS is given. Neither proposal may be kept, and two
+        // solves on one workspace must equal fresh ones.
+        let dmra = Dmra::default();
+        let mut inst = paper_scale_instance();
+        let choices = first_choices(&dmra, &inst);
+        let multi = |u: &usize| inst.f_u[*u] >= 2 && choices[*u].is_some();
+        let pruned = (0..inst.n_ues()).find(multi).unwrap();
+        let huge = (0..inst.n_ues())
+            .filter(multi)
+            .find(|&u| choices[u].unwrap().bs != choices[pruned].unwrap().bs)
+            .unwrap();
+        let link_of = |inst: &ProblemInstance, u: usize| {
+            let bs = choices[u].unwrap().bs;
+            let ue = dmra_types::UeId::new(u as u32);
+            inst.row_start[u] + inst.candidates(ue).iter().position(|l| l.bs == bs).unwrap()
+        };
+        let bs = choices[pruned].unwrap().bs;
+        let (at, over) = (link_of(&inst, pruned), inst.budgets().rrb(bs).get() + 1);
+        inst.links[at].n_rrbs = RrbCount::new(over);
+        let bs = choices[huge].unwrap().bs;
+        let service = inst.ues()[huge].service;
+        inst.budgets
+            .put_back(bs, service, Cru::ZERO, RrbCount::new(1 << 31))
+            .unwrap();
+        let at = link_of(&inst, huge);
+        inst.links[at].n_rrbs = RrbCount::new(1 << 31);
+        assert_eq!(first_choices(&dmra, &inst)[huge].unwrap().bs, bs);
+
+        let mut ws = DmraWorkspace::default();
+        for k in 0..2 {
+            let got = dmra.solve_with_workspace(&inst, &mut ws).unwrap();
+            assert_eq!(got, dmra.solve(&inst).unwrap(), "solve {k}");
+            assert_eq!(got, dmra.solve_reference(&inst).unwrap(), "solve {k}");
+            assert!(got.prunes > 0, "solve {k}");
+        }
+        assert_eq!((ws.first[pruned], ws.first[huge]), (NO_FIRST, NO_FIRST));
+        assert!(replays(&ws, &inst, &dmra) > 0);
     }
 
     #[test]

@@ -551,12 +551,12 @@ impl DeploymentContext {
     /// remaining budgets changed in between (a freed budget could
     /// re-admit a candidate the build-time scan dropped). Intended for
     /// fixed populations (the mobility regime): the cache keeps one span
-    /// capacity per UE of the last batch, a rescanned row that outgrows its span moves to the end of
-    /// the buffer, and a build compacts the buffer once its dead spans
-    /// hold more links than its rows. Under load-proportional
-    /// interference the cache is bypassed, because every row depends on
-    /// the whole batch. Outputs stay bit-identical to an uncached rebuild
-    /// — `tests/mobility_incremental.rs` pins this.
+    /// capacity per UE of the last batch, a rescanned row that outgrows
+    /// its span moves to the end of the buffer, and a build compacts the
+    /// buffer once its dead spans hold more links than its rows. Under
+    /// load-proportional interference the cache is bypassed, because
+    /// every row depends on the whole batch. Outputs stay bit-identical
+    /// to an uncached rebuild — `tests/mobility_incremental.rs` pins this.
     #[must_use]
     pub fn with_row_cache(mut self) -> Self {
         self.row_cache = Some(RowCache::default());

@@ -26,7 +26,8 @@ cargo test --release -q -p dmra-core -p dmra-sim
 # observability tests run the engines with telemetry on, as perfbench's
 # traced runs do, and check that the row cache's telemetry counts only
 # the links of live rows and that an unchanged mobility epoch does no
-# per-row work.
+# per-row work: no row rescanned, no window copied, no round-1 arg-min
+# computed and no price looked up.
 cargo test --release -q -p dmra --test incremental --test mobility_incremental --test engine_pins --test experiment_pins --test observability
 # The solver equalities in the same profile: dense against reference at
 # paper scale, the random-scenario proptest and protocol equivalence.

@@ -191,13 +191,15 @@ fn links_kept_counts_the_live_links_of_a_cached_build() {
 }
 
 /// One mobility epoch's work: the deltas of `online.rows_rebuilt`,
-/// `online.row_cache_misses` and `dmra.windows_loaded`, and the record's
-/// `row_cache_misses`, `ues_changed` and `price_lookups` aux fields.
+/// `online.row_cache_misses`, `dmra.windows_loaded` and
+/// `dmra.first_proposals_scored`, and the record's `row_cache_misses`,
+/// `ues_changed` and `price_lookups` aux fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EpochWork {
     rows_rebuilt: u64,
     cache_misses: u64,
     windows_loaded: u64,
+    first_scored: u64,
     aux_misses: u64,
     ues_changed: u64,
     price_lookups: u64,
@@ -206,16 +208,17 @@ struct EpochWork {
 /// Reads the counters at every record; each epoch's deltas are taken
 /// against the reading of the record before it.
 struct WorkLog {
-    last: Mutex<[u64; 3]>,
+    last: Mutex<[u64; 4]>,
     epochs: Mutex<Vec<EpochWork>>,
 }
 
-fn work_counters() -> [u64; 3] {
+fn work_counters() -> [u64; 4] {
     let reg = dmra_obs::global();
     [
         reg.counter("online.rows_rebuilt").get(),
         reg.counter("online.row_cache_misses").get(),
         reg.counter("dmra.windows_loaded").get(),
+        reg.counter("dmra.first_proposals_scored").get(),
     ]
 }
 
@@ -231,6 +234,7 @@ impl EpochObserver for WorkLog {
             rows_rebuilt: now[0] - last[0],
             cache_misses: now[1] - last[1],
             windows_loaded: now[2] - last[2],
+            first_scored: now[3] - last[3],
             aux_misses: aux("row_cache_misses"),
             ues_changed: aux("ues_changed"),
             price_lookups: aux("price_lookups"),
@@ -270,7 +274,8 @@ fn rows_rebuilt_counts_the_rows_a_cached_build_scanned() {
     // A cached mobility build scans exactly its cache misses, so each
     // epoch's `online.rows_rebuilt` delta is its `online.row_cache_misses`
     // delta (the record's own miss count): every row on the cold first
-    // epoch, the moved UEs' rows after it.
+    // epoch, the moved UEs' rows after it. After the first epoch the
+    // solver scores round 1 only for UEs whose window it reloaded.
     let _online = serialize_online();
     let epochs = mobility_work(0.5);
     for (e, w) in epochs.iter().enumerate() {
@@ -285,14 +290,20 @@ fn rows_rebuilt_counts_the_rows_a_cached_build_scanned() {
             .all(|w| w.rows_rebuilt > 0 && w.rows_rebuilt < 300),
         "{epochs:?}"
     );
+    assert!(
+        epochs[1..]
+            .iter()
+            .all(|w| w.first_scored > 0 && w.first_scored <= w.windows_loaded),
+        "{epochs:?}"
+    );
 }
 
 #[test]
 fn an_unchanged_mobility_epoch_does_no_per_row_work() {
     // Every UE pinned: after the first epoch each batch equals the last
     // one bit for bit, so the build validates, copies and rescans no UE,
-    // the solver copies no candidate window and the profit ledger looks
-    // up no price.
+    // the solver copies no candidate window and computes no round-1
+    // arg-min, and the profit ledger looks up no price.
     let _online = serialize_online();
     let epochs = mobility_work(1.0);
     let first = epochs[0];
@@ -300,11 +311,12 @@ fn an_unchanged_mobility_epoch_does_no_per_row_work() {
         (first.rows_rebuilt, first.ues_changed, first.windows_loaded),
         (300, 300, 300)
     );
-    assert!(first.price_lookups > 0);
+    assert!(first.price_lookups > 0 && first.first_scored > 0);
     let idle = EpochWork {
         rows_rebuilt: 0,
         cache_misses: 0,
         windows_loaded: 0,
+        first_scored: 0,
         aux_misses: 0,
         ues_changed: 0,
         price_lookups: 0,
